@@ -18,9 +18,8 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
+from ._numpy import np
 from .dynamics import (
     CollisionError,
     UnphysicalParametersError,
@@ -35,7 +34,12 @@ from .masses import (
     classify,
     solve_masses,
 )
-from .oracle import is_central_configuration, trapezoid_system
+from .oracle import (
+    DEFAULT_CC_TOL,
+    PlanarSystem,
+    is_central_configuration,
+    trapezoid_system,
+)
 from .regions import (
     audit_published_domains,
     compare_exact_vs_approx,
@@ -170,6 +174,13 @@ def cmd_masses(args) -> int:
     return EX_OK
 
 
+def _relative_residual(report) -> float:
+    """The check's largest force defect over its mean attraction."""
+    if report.attraction_scale > 0.0:
+        return report.max_residual / report.attraction_scale
+    return math.inf
+
+
 def cmd_verify(args) -> int:
     params = _params_or_usage(args.alpha, args.beta)
     try:
@@ -185,11 +196,7 @@ def cmd_verify(args) -> int:
         )
     system = trapezoid_system(params, solution.m, solution.M)
     verdict, report = is_central_configuration(system, tol=args.tol)
-    relative = (
-        report.max_residual / report.attraction_scale
-        if report.attraction_scale > 0.0
-        else math.inf
-    )
+    relative = _relative_residual(report)
     payload = {
         "alpha": params.alpha,
         "beta": params.beta,
@@ -217,6 +224,34 @@ def cmd_verify(args) -> int:
     return EX_OK if verdict else EX_VERIFY_FAILED
 
 
+def raster_csv(grid) -> str:
+    """The raster CSV text, built one beta row at a time.
+
+    The axes are formatted once, and each row's values become Python
+    floats in one ``.tolist()``; ``repr`` of a Python float is what
+    :func:`fnum` writes.  The line list is freed on return, before the
+    text is encoded for writing.
+    """
+    alphas = [repr(alpha) for alpha in grid.alpha_axis.tolist()]
+    betas = [repr(beta) for beta in grid.beta_axis.tolist()]
+    lines = [RASTER_CSV_HEADER]
+    for i, beta in enumerate(betas):
+        row = zip(
+            alphas,
+            grid.f1[i].tolist(),
+            grid.f3[i].tolist(),
+            grid.m[i].tolist(),
+            grid.M[i].tolist(),
+            grid.labels[i].tolist(),
+        )
+        lines.extend(
+            f"{alpha},{beta},{f1!r},{f3!r},{m!r},{M!r},{label.value}"
+            for alpha, f1, f3, m, M, label in row
+        )
+    lines.append("")
+    return "\n".join(lines)
+
+
 def cmd_raster(args) -> int:
     alpha_range = _parse_range(args.alpha_range, "--alpha-range")
     beta_range = _parse_range(args.beta_range, "--beta-range")
@@ -226,23 +261,7 @@ def cmd_raster(args) -> int:
     except ValueError as err:
         raise UsageError(str(err))
 
-    lines = [RASTER_CSV_HEADER]
-    for i, beta in enumerate(grid.beta_axis):
-        for j, alpha in enumerate(grid.alpha_axis):
-            lines.append(
-                ",".join(
-                    (
-                        fnum(alpha),
-                        fnum(beta),
-                        fnum(grid.f1[i, j]),
-                        fnum(grid.f3[i, j]),
-                        fnum(grid.m[i, j]),
-                        fnum(grid.M[i, j]),
-                        grid.labels[i, j].value,
-                    )
-                )
-            )
-    write_text(args.out, "\n".join(lines) + "\n")
+    write_text(args.out, raster_csv(grid))
 
     label_counts = {}
     for label in RegionLabel:
@@ -274,9 +293,12 @@ def cmd_boundary(args) -> int:
             if not chunk:
                 continue
             try:
-                fixed_values.append(float(chunk))
+                value = float(chunk)
             except ValueError:
                 raise UsageError(f"--fixed expects numbers, got {chunk!r}")
+            if not math.isfinite(value):
+                raise UsageError(f"--fixed values must be finite, got {chunk!r}")
+            fixed_values.append(value)
     search_interval = None
     if args.search_interval:
         search_interval = _parse_range(args.search_interval, "--search-interval")
@@ -325,6 +347,17 @@ def cmd_simulate(args) -> int:
     except UnphysicalParametersError as err:
         print(f"refused: {err}", file=sys.stderr)
         return EX_REFUSED
+    # the closed-form masses balance only two of the three equations, so
+    # off the central-configuration locus the motion is not a rigid rotation
+    system = PlanarSystem.from_bodies((mass, body.position) for mass, body in initial.bodies)
+    central, report = is_central_configuration(system)
+    if not central:
+        print(
+            f"warning: (alpha={params.alpha!r}, beta={params.beta!r}) is not a central "
+            f"configuration: relative residual {_relative_residual(report):.3g} exceeds "
+            f"{DEFAULT_CC_TOL:g}, so the motion will not be a rigid rotation",
+            file=sys.stderr,
+        )
 
     def trajectory_csv(traj) -> str:
         lines = [TRAJECTORY_CSV_HEADER]
@@ -387,7 +420,9 @@ def cmd_compare_approx(args) -> int:
         grid = raster((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
     except ValueError as err:
         raise UsageError(str(err))
-    report = compare_exact_vs_approx(grid)
+    alphas, betas = grid.alpha_axis[None, :], grid.beta_axis[:, None]
+    approx1, approx3 = f1_approx(alphas, betas), f3_approx(alphas, betas)
+    report = compare_exact_vs_approx(grid, (approx1, approx3))
     audit = audit_published_domains()
 
     def worst_cells(exact, approx, count=10):
@@ -406,7 +441,6 @@ def cmd_compare_approx(args) -> int:
             )
         return rows
 
-    grid_a, grid_b = np.meshgrid(grid.alpha_axis, grid.beta_axis)
     payload = {
         "f1": {
             "sign_agreement": report.f1_sign_agreement,
@@ -414,7 +448,7 @@ def cmd_compare_approx(args) -> int:
             "mean_abs_deviation": report.f1_mean_abs_deviation,
             "disagreement_count": len(report.f1_disagreements),
             "disagreement_cells": [list(c) for c in report.f1_disagreements[:50]],
-            "worst_cells": worst_cells(grid.f1, f1_approx(grid_a, grid_b)),
+            "worst_cells": worst_cells(grid.f1, approx1),
         },
         "f3": {
             "sign_agreement": report.f3_sign_agreement,
@@ -422,7 +456,7 @@ def cmd_compare_approx(args) -> int:
             "mean_abs_deviation": report.f3_mean_abs_deviation,
             "disagreement_count": len(report.f3_disagreements),
             "disagreement_cells": [list(c) for c in report.f3_disagreements[:50]],
-            "worst_cells": worst_cells(grid.f3, f3_approx(grid_a, grid_b)),
+            "worst_cells": worst_cells(grid.f3, approx3),
         },
         "published_domains": {
             "n_samples": audit.n_samples,

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .geometry import PlanarPoint, TrapezoidParams, compute_distance_cubes, build_configuration
 from .masses import RegionLabel, classify, solve_masses
 from .oracle import attraction_field

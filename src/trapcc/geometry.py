@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 
-import numpy as np
+from ._numpy import np
 
 BETA_MAX_DEFAULT = 2.0
 

@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._numpy import np
 from .geometry import DistanceCubes, TrapezoidParams, compute_distance_cubes
 
 DEGENERACY_TOL = 1e-12

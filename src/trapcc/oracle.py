@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
+from ._numpy import np
 from .geometry import PlanarPoint, TrapezoidParams, build_configuration
 
 MIN_SEPARATION = 1e-9

@@ -22,8 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .geometry import distance_cubes_values
 from .masses import DEGENERACY_TOL, RegionLabel, mass_values, sign_values
 
@@ -87,7 +86,9 @@ class ApproxCoefficients:
 
 
 def approx_coefficients(beta) -> ApproxCoefficients:
-    root = np.sqrt(beta**2 + 0.25)
+    # both are the IEEE square root; math.sqrt keeps the scalar g3 path
+    # free of the numpy import
+    root = math.sqrt(beta**2 + 0.25) if isinstance(beta, float) else np.sqrt(beta**2 + 0.25)
     h0 = -2.0 * beta**6 - 1.5 * beta**4 + 2.0 * (beta**2 + 0.25) ** 1.5 - 0.38 * beta**2 - 0.03
     h1 = -1.5 * beta**4 - 0.75 * beta**2 / root + 0.1
     h2 = (
@@ -173,11 +174,17 @@ class RootSearch:
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float = BISECTION_XTOL) -> RootSearch:
-    """Plain bisection, refined until the bracket is below ``xtol``."""
+    """Plain bisection, refined until the bracket is below ``xtol``.
+
+    Raises ValueError on an invalid interval, or when ``f`` is NaN at an
+    endpoint (a NaN has no sign to bracket a root with).
+    """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise ValueError(f"invalid search interval [{lo}, {hi}]")
     f_lo = f(lo)
     f_hi = f(hi)
+    if math.isnan(f_lo) or math.isnan(f_hi):
+        raise ValueError(f"f is NaN at an endpoint of [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}")
     if f_lo == 0.0:
         return RootSearch(root=lo, f_root=0.0, f_lo=f_lo, f_hi=f_hi)
     if f_hi == 0.0:
@@ -485,18 +492,24 @@ class ApproxReport:
     f3_disagreements: tuple[tuple[float, float], ...]
 
 
-def compare_exact_vs_approx(grid: RasterGrid) -> ApproxReport:
-    grid_a, grid_b = np.meshgrid(grid.alpha_axis, grid.beta_axis)
-    approx1 = f1_approx(grid_a, grid_b)
-    approx3 = f3_approx(grid_a, grid_b)
+def compare_exact_vs_approx(grid: RasterGrid, approx=None) -> ApproxReport:
+    """Compare the exact f1, f3 of ``grid`` with the published surrogates.
+
+    ``approx`` is the pair (f1_approx, f3_approx) already evaluated on the
+    grid; without it they are evaluated here.  The axes go in as a row and
+    a column, so the beta-only terms are computed once per row and
+    broadcast; the values equal a full-meshgrid evaluation bit for bit.
+    """
+    if approx is None:
+        alphas, betas = grid.alpha_axis[None, :], grid.beta_axis[:, None]
+        approx = f1_approx(alphas, betas), f3_approx(alphas, betas)
+    approx1, approx3 = approx
 
     def stats(exact, approx):
         agree = np.sign(exact) == np.sign(approx)
         dev = np.abs(exact - approx)
-        cells = [
-            (float(grid_a[idx]), float(grid_b[idx]))
-            for idx in zip(*np.nonzero(~agree))
-        ]
+        rows, cols = np.nonzero(~agree)
+        cells = zip(grid.alpha_axis[cols].tolist(), grid.beta_axis[rows].tolist())
         return float(agree.mean()), float(dev.max()), float(dev.mean()), tuple(cells)
 
     agree1, max1, mean1, cells1 = stats(grid.f1, approx1)

@@ -1,7 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import trapcc
+from locus_oracle import locus_beta
 from trapcc.cli import (
     BOUNDARY_CSV_HEADER,
     EX_COLLISION,
@@ -13,9 +19,10 @@ from trapcc.cli import (
     MASSES_CSV_HEADER,
     RASTER_CSV_HEADER,
     TRAJECTORY_CSV_HEADER,
+    fnum,
     main,
 )
-from trapcc.regions import bisect, exact_f3
+from trapcc.regions import bisect, cell_centers, exact_f3, f1_approx, f3_approx, raster
 
 
 def run(capsys, *argv):
@@ -172,6 +179,67 @@ class TestRaster:
         assert code == 74
         assert "x.csv" in err
 
+    @staticmethod
+    def reference_csv(grid):
+        """The per-cell writer that the row-wise one replaced, kept as the
+        byte reference."""
+        lines = [RASTER_CSV_HEADER]
+        for i, beta in enumerate(grid.beta_axis):
+            for j, alpha in enumerate(grid.alpha_axis):
+                lines.append(
+                    ",".join(
+                        (
+                            fnum(alpha),
+                            fnum(beta),
+                            fnum(grid.f1[i, j]),
+                            fnum(grid.f3[i, j]),
+                            fnum(grid.m[i, j]),
+                            fnum(grid.M[i, j]),
+                            grid.labels[i, j].value,
+                        )
+                    )
+                )
+        return "\n".join(lines) + "\n"
+
+    def assert_matches_reference(self, capsys, tmp_path, alpha_range, beta_range, n_alpha, n_beta):
+        out = tmp_path / "grid.csv"
+        code, _, _ = run_json(
+            capsys,
+            "raster",
+            "--alpha-range", "%r,%r" % alpha_range,
+            "--beta-range", "%r,%r" % beta_range,
+            "--resolution", f"{n_alpha}x{n_beta}",
+            "--out", str(out),
+        )
+        assert code == EX_OK
+        text = out.read_bytes().decode("utf-8")
+        reference = self.reference_csv(raster(alpha_range, beta_range, n_alpha, n_beta))
+        # name the first differing row: a diff of the whole files is slow
+        rows, expected = text.split("\n"), reference.split("\n")
+        assert len(rows) == len(expected)
+        differ = [i for i, (row, want) in enumerate(zip(rows, expected)) if row != want]
+        assert not differ, f"{len(differ)} rows differ; first {rows[differ[0]]!r} != {expected[differ[0]]!r}"
+        return text
+
+    def test_rows_match_per_cell_reference(self, capsys, tmp_path):
+        self.assert_matches_reference(capsys, tmp_path, (0.05, 0.95), (0.1, 1.4), 37, 23)
+
+    def test_degenerate_row_matches_per_cell_reference(self, capsys, tmp_path):
+        # put one cell centre on f3 = 0 by shifting the beta range until
+        # that centre is the bisected degenerate beta
+        alpha_range, n_alpha, n_beta, row = (0.3, 0.8), 12, 9, 4
+        alpha = float(cell_centers(*alpha_range, n_alpha)[7])
+        beta0 = degenerate_beta(alpha)
+        span = 0.5
+        lo = beta0 - (row + 0.5) * span / n_beta
+        for _ in range(64):
+            centre = float(cell_centers(lo, lo + span, n_beta)[row])
+            if centre == beta0:
+                break
+            lo += beta0 - centre
+        text = self.assert_matches_reference(capsys, tmp_path, alpha_range, (lo, lo + span), n_alpha, n_beta)
+        assert ",nan,nan,Degenerate\n" in text
+
     def test_deterministic_file_output(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
@@ -222,6 +290,21 @@ class TestBoundary:
         row = out.read_text().splitlines()[1]
         assert row == "0.5,domain_error:NegativeRadicandError,,published-approximation"
 
+    @pytest.mark.parametrize("fixed", ["nan", "inf", "-inf", "0.5,nan"])
+    def test_non_finite_fixed_is_usage_error(self, capsys, tmp_path, fixed):
+        out = tmp_path / "boundary.csv"
+        code, _, err = run(
+            capsys,
+            "boundary",
+            "--which", "f1",
+            "--axis", "alpha",
+            f"--fixed={fixed}",
+            "--out", str(out),
+        )
+        assert code == EX_USAGE
+        assert "finite" in err
+        assert not out.exists()
+
     def test_empty_fixed_list_gives_header_only(self, capsys, tmp_path):
         out = tmp_path / "empty.csv"
         code, _, _ = run_json(
@@ -252,6 +335,34 @@ class TestSimulate:
         lines = out.read_text().splitlines()
         assert lines[0] == TRAJECTORY_CSV_HEADER
         assert len(lines) > 10
+
+    def test_off_locus_point_warns_on_stderr(self, capsys, tmp_path):
+        out = tmp_path / "off.csv"
+        code, doc, err = run_json(
+            capsys,
+            "simulate",
+            "--alpha", "0.5",
+            "--beta", "1.0",
+            "--periods", "0.1",
+            "--out", str(out),
+        )
+        assert code == EX_VERIFY_FAILED
+        assert "not a central configuration" in err
+        assert "relative residual 1.06" in err
+        assert doc["warnings"] == []
+        assert out.read_text().splitlines()[0] == TRAJECTORY_CSV_HEADER
+
+    def test_locus_point_does_not_warn(self, capsys, tmp_path):
+        code, _, err = run_json(
+            capsys,
+            "simulate",
+            "--alpha", "0.5",
+            "--beta", repr(locus_beta(0.5)),
+            "--periods", "0.1",
+            "--out", str(tmp_path / "on.csv"),
+        )
+        assert code == EX_OK
+        assert err == ""
 
     def test_refuses_negative_mass_without_force(self, capsys, tmp_path):
         code, _, err = run(
@@ -329,6 +440,41 @@ class TestCompareApprox:
         assert out.exists()
         assert json.loads(out.read_text())["payload"]["f1"]["sign_agreement"] == payload["f1"]["sign_agreement"]
 
+    def test_matches_meshgrid_reference(self, capsys):
+        # the report as it was computed before the surrogates were evaluated
+        # on broadcast axes: on a full meshgrid, once for the statistics and
+        # once for the worst cells
+        n_alpha, n_beta = 37, 53
+        code, doc, _ = run_json(capsys, "compare-approx", "--resolution", f"{n_alpha}x{n_beta}")
+        assert code == EX_OK
+        grid = raster((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
+        grid_a, grid_b = np.meshgrid(grid.alpha_axis, grid.beta_axis)
+        for which, exact, surrogate in (("f1", grid.f1, f1_approx), ("f3", grid.f3, f3_approx)):
+            approx = surrogate(grid_a, grid_b)
+            agree = np.sign(exact) == np.sign(approx)
+            dev = np.abs(exact - approx)
+            cells = [[float(grid_a[idx]), float(grid_b[idx])] for idx in zip(*np.nonzero(~agree))]
+            worst = []
+            for idx in np.argsort(dev.ravel())[::-1][:10]:
+                i, j = np.unravel_index(idx, dev.shape)
+                worst.append(
+                    {
+                        "alpha": float(grid.alpha_axis[j]),
+                        "beta": float(grid.beta_axis[i]),
+                        "exact": float(exact[i, j]),
+                        "approx": float(approx[i, j]),
+                    }
+                )
+            assert cells  # the comparison covers disagreeing cells
+            assert doc["payload"][which] == {
+                "sign_agreement": float(agree.mean()),
+                "max_abs_deviation": float(dev.max()),
+                "mean_abs_deviation": float(dev.mean()),
+                "disagreement_count": len(cells),
+                "disagreement_cells": cells[:50],
+                "worst_cells": worst,
+            }
+
     def test_zero_resolution(self, capsys):
         code, _, _ = run(capsys, "compare-approx", "--resolution", "0")
         assert code == EX_USAGE
@@ -344,3 +490,32 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("trapcc ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["masses", "--alpha", "0.5", "--beta", "1"],
+        ["boundary", "--which", "f1", "--axis", "alpha", "--fixed", "0.5,0.7", "--method", "exact"],
+        ["boundary", "--which", "f3", "--axis", "beta", "--fixed", "0.3,0.9", "--method", "published"],
+    ],
+)
+def test_scalar_commands_do_not_load_numpy(tmp_path, argv):
+    # a fresh interpreter, since this one has numpy loaded already
+    if argv[0] == "boundary":
+        argv = argv + ["--out", str(tmp_path / "b.csv")]
+    script = (
+        "import sys\n"
+        "from trapcc.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "loaded = sorted(name for name in sys.modules if name.startswith('numpy.'))\n"
+        "print(code, loaded, file=sys.stderr)\n"
+    )
+    src = str(Path(trapcc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "0 []"

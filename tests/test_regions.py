@@ -163,6 +163,12 @@ class TestBisect:
         result = bisect(lambda x: x, 0.0, 1.0)
         assert result.root == 0.0
 
+    @pytest.mark.parametrize("nan_at", [0.0, 1.0])
+    def test_nan_endpoint_value_raises(self, nan_at):
+        # a NaN endpoint value used to count as negative and give a root
+        with pytest.raises(ValueError, match="NaN"):
+            bisect(lambda x: math.nan if x == nan_at else x - 0.5, 0.0, 1.0)
+
 
 class TestRaster:
     def test_two_by_two_cell_centres(self):
@@ -239,6 +245,15 @@ class TestRaster:
 
 
 class TestCompareExactVsApprox:
+    def test_broadcast_axes_match_meshgrid(self):
+        # compare-approx evaluates the surrogates on a row of alphas and a
+        # column of betas; the values must be those of the full meshgrid
+        alphas = cell_centers(0.0, 1.0, 301)
+        betas = cell_centers(0.0, 1.5, 217)
+        grid_a, grid_b = np.meshgrid(alphas, betas)
+        for surrogate in (f1_approx, f3_approx):
+            assert np.array_equal(surrogate(alphas[None, :], betas[:, None]), surrogate(grid_a, grid_b))
+
     def test_fractions_bounded(self):
         report = compare_exact_vs_approx(raster((0.0, 1.0), (0.0, 1.0), 40, 40))
         for fraction in (report.f1_sign_agreement, report.f3_sign_agreement):
