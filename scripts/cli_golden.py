@@ -49,6 +49,9 @@ COMMANDS = [
     ("verify-off-locus", ["verify", "--alpha", "0.5", "--beta", "1"]),
     ("verify-locus", ["verify", "--alpha", "0.5", "--beta", LOCUS_BETA]),
     ("verify-negative", ["verify", "--alpha", "0.5", "--beta", "0.5"]),
+    ("verify-zero-tol", ["verify", "--alpha", "1", "--beta", "1", "--tol", "0"]),
+    ("verify-negative-tol", ["verify", "--alpha", "1", "--beta", "1", "--tol", "-1"]),
+    ("verify-nan-tol", ["verify", "--alpha", "1", "--beta", "1", "--tol", "nan"]),
     ("raster-10", ["raster", "--resolution", "10", "--out", "@raster-10.csv"]),
     ("raster-256", ["raster", "--resolution", "256x256", "--out", "@raster-256.csv"]),
     ("raster-8x6", ["raster", "--alpha-range", "0,1", "--beta-range", "0,2",
@@ -79,6 +82,12 @@ COMMANDS = [
                       "--out", "@b8.csv"]),
     ("boundary-inf", ["boundary", "--which", "f1", "--axis", "beta", "--fixed", "0.5,inf",
                       "--out", "@b9.csv"]),
+    ("boundary-overflow", ["boundary", "--which", "f1", "--axis", "alpha", "--fixed", "0.5",
+                           "--search-interval", "1e200,1e201", "--out", "@b10.csv"]),
+    ("boundary-overflow-fixed", ["boundary", "--which", "f1", "--axis", "beta", "--fixed",
+                                 "1e200", "--out", "@b11.csv"]),
+    ("boundary-inf-interval", ["boundary", "--which", "f1", "--axis", "alpha", "--fixed", "",
+                               "--search-interval", "0,inf", "--out", "@b12.csv"]),
     ("simulate-square", ["simulate", "--alpha", "1", "--beta", "1", "--out", "@s1.csv"]),
     ("simulate-locus", ["simulate", "--alpha", "0.5", "--beta", LOCUS_BETA, "--out", "@s2.csv"]),
     ("simulate-off-locus", ["simulate", "--alpha", "0.5", "--beta", "1.0", "--periods", "0.5",
@@ -90,6 +99,14 @@ COMMANDS = [
                                "--out", "@s6.csv"]),
     ("simulate-bad-dt", ["simulate", "--alpha", "1", "--beta", "1", "--dt", "0",
                          "--out", "@s7.csv"]),
+    ("simulate-every-step", ["simulate", "--alpha", "0.5", "--beta", LOCUS_BETA, "--periods",
+                             "0.05", "--stride", "1", "--out", "@s8.csv"]),
+    ("simulate-zero-stride", ["simulate", "--alpha", "1", "--beta", "1", "--stride", "0",
+                              "--out", "@s9.csv"]),
+    ("simulate-inf-periods", ["simulate", "--alpha", "1", "--beta", "1", "--periods", "inf",
+                              "--out", "@s10.csv"]),
+    ("simulate-nan-dt", ["simulate", "--alpha", "1", "--beta", "1", "--dt", "nan",
+                         "--out", "@s11.csv"]),
     ("compare-20", ["compare-approx", "--resolution", "20"]),
     ("compare-1x1", ["compare-approx", "--resolution", "1x1"]),
     ("compare-37x53", ["compare-approx", "--resolution", "37x53", "--out", "@c1.json"]),

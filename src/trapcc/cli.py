@@ -112,9 +112,30 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"{flag} expects numbers, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"{flag} values must be finite, got {text!r}")
     if not hi > lo:
         raise UsageError(f"{flag} needs LO < HI, got {text!r}")
     return lo, hi
+
+
+def _checked(convert, valid, requirement: str):
+    """An argparse type: ``convert`` the text, then refuse a value that is
+    not ``valid``, which argparse reports as a usage error (exit 64)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_finite = _checked(float, math.isfinite, "finite")
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and non-negative")
+_positive_int = _checked(int, lambda v: v >= 1, "at least 1")
 
 
 def _parse_resolution(text: str) -> tuple[int, int]:
@@ -309,6 +330,8 @@ def cmd_boundary(args) -> int:
         )
     except ValueError as err:
         raise UsageError(str(err))
+    except OverflowError:  # the sign functions cube distances in Python floats
+        raise UsageError("the sign functions overflow: --fixed or --search-interval too large")
 
     lines = [BOUNDARY_CSV_HEADER]
     for sample in curve.samples:
@@ -487,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the full per-body force balance")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("raster", help="classify a grid of the parameter plane to CSV")
@@ -512,9 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate a rigid-rotation candidate")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--periods", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--stride", type=int, default=100)
+    p.add_argument("--periods", type=_finite, default=1.0)
+    p.add_argument("--dt", type=_finite, default=1e-3)
+    p.add_argument("--stride", type=_positive_int, default=100)
     p.add_argument("--force", action="store_true",
                    help="integrate even with non-positive masses")
     p.add_argument("--out", required=True)

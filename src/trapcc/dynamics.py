@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from ._numpy import np
 from .geometry import PlanarPoint, TrapezoidParams, compute_distance_cubes, build_configuration
 from .masses import RegionLabel, classify, solve_masses
-from .oracle import attraction_field
+from .oracle import (
+    _field,
+    _min_separation,
+    _pair_distances,
+    _pairs,
+    _potential,
+    attraction_field,
+)
 
 COLLISION_TOL = 1e-6
 DEFAULT_DT = 1e-3
@@ -52,14 +59,12 @@ class SystemState:
     time: float
 
     def __post_init__(self):
-        pos = self.position_array()
-        n = len(pos)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if float(np.hypot(*(pos[i] - pos[j]))) < COLLISION_TOL:
-                    raise ValueError(
-                        f"bodies {i + 1} and {j + 1} are within the collision tolerance"
-                    )
+        coords = [c for _, s in self.bodies for c in (s.position.x, s.position.y)]
+        for (i, j), d in zip(_pairs(len(self.bodies)), _pair_distances(coords).tolist()):
+            if d < COLLISION_TOL:
+                raise ValueError(
+                    f"bodies {i + 1} and {j + 1} are within the collision tolerance"
+                )
 
     @classmethod
     def from_arrays(cls, masses, positions, velocities, time: float) -> "SystemState":
@@ -144,12 +149,7 @@ def trapezoid_accelerations(params: TrapezoidParams, m: float, M: float) -> np.n
 
 def total_energy(masses: np.ndarray, positions: np.ndarray, velocities: np.ndarray) -> float:
     kinetic = 0.5 * float((masses * (velocities**2).sum(axis=1)).sum())
-    potential = 0.0
-    n = len(masses)
-    for i in range(n):
-        for j in range(i + 1, n):
-            potential += masses[i] * masses[j] / float(np.hypot(*(positions[i] - positions[j])))
-    return kinetic - potential
+    return kinetic - _potential(masses.tolist(), positions.ravel().tolist())
 
 
 def total_angular_momentum(masses: np.ndarray, positions: np.ndarray, velocities: np.ndarray) -> float:
@@ -182,13 +182,6 @@ def init_relative_equilibrium(params: TrapezoidParams, force: bool = False) -> S
     return SystemState.from_arrays(masses, positions, velocities, time=0.0)
 
 
-def _min_separation(positions: np.ndarray) -> float:
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist2 = (diff**2).sum(axis=2)
-    np.fill_diagonal(dist2, np.inf)
-    return float(np.sqrt(dist2.min()))
-
-
 def integrate(
     initial: SystemState,
     dt: float = DEFAULT_DT,
@@ -214,33 +207,47 @@ def integrate(
     if output_stride < 1:
         raise ValueError("output_stride must be at least 1")
 
-    masses = initial.mass_array()
-    pos = initial.position_array()
-    vel = initial.velocity_array()
+    # the state is flat coordinates [x_0, y_0, x_1, y_1, ...] of Python
+    # floats: for a few bodies numpy's per-call cost outweighs the
+    # arithmetic.  Each update is elementwise in the order of the (N, 2)
+    # array expression, so the bits match the array form of RK4 kept in
+    # tests/array_reference.py
+    masses = [m for m, _ in initial.bodies]
+    pos = [c for _, s in initial.bodies for c in (s.position.x, s.position.y)]
+    vel = [c for _, s in initial.bodies for c in (s.velocity.x, s.velocity.y)]
+    mass_array = np.array(masses)
     t = 0.0
 
     samples = [initial]
-    energies = [total_energy(masses, pos, vel)]
-    ang_momenta = [total_angular_momentum(masses, pos, vel)]
+    start = initial.position_array(), initial.velocity_array()
+    energies = [total_energy(mass_array, *start)]
+    ang_momenta = [total_angular_momentum(mass_array, *start)]
 
     def record(time):
-        samples.append(SystemState.from_arrays(masses, pos, vel, time=initial.time + time))
-        energies.append(total_energy(masses, pos, vel))
-        ang_momenta.append(total_angular_momentum(masses, pos, vel))
+        p, v = np.reshape(pos, (-1, 2)), np.reshape(vel, (-1, 2))
+        samples.append(SystemState.from_arrays(masses, p, v, time=initial.time + time))
+        energies.append(total_energy(mass_array, p, v))
+        ang_momenta.append(total_angular_momentum(mass_array, p, v))
 
     n_steps = max(0, math.ceil(t_end / dt - 1e-12))
     for step in range(1, n_steps + 1):
         h = min(dt, t_end - t)
-        k1p = vel
-        k1v = attraction_field(masses, pos)
-        k2p = vel + 0.5 * h * k1v
-        k2v = attraction_field(masses, pos + 0.5 * h * k1p)
-        k3p = vel + 0.5 * h * k2v
-        k3v = attraction_field(masses, pos + 0.5 * h * k2p)
-        k4p = vel + h * k3v
-        k4v = attraction_field(masses, pos + h * k3p)
-        pos = pos + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        vel = vel + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        half, sixth = 0.5 * h, h / 6.0
+        k1v = _field(masses, pos)
+        k2p = [v + half * a for v, a in zip(vel, k1v)]
+        k2v = _field(masses, [p + half * v for p, v in zip(pos, vel)])
+        k3p = [v + half * a for v, a in zip(vel, k2v)]
+        k3v = _field(masses, [p + half * v for p, v in zip(pos, k2p)])
+        k4p = [v + h * a for v, a in zip(vel, k3v)]
+        k4v = _field(masses, [p + h * v for p, v in zip(pos, k3p)])
+        pos = [
+            p + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for p, a, b, c, d in zip(pos, vel, k2p, k3p, k4p)
+        ]
+        vel = [
+            v + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for v, a, b, c, d in zip(vel, k1v, k2v, k3v, k4v)
+        ]
         t += h
 
         if _min_separation(pos) < COLLISION_TOL:
@@ -262,27 +269,18 @@ def integrate(
     )
 
 
-def _pairwise_distances(positions: np.ndarray) -> np.ndarray:
-    n = len(positions)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(float(np.hypot(*(positions[i] - positions[j]))))
-    return np.array(out)
-
-
 def rigidity_metrics(trajectory: Trajectory) -> RigidityReport:
     """Worst relative drift of every pairwise distance, the energy and the
     angular momentum over the trajectory, all against their initial values."""
     if not trajectory.samples:
         raise ValueError("empty trajectory")
-    d0 = _pairwise_distances(trajectory.samples[0].position_array())
+    d0 = _pair_distances(trajectory.samples[0].position_array().ravel().tolist())
     e0 = trajectory.energy_series[0]
     l0 = trajectory.angular_momentum_series[0]
 
     max_dist = 0.0
     for sample in trajectory.samples[1:]:
-        d = _pairwise_distances(sample.position_array())
+        d = _pair_distances(sample.position_array().ravel().tolist())
         max_dist = max(max_dist, float(np.max(np.abs(d - d0) / d0)))
 
     def rel_drift(series, ref):

@@ -15,6 +15,7 @@ mass or coincident bodies are rejected.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -47,13 +48,10 @@ class PlanarSystem:
         total = math.fsum(self.masses)
         if total == 0.0:
             raise ValueError("total mass must not vanish")
-        pos = self.position_array()
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        if float(dist.min()) < MIN_SEPARATION:
+        nearest = _min_separation([c for p in self.positions for c in (p.x, p.y)])
+        if nearest < MIN_SEPARATION:
             raise ValueError(
-                f"bodies closer than {MIN_SEPARATION:g}: min separation {dist.min():.3e}"
+                f"bodies closer than {MIN_SEPARATION:g}: min separation {nearest:.3e}"
             )
 
     @classmethod
@@ -105,43 +103,133 @@ class ResidualReport:
     com: PlanarPoint
 
 
+def _centre(masses: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mass-weighted centre and the positions relative to it."""
+    com = (masses[:, None] * pos).sum(axis=0) / masses.sum()
+    return com, pos - com
+
+
 def center_of_mass(system: PlanarSystem) -> PlanarPoint:
-    masses = system.mass_array()
-    pos = system.position_array()
-    total = masses.sum()
-    c = (masses[:, None] * pos).sum(axis=0) / total
-    return PlanarPoint(float(c[0]), float(c[1]))
+    com, _ = _centre(system.mass_array(), system.position_array())
+    return PlanarPoint(float(com[0]), float(com[1]))
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Every pair ``(i, j)`` of n bodies with i < j, in lexicographic order."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
+def _pair_offsets(coords: list[float]) -> tuple[list[float], list[float]]:
+    """The offsets ``x_j - x_i`` and ``y_j - y_i`` of every pair of
+    :func:`_pairs`, from flat coordinates ``[x_0, y_0, x_1, y_1, ...]``."""
+    xs, ys = coords[0::2], coords[1::2]
+    pairs = _pairs(len(xs))
+    return [xs[j] - xs[i] for i, j in pairs], [ys[j] - ys[i] for i, j in pairs]
+
+
+def _min_separation(coords: list[float]) -> float:
+    """The smallest pair distance, from flat coordinates."""
+    dx, dy = _pair_offsets(coords)
+    return math.sqrt(min(x * x + y * y for x, y in zip(dx, dy)))
+
+
+def _pair_distances(coords: list[float]) -> np.ndarray:
+    """The distance of every pair of :func:`_pairs`.
+
+    ``np.hypot``, not ``math.hypot``: the two round differently on a few
+    inputs in a thousand, and every output keeps numpy's bits.
+    """
+    return np.hypot(*_pair_offsets(coords))
+
+
+def _potential(masses: list[float], coords: list[float]) -> float:
+    """Self-potential ``sum m_i m_j / |r_i - r_j|`` over the pairs, summed
+    in pair order."""
+    potential = 0.0
+    for (i, j), d in zip(_pairs(len(masses)), _pair_distances(coords).tolist()):
+        potential += masses[i] * masses[j] / d
+    return potential
+
+
+def _field(masses: list[float], coords: list[float]) -> list[float]:
+    """Gravitational acceleration of every body, G = 1, on Python floats.
+
+    The one force coding of the package.  Takes and returns flat
+    coordinates ``[x_0, y_0, x_1, y_1, ...]``.  Body k's acceleration is
+    ``sum_j (m_j * (r_j - r_k)) * d_kj^-1.5`` summed over j in increasing
+    order, term by term as a numpy sum over the body axis would, so the bits
+    equal those of the ``(N, N, 2)`` array coding kept in
+    ``tests/array_reference.py``.
+    """
+    dxs, dys = _pair_offsets(coords)
+    # numpy's vectorised power differs from libm's pow (Python's ``**``) on
+    # about one input in twenty; its result for a value does not depend on
+    # the array's length, so one call on the pairs keeps numpy's bits
+    inv_d3 = np.power([dx * dx + dy * dy for dx, dy in zip(dxs, dys)], -1.5).tolist()
+    n = len(masses)
+    ax, ay = [0.0] * n, [0.0] * n
+    for (i, j), dx, dy, w in zip(_pairs(n), dxs, dys, inv_d3):
+        mi, mj = masses[i], masses[j]
+        ax[i] += mj * dx * w
+        ay[i] += mj * dy * w
+        ax[j] -= mi * dx * w
+        ay[j] -= mi * dy * w
+    return [c for xy in zip(ax, ay) for c in xy]
 
 
 def attraction_field(masses: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Gravitational acceleration of every body, G = 1.
+    """Gravitational acceleration of every body, G = 1, as an ``(N, 2)``
+    array.
 
-    Shared kernel: the oracle and the integrator both use it, while the
+    The oracle and the integrator share :func:`_field`, while the
     trapezoid-specialised formulas in :mod:`trapcc.dynamics` provide the
     independent second coding of the same force law.
     """
-    diff = positions[None, :, :] - positions[:, None, :]  # diff[k, j] = r_j - r_k
-    dist2 = (diff**2).sum(axis=2)
-    np.fill_diagonal(dist2, 1.0)
-    inv_d3 = dist2**-1.5
-    np.fill_diagonal(inv_d3, 0.0)
-    return (masses[None, :, None] * diff * inv_d3[:, :, None]).sum(axis=1)
+    return np.array(_field(masses.tolist(), positions.ravel().tolist())).reshape(-1, 2)
+
+
+def _potential_and_moment(masses: np.ndarray, pos: np.ndarray) -> tuple[float, float]:
+    potential = _potential(masses.tolist(), pos.ravel().tolist())
+    moment = 0.5 * float((masses * (pos**2).sum(axis=1)).sum())
+    return potential, moment
 
 
 def potential_and_moment(system: PlanarSystem) -> tuple[float, float]:
     """Self-potential over all unordered pairs and the half moment
     ``0.5 * sum m_i |r_i|^2`` about the origin (translate the system first
     when the centre of mass matters)."""
-    masses = system.mass_array()
-    pos = system.position_array()
-    n = len(masses)
-    potential = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.hypot(*(pos[i] - pos[j])))
-            potential += masses[i] * masses[j] / d
-    moment = 0.5 * float((masses * (pos**2).sum(axis=1)).sum())
-    return potential, moment
+    return _potential_and_moment(system.mass_array(), system.position_array())
+
+
+def _residual(masses: np.ndarray, pos: np.ndarray, lam: float) -> ResidualReport:
+    com, rel = _centre(masses, pos)
+    attractions = attraction_field(masses, pos)
+    defect = attractions + lam * rel
+    defect_norms = np.sqrt((defect**2).sum(axis=1))
+    attraction_norms = np.sqrt((attractions**2).sum(axis=1))
+
+    # one batched ``attractions[k] @ rel[k]``: numpy's dot may fuse the
+    # multiply-add, so a dot of two floats is not ``a0 * r0 + a1 * r1``
+    dots = (attractions[:, None, :] @ rel[:, :, None]).ravel().tolist()
+    lam_body = tuple(
+        math.nan if u2 < MIN_SEPARATION**2 else -dot / u2
+        for dot, u2 in zip(dots, (rel**2).sum(axis=1).tolist())
+    )
+
+    # rel is the system translated to its centre of mass
+    potential, moment = _potential_and_moment(masses, rel)
+    lambda_energy = potential / (2.0 * moment) if moment != 0.0 else math.inf
+
+    return ResidualReport(
+        lambda_per_body=lam_body,
+        lambda_energy=lambda_energy,
+        potential=potential,
+        moment=moment,
+        max_residual=float(defect_norms.max()),
+        attraction_scale=float(attraction_norms.mean()),
+        com=PlanarPoint(float(com[0]), float(com[1])),
+    )
 
 
 def cc_residual(system: PlanarSystem, lam: float) -> ResidualReport:
@@ -156,38 +244,7 @@ def cc_residual(system: PlanarSystem, lam: float) -> ResidualReport:
     multipliers, and the energy-ratio multiplier potential/(2*moment) with
     the moment taken about c.
     """
-    masses = system.mass_array()
-    pos = system.position_array()
-    total = masses.sum()
-    com = (masses[:, None] * pos).sum(axis=0) / total
-    rel = pos - com
-
-    attractions = attraction_field(masses, pos)
-    defect = attractions + lam * rel
-    defect_norms = np.sqrt((defect**2).sum(axis=1))
-    attraction_norms = np.sqrt((attractions**2).sum(axis=1))
-
-    lam_body = []
-    for k in range(len(masses)):
-        u2 = float((rel[k] ** 2).sum())
-        if u2 < MIN_SEPARATION**2:
-            lam_body.append(math.nan)
-        else:
-            lam_body.append(float(-(attractions[k] @ rel[k]) / u2))
-
-    centred = system.translated(-float(com[0]), -float(com[1]))
-    potential, moment = potential_and_moment(centred)
-    lambda_energy = potential / (2.0 * moment) if moment != 0.0 else math.inf
-
-    return ResidualReport(
-        lambda_per_body=tuple(lam_body),
-        lambda_energy=lambda_energy,
-        potential=potential,
-        moment=moment,
-        max_residual=float(defect_norms.max()),
-        attraction_scale=float(attraction_norms.mean()),
-        com=PlanarPoint(float(com[0]), float(com[1])),
-    )
+    return _residual(system.mass_array(), system.position_array(), lam)
 
 
 def is_central_configuration(
@@ -199,14 +256,14 @@ def is_central_configuration(
     the verdict is ``max_residual <= tol * attraction_scale``, making the
     tolerance dimensionless.  The full report is returned either way.
     """
-    com = center_of_mass(system)
-    centred = system.translated(-com.x, -com.y)
-    potential, moment = potential_and_moment(centred)
+    masses = system.mass_array()
+    _, centred = _centre(masses, system.position_array())
+    potential, moment = _potential_and_moment(masses, centred)
     if moment == 0.0:
-        report = cc_residual(centred, 0.0)
-        return False, report
-    lam = potential / (2.0 * moment)
-    report = cc_residual(centred, lam)
+        return False, _residual(masses, centred, 0.0)
+    # _residual centres once more; the reported potential, moment and
+    # lambda_energy come from those twice-centred positions, lam from these
+    report = _residual(masses, centred, potential / (2.0 * moment))
     verdict = report.max_residual <= tol * report.attraction_scale
     return verdict, report
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,18 @@ class TestVerify:
     def test_missing_flags(self, capsys):
         code, _, _ = run(capsys, "verify", "--alpha", "0.5")
         assert code == EX_USAGE
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        code, doc, _ = run_json(capsys, "verify", "--alpha", "1", "--beta", "1", "--tol", "0")
+        assert code == EX_VERIFY_FAILED
+        assert doc["payload"]["max_residual"] > 0.0
+
+    @pytest.mark.parametrize("tol, message", [("-1", "non-negative"), ("nan", "finite"), ("inf", "finite")])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol, message):
+        code, stdout, err = run(capsys, "verify", "--alpha", "1", "--beta", "1", f"--tol={tol}")
+        assert code == EX_USAGE
+        assert "argument --tol: " in err and message in err
+        assert stdout == ""
 
     def test_degenerate_exit(self, capsys):
         code, _, _ = run(
@@ -305,6 +318,39 @@ class TestBoundary:
         assert "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--axis", "alpha", "--fixed", "0.5", "--search-interval", "1e200,1e201"],
+            ["--axis", "beta", "--fixed", "1e200"],
+        ],
+        ids=["search-interval", "fixed"],
+    )
+    def test_overflow_is_usage_error(self, capsys, tmp_path, extra):
+        out = tmp_path / "boundary.csv"
+        code, stdout, err = run(capsys, "boundary", "--which", "f1", *extra, "--out", str(out))
+        assert code == EX_USAGE
+        assert "overflow" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("interval", ["0,inf", "-inf,1", "nan,1"])
+    def test_non_finite_search_interval_is_usage_error(self, capsys, tmp_path, interval):
+        # an empty --fixed list never bisects, so only the parser can refuse
+        out = tmp_path / "boundary.csv"
+        code, _, err = run(
+            capsys,
+            "boundary",
+            "--which", "f1",
+            "--axis", "alpha",
+            "--fixed", "",
+            f"--search-interval={interval}",
+            "--out", str(out),
+        )
+        assert code == EX_USAGE
+        assert "finite" in err
+        assert not out.exists()
+
     def test_empty_fixed_list_gives_header_only(self, capsys, tmp_path):
         out = tmp_path / "empty.csv"
         code, _, _ = run_json(
@@ -399,6 +445,35 @@ class TestSimulate:
             "--out", str(tmp_path / "t.csv"),
         )
         assert code == EX_USAGE
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--stride", "0", "at least 1"),
+            ("--periods", "inf", "finite"),
+            ("--dt", "nan", "finite"),
+        ],
+    )
+    def test_bad_flag_is_usage_error(self, capsys, tmp_path, flag, value, message):
+        out = tmp_path / "t.csv"
+        code, stdout, err = run(
+            capsys, "simulate", "--alpha", "1", "--beta", "1", flag, value, "--out", str(out)
+        )
+        assert code == EX_USAGE
+        assert f"argument {flag}: " in err and message in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_every_step_recorded_with_stride_one(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code, doc, _ = run_json(
+            capsys, "simulate", "--alpha", "1", "--beta", "1",
+            "--periods", "0.01", "--stride", "1", "--out", str(out),
+        )
+        assert code == EX_OK
+        steps = math.ceil(0.01 * 2.0 * math.pi / 1e-3)
+        assert doc["payload"]["samples"] == steps + 1
+        assert len(out.read_text().splitlines()) == steps + 2
 
     def test_collision_writes_partial_and_exits_3(self, capsys, tmp_path, monkeypatch):
         # no CLI-reachable initial data collides within a few periods, so

@@ -21,6 +21,8 @@ from trapcc.dynamics import (
 from trapcc.geometry import TrapezoidParams, build_configuration
 from trapcc.masses import solve_masses
 
+import array_reference
+
 params_st = st.builds(
     TrapezoidParams,
     alpha=st.floats(min_value=0.05, max_value=1.0),
@@ -164,6 +166,35 @@ class TestIntegrate:
         partial = excinfo.value.trajectory
         assert len(partial.samples) >= 1
         assert partial.samples[-1].time < 1e-6
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, force, stride",
+    [
+        (1.0, 1.0, False, 100),
+        (0.5, 0.8771966348583974, False, 100),  # on the central-configuration locus
+        (0.5, 1.0, False, 7),
+        (0.37, 0.9, False, 1),
+        (0.5, 0.5, True, 13),  # negative mass
+    ],
+)
+def test_integrate_matches_array_reference_bits(alpha, beta, force, stride):
+    state = init_relative_equilibrium(TrapezoidParams(alpha, beta), force=force)
+    t_end = 0.3 * 2.0 * math.pi  # not a whole number of steps: the last one is partial
+    trajectory = integrate(state, dt=1e-3, t_end=t_end, output_stride=stride)
+    samples, energies, ang_momenta = array_reference.integrate(
+        state.mass_array(), state.position_array(), state.velocity_array(),
+        dt=1e-3, t_end=t_end, output_stride=stride,
+    )
+    assert [s.time for s in trajectory.samples] == [t for t, _, _ in samples]
+    assert [s.position_array().tobytes() for s in trajectory.samples] == [
+        pos.tobytes() for _, pos, _ in samples
+    ]
+    assert [s.velocity_array().tobytes() for s in trajectory.samples] == [
+        vel.tobytes() for _, _, vel in samples
+    ]
+    assert list(trajectory.energy_series) == energies
+    assert list(trajectory.angular_momentum_series) == ang_momenta
 
 
 class TestRigidityMetrics:

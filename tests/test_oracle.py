@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trapcc.geometry import TrapezoidParams
@@ -18,6 +18,7 @@ from trapcc.oracle import (
 )
 from trapcc.regions import bisect
 
+import array_reference
 from locus_oracle import inner_pair_consistency
 
 SQUARE_MASS = 2.0**1.5 / (2.0 * (1.0 + 2.0**1.5))  # equal-mass square solution
@@ -214,3 +215,88 @@ def test_attraction_sums_to_zero_weighted():
         acc = attraction_field(masses, pos)
         net = (masses[:, None] * acc).sum(axis=0)
         assert np.max(np.abs(net)) <= 1e-13 * np.abs(masses[:, None] * acc).max()
+
+
+# N = 2..6 bodies with signed masses; coordinates include the round values
+# (0, 1, ...) hypothesis favours, so pairs with an exact zero offset occur
+coordinate_st = st.floats(min_value=-10.0, max_value=10.0)
+bodies_st = st.integers(min_value=2, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=n, max_size=n),
+        st.lists(st.tuples(coordinate_st, coordinate_st), min_size=n, max_size=n),
+    )
+)
+
+
+def planar_system_or_none(masses, positions):
+    try:
+        return PlanarSystem.from_bodies(zip(masses, positions))
+    except ValueError:  # vanishing total mass or coincident bodies
+        return None
+
+
+def report_bits(report) -> bytes:
+    """Every float of a report, as bytes (NaN per-body multipliers included)."""
+    if not isinstance(report, dict):
+        report = vars(report)
+    values = [
+        *report["lambda_per_body"],
+        report["lambda_energy"],
+        report["potential"],
+        report["moment"],
+        report["max_residual"],
+        report["attraction_scale"],
+        report["com"].x,
+        report["com"].y,
+    ]
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestFloatKernelBits:
+    """The float kernel returns the bits of the array coding it replaced."""
+
+    @given(bodies=bodies_st)
+    @settings(max_examples=400, deadline=None)
+    def test_attraction_field_bits(self, bodies):
+        masses, positions = (np.array(v, dtype=float) for v in bodies)
+        separations = np.hypot(*(positions[:, None, :] - positions[None, :, :]).transpose(2, 0, 1))
+        np.fill_diagonal(separations, np.inf)
+        assume(separations.min() > 1e-6)
+        expected = array_reference.attraction_field(masses, positions)
+        assert attraction_field(masses, positions).tobytes() == expected.tobytes()
+
+    @given(bodies=bodies_st, lam=st.floats(min_value=-3.0, max_value=3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_report_bits_on_random_systems(self, bodies, lam):
+        system = planar_system_or_none(*bodies)
+        assume(system is not None)
+        verdict, report = is_central_configuration(system)
+        expected_verdict, expected = array_reference.is_central_configuration(system)
+        assert verdict == expected_verdict
+        assert report_bits(report) == report_bits(expected)
+        assert report_bits(cc_residual(system, lam)) == report_bits(
+            array_reference.cc_residual(system, lam)
+        )
+
+    @given(
+        alpha=st.floats(min_value=0.01, max_value=1.0),
+        beta=st.floats(min_value=0.01, max_value=2.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_report_bits_on_trapezoids(self, alpha, beta):
+        params = TrapezoidParams(alpha, beta)
+        try:
+            solution = solve_masses(params)
+        except ValueError:  # on f3 = 0
+            assume(False)
+        system = trapezoid_system(params, solution.m, solution.M)
+        verdict, report = is_central_configuration(system)
+        expected_verdict, expected = array_reference.is_central_configuration(system)
+        assert verdict == expected_verdict
+        assert report_bits(report) == report_bits(expected)
+
+    def test_report_carries_python_floats(self):
+        _, report = is_central_configuration(lagrange_triangle())
+        assert type(report.potential) is float
+        assert type(report.lambda_energy) is float
+        assert type(report.moment) is float
