@@ -45,6 +45,7 @@ COMMANDS = [
     ("masses-negative", ["masses", "--alpha", "0.5", "--beta", "0.5", "--format", "csv"]),
     ("masses-degenerate", ["masses", "--alpha", "0.9", "--beta", DEGENERATE_BETA]),
     ("masses-bad-alpha", ["masses", "--alpha", "0", "--beta", "1"]),
+    ("masses-tiny-alpha", ["masses", "--alpha", "1e-16", "--beta", "1"]),
     ("verify-square", ["verify", "--alpha", "1", "--beta", "1"]),
     ("verify-off-locus", ["verify", "--alpha", "0.5", "--beta", "1"]),
     ("verify-locus", ["verify", "--alpha", "0.5", "--beta", LOCUS_BETA]),
@@ -52,6 +53,7 @@ COMMANDS = [
     ("verify-zero-tol", ["verify", "--alpha", "1", "--beta", "1", "--tol", "0"]),
     ("verify-negative-tol", ["verify", "--alpha", "1", "--beta", "1", "--tol", "-1"]),
     ("verify-nan-tol", ["verify", "--alpha", "1", "--beta", "1", "--tol", "nan"]),
+    ("verify-coincident", ["verify", "--alpha", "1e-10", "--beta", "1"]),
     ("raster-10", ["raster", "--resolution", "10", "--out", "@raster-10.csv"]),
     ("raster-256", ["raster", "--resolution", "256x256", "--out", "@raster-256.csv"]),
     ("raster-8x6", ["raster", "--alpha-range", "0,1", "--beta-range", "0,2",
@@ -107,6 +109,8 @@ COMMANDS = [
                               "--out", "@s10.csv"]),
     ("simulate-nan-dt", ["simulate", "--alpha", "1", "--beta", "1", "--dt", "nan",
                          "--out", "@s11.csv"]),
+    ("simulate-coincident", ["simulate", "--alpha", "1e-10", "--beta", "1",
+                             "--out", "@s12.csv"]),
     ("compare-20", ["compare-approx", "--resolution", "20"]),
     ("compare-1x1", ["compare-approx", "--resolution", "1x1"]),
     ("compare-37x53", ["compare-approx", "--resolution", "37x53", "--out", "@c1.json"]),

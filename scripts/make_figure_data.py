@@ -20,6 +20,7 @@ import pathlib
 
 import numpy as np
 
+from trapcc.cli import raster_csv
 from trapcc.masses import RegionLabel
 from trapcc.regions import (
     audit_published_domains,
@@ -42,18 +43,6 @@ def write_membership(grid, mask, path):
     for i, beta in enumerate(grid.beta_axis):
         for j, alpha in enumerate(grid.alpha_axis):
             lines.append(f"{float(alpha)!r},{float(beta)!r},{int(mask[i, j])}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_full(grid, path):
-    lines = ["alpha,beta,f1,f3,m,M,label"]
-    for i, beta in enumerate(grid.beta_axis):
-        for j, alpha in enumerate(grid.alpha_axis):
-            lines.append(
-                f"{float(alpha)!r},{float(beta)!r},{float(grid.f1[i, j])!r},"
-                f"{float(grid.f3[i, j])!r},{float(grid.m[i, j])!r},"
-                f"{float(grid.M[i, j])!r},{grid.labels[i, j].value}"
-            )
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -89,7 +78,7 @@ def main():
     both = grid.labels == RegionLabel.BOTH_POSITIVE
     write_membership(grid, m_positive, outdir / "region_m.csv")
     write_membership(grid, both, outdir / "region_both.csv")
-    write_full(grid, outdir / "raster_full.csv")
+    (outdir / "raster_full.csv").write_text(raster_csv(grid))
 
     write_boundary("f1", outdir / "boundary_f1.csv")
     write_boundary("f3", outdir / "boundary_f3.csv")

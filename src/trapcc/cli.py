@@ -36,6 +36,7 @@ from .masses import (
 )
 from .oracle import (
     DEFAULT_CC_TOL,
+    CoincidentBodiesError,
     PlanarSystem,
     is_central_configuration,
     trapezoid_system,
@@ -206,7 +207,8 @@ def cmd_verify(args) -> int:
     params = _params_or_usage(args.alpha, args.beta)
     try:
         solution = solve_masses(params)
-    except DegenerateConfigurationError as err:
+        system = trapezoid_system(params, solution.m, solution.M)
+    except (DegenerateConfigurationError, CoincidentBodiesError) as err:
         print(f"degenerate: {err}", file=sys.stderr)
         return EX_DEGENERATE
     warnings = []
@@ -215,7 +217,6 @@ def cmd_verify(args) -> int:
             f"NEGATIVE-MASS: m={fnum(solution.m)}, M={fnum(solution.M)}; "
             "the check is algebraic, not physical"
         )
-    system = trapezoid_system(params, solution.m, solution.M)
     verdict, report = is_central_configuration(system, tol=args.tol)
     relative = _relative_residual(report)
     payload = {
@@ -278,7 +279,7 @@ def cmd_raster(args) -> int:
     beta_range = _parse_range(args.beta_range, "--beta-range")
     n_alpha, n_beta = _parse_resolution(args.resolution)
     try:
-        grid = raster(alpha_range, beta_range, n_alpha, n_beta, workers=args.threads)
+        grid = raster(alpha_range, beta_range, n_alpha, n_beta)
     except ValueError as err:
         raise UsageError(str(err))
 
@@ -364,7 +365,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("--dt must be positive")
     try:
         initial = init_relative_equilibrium(params, force=args.force)
-    except DegenerateConfigurationError as err:
+    except (DegenerateConfigurationError, CoincidentBodiesError) as err:
         print(f"degenerate: {err}", file=sys.stderr)
         return EX_DEGENERATE
     except UnphysicalParametersError as err:
@@ -517,8 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-range", default="0,1")
     p.add_argument("--beta-range", default="0,1")
     p.add_argument("--resolution", default="400", help="N or NxM (alpha x beta)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: TRAPCC_THREADS or 1)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_raster)
 

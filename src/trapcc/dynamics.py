@@ -18,6 +18,7 @@ from ._numpy import np
 from .geometry import PlanarPoint, TrapezoidParams, compute_distance_cubes, build_configuration
 from .masses import RegionLabel, classify, solve_masses
 from .oracle import (
+    CoincidentBodiesError,
     _field,
     _min_separation,
     _pair_distances,
@@ -62,7 +63,7 @@ class SystemState:
         coords = [c for _, s in self.bodies for c in (s.position.x, s.position.y)]
         for (i, j), d in zip(_pairs(len(self.bodies)), _pair_distances(coords).tolist()):
             if d < COLLISION_TOL:
-                raise ValueError(
+                raise CoincidentBodiesError(
                     f"bodies {i + 1} and {j + 1} are within the collision tolerance"
                 )
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 
-from ._numpy import np
-
 BETA_MAX_DEFAULT = 2.0
 
 
@@ -41,9 +39,6 @@ class PlanarPoint:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite components: ({self.x}, {self.y})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
 
 
 @dataclass(frozen=True)

@@ -97,9 +97,10 @@ def sign_functions(cubes: DistanceCubes, alpha: float) -> SignTriple:
     return SignTriple(f1=float(f1), f2=float(f2), f3=float(f3))
 
 
-def is_degenerate(f3: float, a: float, b: float, tol: float = DEGENERACY_TOL) -> bool:
-    """The degeneracy test shared by every solver path: |f3| measured
-    relative to a + b, the natural scale of the sign functions."""
+def is_degenerate(f3, a, b, tol: float = DEGENERACY_TOL):
+    """The degeneracy test shared by every solver path and the raster:
+    |f3| measured relative to a + b, the natural scale of the sign
+    functions; scalars or arrays."""
     return abs(f3) < tol * (a + b)
 
 
@@ -164,27 +165,28 @@ def solve_masses_linear(
     return float(m), float(M)
 
 
-def label_from_masses(m: float, M: float) -> RegionLabel:
-    if m > 0.0 and M > 0.0:
-        return RegionLabel.BOTH_POSITIVE
-    if M > 0.0:
-        return RegionLabel.ONLY_M_LOWER_POSITIVE
-    if m > 0.0:
-        return RegionLabel.ONLY_M_UPPER_POSITIVE
-    return RegionLabel.NONE_POSITIVE
+# indexed by (m > 0) + 2 * (M > 0)
+_LABELS_BY_SIGNS = (
+    RegionLabel.NONE_POSITIVE,
+    RegionLabel.ONLY_M_UPPER_POSITIVE,
+    RegionLabel.ONLY_M_LOWER_POSITIVE,
+    RegionLabel.BOTH_POSITIVE,
+)
 
 
-def _label_from_signs(f1: float, f3: float) -> RegionLabel:
-    # M > 0 iff f3 < 0 (f2 < 0 always); m > 0 iff f1 and f3 share a sign
-    m_positive = (f1 < 0.0 and f3 < 0.0) or (f1 > 0.0 and f3 > 0.0)
-    M_positive = f3 < 0.0
-    if m_positive and M_positive:
-        return RegionLabel.BOTH_POSITIVE
-    if M_positive:
-        return RegionLabel.ONLY_M_LOWER_POSITIVE
-    if m_positive:
-        return RegionLabel.ONLY_M_UPPER_POSITIVE
-    return RegionLabel.NONE_POSITIVE
+def region_label(m, M):
+    """The region of the upper-pair mass ``m`` and the lower-pair mass
+    ``M``, decided by the signs ``m > 0`` and ``M > 0`` alone.
+
+    The one coding of the partition: Python floats give a RegionLabel
+    without touching numpy, arrays give an object array of them, element
+    by element.  Zero, negative zero and NaN count as not positive.  The
+    DEGENERATE label is the caller's, since masses do not show it.
+    """
+    index = (m > 0.0) + 2 * (M > 0.0)
+    if isinstance(index, int):
+        return _LABELS_BY_SIGNS[index]
+    return np.array(_LABELS_BY_SIGNS, dtype=object)[index]
 
 
 def classify(params: TrapezoidParams, tol: float = DEGENERACY_TOL) -> RegionLabel:
@@ -197,6 +199,4 @@ def classify(params: TrapezoidParams, tol: float = DEGENERACY_TOL) -> RegionLabe
         solution = solve_masses(params, tol)
     except DegenerateConfigurationError:
         return RegionLabel.DEGENERATE
-    label = label_from_masses(solution.m, solution.M)
-    assert label == _label_from_signs(solution.signs.f1, solution.signs.f3)
-    return label
+    return region_label(solution.m, solution.M)

@@ -27,6 +27,10 @@ MIN_SEPARATION = 1e-9
 DEFAULT_CC_TOL = 1e-10
 
 
+class CoincidentBodiesError(ValueError):
+    """Two bodies of a system are closer than the separation it allows."""
+
+
 @dataclass(frozen=True, eq=False)
 class PlanarSystem:
     """An ordered list of point masses in the plane, G = 1.
@@ -50,7 +54,7 @@ class PlanarSystem:
             raise ValueError("total mass must not vanish")
         nearest = _min_separation([c for p in self.positions for c in (p.x, p.y)])
         if nearest < MIN_SEPARATION:
-            raise ValueError(
+            raise CoincidentBodiesError(
                 f"bodies closer than {MIN_SEPARATION:g}: min separation {nearest:.3e}"
             )
 

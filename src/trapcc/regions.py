@@ -17,17 +17,21 @@ expressions are real-valued and how well they track the exact zero sets.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._numpy import np
 from .geometry import distance_cubes_values
-from .masses import DEGENERACY_TOL, RegionLabel, mass_values, sign_values
+from .masses import (
+    DEGENERACY_TOL,
+    RegionLabel,
+    is_degenerate,
+    mass_values,
+    region_label,
+    sign_values,
+)
 
 BISECTION_XTOL = 1e-12
-THREADS_ENV_VAR = "TRAPCC_THREADS"
 
 
 class ApproxDomainError(ValueError):
@@ -50,14 +54,13 @@ class NegativeDiscriminantError(ApproxDomainError):
 def exact_f1(alpha, beta):
     """Exact f1 = a + b - 2ab; scalars or arrays."""
     a, b = distance_cubes_values(alpha, beta)
-    return a + b - 2.0 * a * b
+    return sign_values(a, b, alpha)[0]
 
 
 def exact_f3(alpha, beta):
     """Exact f3 = f1 + alpha * (a - b); scalars or arrays."""
     a, b = distance_cubes_values(alpha, beta)
-    f1, _, f3 = sign_values(a, b, alpha)
-    return f3
+    return sign_values(a, b, alpha)[2]
 
 
 def f1_approx(alpha, beta):
@@ -359,7 +362,7 @@ def _scan_domain(formula: Callable[[float], float], betas: np.ndarray):
 
 def audit_published_domains(n_samples: int = 1999) -> DomainAudit:
     """Scan beta over (0, 1) and report where g1 and g3 evaluate to real
-    numbers.  No agreement target is asserted anywhere; this only measures."""
+    numbers.  No agreement target is required anywhere; this only measures."""
     betas = (np.arange(n_samples) + 0.5) / n_samples
     g1_intervals, g1_failures = _scan_domain(g1_published, betas)
     g3_intervals, g3_failures = _scan_domain(g3_published, betas)
@@ -377,8 +380,7 @@ class RasterGrid:
     """Cell-centred classification of a rectangle of the parameter plane.
 
     Arrays are indexed [beta_row, alpha_column]; beta is the vertical axis
-    of the reproduced figures.  ``labels`` holds RegionLabel members,
-    ``f1_sign``/``f3_sign`` the int signs (-1, 0, +1).
+    of the reproduced figures.  ``labels`` holds RegionLabel members.
     """
 
     alpha_axis: np.ndarray
@@ -388,38 +390,6 @@ class RasterGrid:
     m: np.ndarray
     M: np.ndarray
     labels: np.ndarray
-    f1_sign: np.ndarray
-    f3_sign: np.ndarray
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
-def _raster_rows(alphas: np.ndarray, betas: np.ndarray, tol: float):
-    """Vectorised per-row evaluation; returns (f1, f3, m, M, labels) blocks."""
-    grid_a, grid_b = np.meshgrid(alphas, betas)
-    a, b = distance_cubes_values(grid_a, grid_b)
-    m, M, f1, f2, f3 = mass_values(a, b, grid_a)
-    degenerate = np.abs(f3) < tol * (a + b)
-    m = np.where(degenerate, np.nan, m)
-    M = np.where(degenerate, np.nan, M)
-
-    labels = np.empty(grid_a.shape, dtype=object)
-    labels[:] = RegionLabel.NONE_POSITIVE
-    labels[(m > 0) & (M > 0)] = RegionLabel.BOTH_POSITIVE
-    labels[(M > 0) & ~(m > 0)] = RegionLabel.ONLY_M_LOWER_POSITIVE
-    labels[(m > 0) & ~(M > 0)] = RegionLabel.ONLY_M_UPPER_POSITIVE
-    labels[degenerate] = RegionLabel.DEGENERATE
-    return f1, f3, m, M, labels
 
 
 def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
@@ -439,14 +409,10 @@ def raster(
     n_alpha: int,
     n_beta: int,
     tol: float = DEGENERACY_TOL,
-    workers: int | None = None,
 ) -> RasterGrid:
-    """Classify a cell-centred grid of the parameter rectangle.
-
-    Cells are independent; with ``workers`` > 1 (or the TRAPCC_THREADS
-    environment variable set) rows are evaluated in a thread pool and
-    merged back in row order, so the output is identical to a serial run.
-    """
+    """Classify a cell-centred grid of the parameter rectangle, every cell
+    in one vectorised pass.  Degenerate cells get ``nan`` masses and the
+    DEGENERATE label."""
     alphas = cell_centers(*alpha_range, n_alpha)
     betas = cell_centers(*beta_range, n_beta)
     if alphas[0] <= 0.0 or alphas[-1] > 1.0:
@@ -454,16 +420,15 @@ def raster(
     if betas[0] <= 0.0:
         raise ValueError("beta samples must be positive")
 
-    n_workers = min(_resolve_workers(workers), n_beta)
-    if n_workers <= 1:
-        f1, f3, m, M, labels = _raster_rows(alphas, betas, tol)
-    else:
-        chunks = np.array_split(np.arange(n_beta), n_workers)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(_raster_rows, alphas, betas[idx], tol) for idx in chunks]
-            blocks = [f.result() for f in futures]
-        f1, f3, m, M, labels = (np.concatenate([blk[i] for blk in blocks]) for i in range(5))
-
+    # alpha as a row and beta as a column: every cell still gets the same
+    # elementwise operations as on a full meshgrid, so the same bits
+    a, b = distance_cubes_values(alphas[None, :], betas[:, None])
+    m, M, f1, _, f3 = mass_values(a, b, alphas[None, :])
+    degenerate = is_degenerate(f3, a, b, tol)
+    m = np.where(degenerate, np.nan, m)
+    M = np.where(degenerate, np.nan, M)
+    labels = region_label(m, M)
+    labels[degenerate] = RegionLabel.DEGENERATE
     return RasterGrid(
         alpha_axis=alphas,
         beta_axis=betas,
@@ -472,8 +437,6 @@ def raster(
         m=m,
         M=M,
         labels=labels,
-        f1_sign=np.sign(f1).astype(np.int8),
-        f3_sign=np.sign(f3).astype(np.int8),
     )
 
 

@@ -83,6 +83,19 @@ class TestMasses:
         assert code == EX_DEGENERATE
         assert "degenerate" in err
 
+    def test_tiny_alpha_matches_raster_label(self, capsys, tmp_path):
+        # at alpha = 1e-16 the cubed distances a and b are the same float,
+        # so f2 = 0 and M = -0.0: the masses decide, in both commands
+        code, doc, err = run_json(capsys, "masses", "--alpha", "1e-16", "--beta", "1")
+        assert code == EX_OK and err == ""
+        assert doc["payload"]["f2"] == 0.0
+        assert doc["payload"]["label"] == "OnlyMUpperPositive"
+        out = tmp_path / "tiny.csv"
+        code, _, _ = run(capsys, "raster", "--alpha-range", "0,1e-16", "--beta-range",
+                         "0.5,1.5", "--resolution", "1x1", "--out", str(out))
+        assert code == EX_OK
+        assert out.read_text().splitlines()[1].endswith(",OnlyMUpperPositive")
+
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "masses", "--alpha", "0.7", "--beta", "0.9")
         _, second, _ = run(capsys, "masses", "--alpha", "0.7", "--beta", "0.9")
@@ -131,6 +144,13 @@ class TestVerify:
         )
         assert code == EX_DEGENERATE
 
+    @pytest.mark.parametrize("alpha, beta", [("1e-10", "1"), ("1e-200", "1e-200")])
+    def test_coincident_bodies_are_degenerate(self, capsys, alpha, beta):
+        code, stdout, err = run(capsys, "verify", "--alpha", alpha, "--beta", beta)
+        assert code == EX_DEGENERATE
+        assert stdout == ""
+        assert err.startswith("degenerate: bodies closer than")
+
 
 class TestRaster:
     def test_writes_grid_and_sidecar(self, capsys, tmp_path):
@@ -172,6 +192,14 @@ class TestRaster:
         row = out.read_text().splitlines()[1]
         assert row.startswith("0.5,1.0,")
         assert row.endswith(",BothPositive")
+
+    def test_threads_flag_is_gone(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, "raster", "--resolution", "4", "--threads", "3",
+                                "--out", str(out))
+        assert code == EX_USAGE
+        assert "unrecognized arguments: --threads 3" in err
+        assert stdout == "" and not out.exists()
 
     def test_zero_resolution_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
@@ -420,6 +448,15 @@ class TestSimulate:
         )
         assert code == EX_REFUSED
         assert "force" in err
+
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_coincident_bodies_are_degenerate(self, capsys, tmp_path, force):
+        out = tmp_path / "t.csv"
+        code, stdout, err = run(capsys, "simulate", "--alpha", "1e-10", "--beta", "1",
+                                *force, "--out", str(out))
+        assert code == EX_DEGENERATE
+        assert stdout == "" and not out.exists()
+        assert err.startswith("degenerate: bodies 2 and 3")
 
     def test_zero_periods_header_only(self, capsys, tmp_path):
         out = tmp_path / "zero.csv"

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trapcc.geometry import TrapezoidParams, compute_distance_cubes
@@ -8,6 +10,7 @@ from trapcc.masses import (
     DegenerateConfigurationError,
     RegionLabel,
     classify,
+    region_label,
     sign_functions,
     solve_masses,
     solve_masses_linear,
@@ -153,9 +156,23 @@ class TestClassify:
     def test_degenerate_label(self):
         assert classify(degenerate_params()) is RegionLabel.DEGENERATE
 
-    @given(params=params_st)
-    @settings(max_examples=200, deadline=None)
+    @given(
+        params=st.builds(
+            TrapezoidParams,
+            alpha=st.floats(min_value=1e-12, max_value=1.0),
+            beta=st.floats(min_value=0.01, max_value=2.0),
+        )
+    )
+    @example(params=TrapezoidParams(1e-12, 1.0))
+    @settings(max_examples=300, deadline=None)
     def test_label_matches_sign_prediction(self, params):
+        """classify, which reads the signs of the masses, agrees with the
+        sign rule: M > 0 iff f3 < 0, and m > 0 iff f1 and f3 share a sign.
+
+        The rule needs f2 = a - b < 0, so the domain is alpha >= 1e-12,
+        where a < b in floats.  Below about 1e-16 the two cubes round to
+        the same float, f2 = 0 and M = -0.0, and only the masses decide.
+        """
         label = classify(params)
         if label is RegionLabel.DEGENERATE:
             return
@@ -177,3 +194,22 @@ class TestClassify:
             for beta in np.linspace(0.05, 2.0, 8)
         }
         assert labels <= set(RegionLabel)
+
+
+class TestRegionLabel:
+    VALUES = [-math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, math.inf, math.nan]
+
+    def test_scalar_table(self):
+        assert region_label(1.0, 1.0) is RegionLabel.BOTH_POSITIVE
+        assert region_label(-1.0, 1.0) is RegionLabel.ONLY_M_LOWER_POSITIVE
+        assert region_label(1.0, -0.0) is RegionLabel.ONLY_M_UPPER_POSITIVE
+        assert region_label(0.0, math.nan) is RegionLabel.NONE_POSITIVE
+
+    def test_array_form_equals_scalar_form(self):
+        pairs = [(m, M) for m in self.VALUES for M in self.VALUES]
+        ms = np.array([m for m, _ in pairs]).reshape(9, 9)
+        Ms = np.array([M for _, M in pairs]).reshape(9, 9)
+        labels = region_label(ms, Ms)
+        assert labels.shape == (9, 9) and labels.dtype == object
+        for label, (m, M) in zip(labels.ravel(), pairs):
+            assert label is region_label(m, M)
