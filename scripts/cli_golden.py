@@ -111,10 +111,12 @@ COMMANDS = [
                          "--out", "@s11.csv"]),
     ("simulate-coincident", ["simulate", "--alpha", "1e-10", "--beta", "1",
                              "--out", "@s12.csv"]),
+    ("simulate-degenerate", ["simulate", "--alpha", "1", "--beta", "1e-5", "--out", "@s13.csv"]),
     ("compare-20", ["compare-approx", "--resolution", "20"]),
     ("compare-1x1", ["compare-approx", "--resolution", "1x1"]),
     ("compare-37x53", ["compare-approx", "--resolution", "37x53", "--out", "@c1.json"]),
     ("compare-1000", ["compare-approx", "--resolution", "1000", "--out", "@c2.json"]),
+    ("compare-800x1250", ["compare-approx", "--resolution", "800x1250", "--out", "@c3.json"]),
     ("compare-zero", ["compare-approx", "--resolution", "0"]),
 ]
 

@@ -1,4 +1,4 @@
-"""numpy, imported on first use.
+"""numpy, imported on first use, and the CLI's BLAS thread default.
 
 Importing numpy costs more than the rest of a trapcc start-up, and the
 scalar commands (``--version``, ``masses``, ``boundary``) never touch an
@@ -9,7 +9,9 @@ is.
 """
 
 import importlib.util
+import os
 import sys
+import types
 
 
 def _lazy_numpy():
@@ -24,3 +26,18 @@ def _lazy_numpy():
 
 
 np = _lazy_numpy()
+
+
+def default_one_blas_thread() -> None:
+    """Start OpenBLAS with one thread unless ``OPENBLAS_NUM_THREADS`` is set.
+
+    OpenBLAS sizes its thread pool from the environment once, when numpy
+    is first executed, and starting the pool is a good part of numpy's
+    import time, while trapcc's largest BLAS call is a 2x2 solve.  The CLI
+    calls this before it touches numpy.  Once numpy has been executed
+    (the lazy module has turned into a plain one) the pool exists and this
+    does nothing, so an in-process caller keeps its environment; a library
+    import never calls it.
+    """
+    if type(np) is not types.ModuleType:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from ._numpy import np
+from ._numpy import default_one_blas_thread, np
 from .dynamics import (
     CollisionError,
     UnphysicalParametersError,
@@ -31,7 +31,8 @@ from .geometry import TrapezoidParams, build_configuration, compute_distance_cub
 from .masses import (
     DegenerateConfigurationError,
     RegionLabel,
-    classify,
+    classify,  # noqa: F401  not called here, but perfbench/spans.py wraps cli.classify
+    region_label,
     solve_masses,
 )
 from .oracle import (
@@ -47,6 +48,7 @@ from .regions import (
     f1_approx,
     f3_approx,
     raster,
+    sign_grid,
     trace_boundary,
 )
 
@@ -166,7 +168,7 @@ def cmd_masses(args) -> int:
     except DegenerateConfigurationError as err:
         print(f"degenerate: {err}", file=sys.stderr)
         return EX_DEGENERATE
-    label = classify(params)
+    label = region_label(solution.m, solution.M)
     config = build_configuration(params, solution.m, solution.M, strict=False)
     cubes = compute_distance_cubes(params)
     fields = {
@@ -438,10 +440,28 @@ def cmd_simulate(args) -> int:
     return EX_OK if report.max_distance_deviation <= 1e-5 else EX_VERIFY_FAILED
 
 
+def top_indices(values, count: int):
+    """Flat indices of the ``count`` largest ``values``, largest first:
+    always ``np.argsort(values.ravel())[::-1][:count]``.
+
+    ``np.argpartition`` keeps the count + 1 largest and only those are
+    sorted.  argsort orders equal values its own way, so when a NaN or a
+    tie is among those count + 1 the full argsort decides.
+    """
+    values = values.ravel()
+    if values.size > count + 1:
+        kth = values.size - count - 1
+        candidates = np.argpartition(values, kth)[kth:]
+        top = values[candidates]
+        if not np.isnan(top).any() and np.unique(top).size == top.size:
+            return candidates[np.argsort(top)[::-1][:count]]
+    return np.argsort(values)[::-1][:count]
+
+
 def cmd_compare_approx(args) -> int:
     n_alpha, n_beta = _parse_resolution(args.resolution)
     try:
-        grid = raster((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
+        grid = sign_grid((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
     except ValueError as err:
         raise UsageError(str(err))
     alphas, betas = grid.alpha_axis[None, :], grid.beta_axis[:, None]
@@ -451,9 +471,8 @@ def cmd_compare_approx(args) -> int:
 
     def worst_cells(exact, approx, count=10):
         dev = np.abs(exact - approx)
-        flat = np.argsort(dev.ravel())[::-1][:count]
         rows = []
-        for idx in flat:
+        for idx in top_indices(dev, count):
             i, j = np.unravel_index(idx, dev.shape)
             rows.append(
                 {
@@ -551,6 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    default_one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .geometry import PlanarPoint, TrapezoidParams, compute_distance_cubes, build_configuration
-from .masses import RegionLabel, classify, solve_masses
+# classify is not called here, but perfbench/spans.py wraps dynamics.classify
+from .masses import RegionLabel, classify, region_label, solve_masses  # noqa: F401
 from .oracle import (
     CoincidentBodiesError,
     _field,
@@ -166,15 +167,17 @@ def init_relative_equilibrium(params: TrapezoidParams, force: bool = False) -> S
     centre of mass sits at the origin.
 
     Refuses parameter points where a mass is non-positive unless ``force``
-    is set; negative-mass rotations are algebra, not dynamics.
+    is set; negative-mass rotations are algebra, not dynamics.  On the
+    f3 = 0 curve, where no masses exist, ``solve_masses`` raises
+    DegenerateConfigurationError with or without ``force``.
     """
-    label = classify(params)
+    solution = solve_masses(params)
+    label = region_label(solution.m, solution.M)
     if label is not RegionLabel.BOTH_POSITIVE and not force:
         raise UnphysicalParametersError(
             f"(alpha={params.alpha}, beta={params.beta}) is labelled {label.value}; "
             "pass force=True to build negative-mass initial data anyway"
         )
-    solution = solve_masses(params)
     config = build_configuration(params, solution.m, solution.M, strict=False)
     positions = np.array([[p.x, p.y] for p in config.positions])
     omega = 1.0

@@ -9,14 +9,15 @@ proportionality constant lambda:
 This module is deliberately model independent: it knows nothing about the
 trapezoid family and simply measures the defect of that equation for any
 list of (mass, position) pairs, with G = 1.  Negative masses are allowed
-(sign analysis of the mass formulas needs them); only a vanishing total
-mass or coincident bodies are rejected.
+(sign analysis of the mass formulas needs them); only a total mass that
+vanishes to rounding or coincident bodies are rejected.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -49,9 +50,13 @@ class PlanarSystem:
             raise ValueError("at least 2 bodies required")
         if not all(math.isfinite(m) for m in self.masses):
             raise ValueError("masses must be finite")
+        # the centre of mass divides by a plain float sum of the masses,
+        # which is only known to about n * eps * sum |m|: a total inside
+        # that error vanishes as far as the centre can tell
         total = math.fsum(self.masses)
-        if total == 0.0:
-            raise ValueError("total mass must not vanish")
+        noise = len(self.masses) * sys.float_info.epsilon * math.fsum(map(abs, self.masses))
+        if abs(total) <= noise:
+            raise ValueError(f"total mass must not vanish: {total!r} is within rounding of 0")
         nearest = _min_separation([c for p in self.positions for c in (p.x, p.y)])
         if nearest < MIN_SEPARATION:
             raise CoincidentBodiesError(

@@ -376,17 +376,26 @@ def audit_published_domains(n_samples: int = 1999) -> DomainAudit:
 
 
 @dataclass(frozen=True, eq=False)
-class RasterGrid:
-    """Cell-centred classification of a rectangle of the parameter plane.
+class SignGrid:
+    """The exact sign functions f1 and f3 on a cell-centred grid of the
+    parameter plane.
 
     Arrays are indexed [beta_row, alpha_column]; beta is the vertical axis
-    of the reproduced figures.  ``labels`` holds RegionLabel members.
+    of the reproduced figures.
     """
 
     alpha_axis: np.ndarray
     beta_axis: np.ndarray
     f1: np.ndarray
     f3: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class RasterGrid(SignGrid):
+    """Cell-centred classification of a rectangle of the parameter plane:
+    the sign functions plus the masses and ``labels``, which holds
+    RegionLabel members."""
+
     m: np.ndarray
     M: np.ndarray
     labels: np.ndarray
@@ -403,6 +412,35 @@ def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) * step
 
 
+def _grid_cubes(alpha_range, beta_range, n_alpha: int, n_beta: int):
+    """The checked cell-centre axes and the distance cubes a, b on them.
+
+    alpha goes in as a row and beta as a column: every cell still gets the
+    same elementwise operations as on a full meshgrid, so the same bits.
+    """
+    alphas = cell_centers(*alpha_range, n_alpha)
+    betas = cell_centers(*beta_range, n_beta)
+    if alphas[0] <= 0.0 or alphas[-1] > 1.0:
+        raise ValueError("alpha samples must lie in (0, 1]")
+    if betas[0] <= 0.0:
+        raise ValueError("beta samples must be positive")
+    a, b = distance_cubes_values(alphas[None, :], betas[:, None])
+    return alphas, betas, a, b
+
+
+def sign_grid(
+    alpha_range: tuple[float, float],
+    beta_range: tuple[float, float],
+    n_alpha: int,
+    n_beta: int,
+) -> SignGrid:
+    """f1 and f3 on the grid :func:`raster` classifies, with its bits, and
+    without the masses and labels."""
+    alphas, betas, a, b = _grid_cubes(alpha_range, beta_range, n_alpha, n_beta)
+    f1, _, f3 = sign_values(a, b, alphas[None, :])
+    return SignGrid(alpha_axis=alphas, beta_axis=betas, f1=f1, f3=f3)
+
+
 def raster(
     alpha_range: tuple[float, float],
     beta_range: tuple[float, float],
@@ -413,16 +451,7 @@ def raster(
     """Classify a cell-centred grid of the parameter rectangle, every cell
     in one vectorised pass.  Degenerate cells get ``nan`` masses and the
     DEGENERATE label."""
-    alphas = cell_centers(*alpha_range, n_alpha)
-    betas = cell_centers(*beta_range, n_beta)
-    if alphas[0] <= 0.0 or alphas[-1] > 1.0:
-        raise ValueError("alpha samples must lie in (0, 1]")
-    if betas[0] <= 0.0:
-        raise ValueError("beta samples must be positive")
-
-    # alpha as a row and beta as a column: every cell still gets the same
-    # elementwise operations as on a full meshgrid, so the same bits
-    a, b = distance_cubes_values(alphas[None, :], betas[:, None])
+    alphas, betas, a, b = _grid_cubes(alpha_range, beta_range, n_alpha, n_beta)
     m, M, f1, _, f3 = mass_values(a, b, alphas[None, :])
     degenerate = is_degenerate(f3, a, b, tol)
     m = np.where(degenerate, np.nan, m)
@@ -455,8 +484,9 @@ class ApproxReport:
     f3_disagreements: tuple[tuple[float, float], ...]
 
 
-def compare_exact_vs_approx(grid: RasterGrid, approx=None) -> ApproxReport:
-    """Compare the exact f1, f3 of ``grid`` with the published surrogates.
+def compare_exact_vs_approx(grid: SignGrid, approx=None) -> ApproxReport:
+    """Compare the exact f1, f3 of ``grid`` (a :class:`SignGrid` or a
+    :class:`RasterGrid`) with the published surrogates.
 
     ``approx`` is the pair (f1_approx, f3_approx) already evaluated on the
     grid; without it they are evaluated here.  The axes go in as a row and

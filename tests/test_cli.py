@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +23,12 @@ from trapcc.cli import (
     TRAJECTORY_CSV_HEADER,
     fnum,
     main,
+    top_indices,
 )
+from trapcc.masses import solve_masses
 from trapcc.regions import bisect, cell_centers, exact_f3, f1_approx, f3_approx, raster
+
+SRC = str(Path(trapcc.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -75,6 +80,20 @@ class TestMasses:
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "masses", "--alpha", "1")
         assert code == EX_USAGE
+
+    def test_solves_the_masses_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_masses(*args, **kwargs)
+
+        monkeypatch.setattr(trapcc.cli, "solve_masses", counted)
+        monkeypatch.setattr(trapcc.masses, "solve_masses", counted)
+        code, doc, _ = run_json(capsys, "masses", "--alpha", "0.5", "--beta", "0.5")
+        assert code == EX_OK
+        assert doc["payload"]["label"] == "OnlyMUpperPositive"
+        assert len(calls) == 1
 
     def test_degenerate_exit_code(self, capsys):
         code, _, err = run(
@@ -450,6 +469,18 @@ class TestSimulate:
         assert "force" in err
 
     @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_degenerate_point_exits_2(self, capsys, tmp_path, force):
+        # (1, 1e-5) is labelled Degenerate: no masses, so no refusal to
+        # build negative ones either, with or without --force
+        out = tmp_path / "t.csv"
+        code, stdout, err = run(capsys, "simulate", "--alpha", "1", "--beta", "1e-5",
+                                *force, "--out", str(out))
+        assert code == EX_DEGENERATE
+        assert stdout == "" and not out.exists()
+        assert err.startswith("degenerate: f3 = ")
+        assert "refused" not in err
+
+    @pytest.mark.parametrize("force", [[], ["--force"]])
     def test_coincident_bodies_are_degenerate(self, capsys, tmp_path, force):
         out = tmp_path / "t.csv"
         code, stdout, err = run(capsys, "simulate", "--alpha", "1e-10", "--beta", "1",
@@ -587,9 +618,76 @@ class TestCompareApprox:
                 "worst_cells": worst,
             }
 
+    @pytest.mark.parametrize("n_alpha, n_beta", [(37, 53), (1, 1), (1250, 800)])
+    def test_signs_equal_raster_bits(self, capsys, monkeypatch, n_alpha, n_beta):
+        # compare-approx evaluates only f1 and f3; they keep raster's bits
+        grids = []
+
+        def capture(grid, approx):
+            grids.append(grid)
+            return compare(grid, approx)
+
+        compare = trapcc.cli.compare_exact_vs_approx
+        monkeypatch.setattr(trapcc.cli, "compare_exact_vs_approx", capture)
+        code, _, _ = run(capsys, "compare-approx", "--resolution", f"{n_alpha}x{n_beta}")
+        assert code == EX_OK
+        (grid,) = grids
+        full = raster((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
+        for name in ("alpha_axis", "beta_axis", "f1", "f3"):
+            assert getattr(grid, name).tobytes() == getattr(full, name).tobytes(), name
+
     def test_zero_resolution(self, capsys):
         code, _, _ = run(capsys, "compare-approx", "--resolution", "0")
         assert code == EX_USAGE
+
+
+def _top_cases():
+    rng = np.random.default_rng(2024)
+    cases = [(f"random-{n}", rng.random(n)) for n in (12, 100, 10_000)]
+    cases.append(("random-2d", rng.random((37, 53))))
+    ties_inside = rng.random(500)
+    order = np.argsort(ties_inside)[::-1]
+    ties_inside[order[3]] = ties_inside[order[2]]
+    cases.append(("tie-inside", ties_inside))
+    ties_edge = rng.random(500)
+    order = np.argsort(ties_edge)[::-1]
+    ties_edge[order[10]] = ties_edge[order[9]]
+    cases.append(("tie-at-edge", ties_edge))
+    ties_below = rng.random(500)
+    order = np.argsort(ties_below)[::-1]
+    ties_below[order[11]] = ties_below[order[10]]
+    cases.append(("tie-below-edge", ties_below))
+    cases.append(("many-ties", rng.integers(0, 4, 1000).astype(float)))
+    cases.append(("signed-zeros", np.array([0.0, -0.0] * 20)))
+    with_nan = rng.random(500)
+    with_nan[[7, 300]] = np.nan
+    cases.append(("nans", with_nan))
+    one_nan = rng.random(500)
+    one_nan[42] = np.nan
+    cases.append(("one-nan", one_nan))
+    cases.append(("all-nan", np.full(30, np.nan)))
+    cases.extend((f"short-{n}", rng.random(n)) for n in (0, 1, 5, 10, 11))
+    return [pytest.param(values, id=name) for name, values in cases]
+
+
+@pytest.mark.parametrize("values", _top_cases())
+def test_top_indices_equal_full_argsort(values):
+    expected = np.argsort(values.ravel())[::-1][:10]
+    assert np.array_equal(top_indices(values, 10), expected)
+
+
+def test_top_indices_on_random_draws():
+    # few distinct values, so ties are common, and up to three NaNs: on
+    # about a quarter of these draws sorting only the partitioned top
+    # differs from the full argsort
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(0, 400))
+        values = rng.integers(0, int(rng.integers(2, 40)), n).astype(float)
+        if n and rng.random() < 0.3:
+            values[rng.integers(0, n, int(rng.integers(1, 4)))] = np.nan
+        expected = np.argsort(values)[::-1][:10]
+        assert np.array_equal(top_indices(values, 10), expected)
 
 
 def test_unknown_command_usage_error(capsys):
@@ -631,3 +729,43 @@ def test_scalar_commands_do_not_load_numpy(tmp_path, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "0 []"
+
+
+def _env_after(tmp_path, script, **env):
+    """OPENBLAS_NUM_THREADS as a fresh interpreter leaves it after ``script``."""
+    script += "import os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={"PYTHONPATH": SRC, **env}, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+RASTER_MAIN = (
+    "from trapcc.cli import main\n"
+    "assert main(['raster', '--resolution', '4', '--out', 'r.csv']) == 0\n"
+)
+
+
+def test_cli_starts_openblas_with_one_thread(tmp_path):
+    assert _env_after(tmp_path, RASTER_MAIN) == "1"
+
+
+def test_cli_keeps_a_set_openblas_thread_count(tmp_path):
+    assert _env_after(tmp_path, RASTER_MAIN, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_library_import_leaves_openblas_alone(tmp_path):
+    script = "import trapcc, trapcc.cli\ntrapcc.raster((0.0, 1.0), (0.0, 1.0), 4, 4)\n"
+    assert _env_after(tmp_path, script) == "None"
+
+
+def test_in_process_main_leaves_environment(capsys, tmp_path, monkeypatch):
+    # numpy is running in this interpreter, so its thread pool exists
+    assert np.zeros(1).sum() == 0.0
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    code, _, _ = run(capsys, "raster", "--resolution", "4", "--out", str(tmp_path / "r.csv"))
+    assert code == EX_OK
+    assert dict(os.environ) == before

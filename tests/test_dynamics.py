@@ -19,7 +19,7 @@ from trapcc.dynamics import (
     trapezoid_accelerations,
 )
 from trapcc.geometry import TrapezoidParams, build_configuration
-from trapcc.masses import solve_masses
+from trapcc.masses import DegenerateConfigurationError, solve_masses
 
 import array_reference
 
@@ -108,6 +108,12 @@ class TestInitRelativeEquilibrium:
     def test_refuses_negative_mass_region(self):
         with pytest.raises(UnphysicalParametersError):
             init_relative_equilibrium(TrapezoidParams(0.5, 0.5))
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_degenerate_point_raises_degenerate(self, force):
+        # checked before the positivity refusal: there are no masses to refuse
+        with pytest.raises(DegenerateConfigurationError, match="degenerate curve"):
+            init_relative_equilibrium(TrapezoidParams(1.0, 1e-5), force=force)
 
     def test_force_flag_builds_anyway(self):
         state = init_relative_equilibrium(TrapezoidParams(0.5, 0.5), force=True)

@@ -54,6 +54,14 @@ class TestPlanarSystem:
         with pytest.raises(ValueError, match="total mass"):
             PlanarSystem.from_bodies([(1.0, (0.0, 0.0)), (-1.0, (1.0, 0.0))])
 
+    def test_rejects_total_mass_within_rounding(self):
+        # the total is two ulps of 9, far below the error of summing the
+        # masses, so the centre of mass would be noise (1e16 away)
+        bodies = zip([0.0, 0.0, 8.999999999999998, -9.0],
+                     [(0.0, 0.0), (0.0, 1.5), (0.0, 1.0), (0.0, 2.0)])
+        with pytest.raises(ValueError, match="total mass"):
+            PlanarSystem.from_bodies(bodies)
+
     def test_negative_masses_allowed(self):
         PlanarSystem.from_bodies([(1.0, (0.0, 0.0)), (-0.5, (1.0, 0.0))])
 
