@@ -622,12 +622,12 @@ class TestCompareApprox:
     def test_signs_equal_raster_bits(self, capsys, monkeypatch, n_alpha, n_beta):
         # compare-approx evaluates only f1 and f3; they keep raster's bits
         grids = []
+        compare = trapcc.cli.compare_exact_vs_approx
 
         def capture(grid, approx):
             grids.append(grid)
             return compare(grid, approx)
 
-        compare = trapcc.cli.compare_exact_vs_approx
         monkeypatch.setattr(trapcc.cli, "compare_exact_vs_approx", capture)
         code, _, _ = run(capsys, "compare-approx", "--resolution", f"{n_alpha}x{n_beta}")
         assert code == EX_OK
