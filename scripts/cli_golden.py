@@ -103,6 +103,8 @@ COMMANDS = [
                          "--out", "@s7.csv"]),
     ("simulate-every-step", ["simulate", "--alpha", "0.5", "--beta", LOCUS_BETA, "--periods",
                              "0.05", "--stride", "1", "--out", "@s8.csv"]),
+    ("simulate-square-every-step", ["simulate", "--alpha", "1", "--beta", "1", "--stride", "1",
+                                    "--out", "@s14.csv"]),
     ("simulate-zero-stride", ["simulate", "--alpha", "1", "--beta", "1", "--stride", "0",
                               "--out", "@s9.csv"]),
     ("simulate-inf-periods", ["simulate", "--alpha", "1", "--beta", "1", "--periods", "inf",

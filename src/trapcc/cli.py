@@ -7,7 +7,8 @@ bytes (floats are rendered with their shortest round-trip representation,
 files use UTF-8 with LF line endings, and no timestamps are recorded).
 
 Exit codes: 0 success, 1 verification failed, 2 degenerate parameters,
-3 collision abort, 64 usage error, 65 refused unphysical run, 74 I/O error.
+3 collision abort, 64 usage error, 65 refused unphysical run, 70 internal
+error (a bug: one ``internal error: ...`` line on stderr), 74 I/O error.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ EX_DEGENERATE = 2
 EX_COLLISION = 3
 EX_USAGE = 64
 EX_REFUSED = 65
+EX_SOFTWARE = 70
 EX_IO = 74
 
 MASSES_CSV_HEADER = "alpha,beta,a,b,f1,f2,f3,m,M,lambda,r_A,r_B,label"
@@ -375,7 +377,7 @@ def cmd_simulate(args) -> int:
         return EX_REFUSED
     # the closed-form masses balance only two of the three equations, so
     # off the central-configuration locus the motion is not a rigid rotation
-    system = PlanarSystem.from_bodies((mass, body.position) for mass, body in initial.bodies)
+    system = PlanarSystem.from_bodies(zip(initial.masses.tolist(), initial.positions.tolist()))
     central, report = is_central_configuration(system)
     if not central:
         print(
@@ -386,18 +388,12 @@ def cmd_simulate(args) -> int:
         )
 
     def trajectory_csv(traj) -> str:
-        lines = [TRAJECTORY_CSV_HEADER]
-        for sample, energy, angmom in zip(
-            traj.samples, traj.energy_series, traj.angular_momentum_series
-        ):
-            coords = sample.position_array().ravel()
-            lines.append(
-                ",".join(
-                    [fnum(sample.time)]
-                    + [fnum(c) for c in coords]
-                    + [fnum(energy), fnum(angmom)]
-                )
-            )
+        # the CSV leaves out the velocities
+        columns = np.column_stack(
+            [traj.times, traj.positions.reshape(len(traj.times), -1), traj.energy,
+             traj.angular_momentum]
+        )
+        lines = [TRAJECTORY_CSV_HEADER, *(",".join(map(fnum, row)) for row in columns.tolist())]
         return "\n".join(lines) + "\n"
 
     parameters = {
@@ -440,24 +436,6 @@ def cmd_simulate(args) -> int:
     return EX_OK if report.max_distance_deviation <= 1e-5 else EX_VERIFY_FAILED
 
 
-def top_indices(values, count: int):
-    """Flat indices of the ``count`` largest ``values``, largest first:
-    always ``np.argsort(values.ravel())[::-1][:count]``.
-
-    ``np.argpartition`` keeps the count + 1 largest and only those are
-    sorted.  argsort orders equal values its own way, so when a NaN or a
-    tie is among those count + 1 the full argsort decides.
-    """
-    values = values.ravel()
-    if values.size > count + 1:
-        kth = values.size - count - 1
-        candidates = np.argpartition(values, kth)[kth:]
-        top = values[candidates]
-        if not np.isnan(top).any() and np.unique(top).size == top.size:
-            return candidates[np.argsort(top)[::-1][:count]]
-    return np.argsort(values)[::-1][:count]
-
-
 def cmd_compare_approx(args) -> int:
     n_alpha, n_beta = _parse_resolution(args.resolution)
     try:
@@ -469,20 +447,8 @@ def cmd_compare_approx(args) -> int:
     report = compare_exact_vs_approx(grid, (approx1, approx3))
     audit = audit_published_domains()
 
-    def worst_cells(exact, approx, count=10):
-        dev = np.abs(exact - approx)
-        rows = []
-        for idx in top_indices(dev, count):
-            i, j = np.unravel_index(idx, dev.shape)
-            rows.append(
-                {
-                    "alpha": float(grid.alpha_axis[j]),
-                    "beta": float(grid.beta_axis[i]),
-                    "exact": float(exact[i, j]),
-                    "approx": float(approx[i, j]),
-                }
-            )
-        return rows
+    def worst_cells(cells):
+        return [dict(zip(("alpha", "beta", "exact", "approx"), cell)) for cell in cells]
 
     payload = {
         "f1": {
@@ -491,7 +457,7 @@ def cmd_compare_approx(args) -> int:
             "mean_abs_deviation": report.f1_mean_abs_deviation,
             "disagreement_count": len(report.f1_disagreements),
             "disagreement_cells": [list(c) for c in report.f1_disagreements[:50]],
-            "worst_cells": worst_cells(grid.f1, approx1),
+            "worst_cells": worst_cells(report.f1_worst_cells),
         },
         "f3": {
             "sign_agreement": report.f3_sign_agreement,
@@ -499,7 +465,7 @@ def cmd_compare_approx(args) -> int:
             "mean_abs_deviation": report.f3_mean_abs_deviation,
             "disagreement_count": len(report.f3_disagreements),
             "disagreement_cells": [list(c) for c in report.f3_disagreements[:50]],
-            "worst_cells": worst_cells(grid.f3, approx3),
+            "worst_cells": worst_cells(report.f3_worst_cells),
         },
         "published_domains": {
             "n_samples": audit.n_samples,
@@ -584,6 +550,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IOError as err:
         print(f"io error: {err}", file=sys.stderr)
         return EX_IO
+    except Exception as err:
+        # every expected failure has its own code above; the rest are bugs,
+        # and exit 1 would read as "verification failed"
+        print(f"internal error: {err!r}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .geometry import PlanarPoint, TrapezoidParams, compute_distance_cubes, build_configuration
-# classify is not called here, but perfbench/spans.py wraps dynamics.classify
+from .geometry import TrapezoidParams, compute_distance_cubes, build_configuration
+# classify and attraction_field are not called here, but perfbench/spans.py
+# wraps dynamics.classify and dynamics.attraction_field
 from .masses import RegionLabel, classify, region_label, solve_masses  # noqa: F401
-from .oracle import (
+from .oracle import (  # noqa: F401
     CoincidentBodiesError,
     _field,
     _min_separation,
@@ -47,22 +48,19 @@ class CollisionError(RuntimeError):
         self.trajectory = trajectory
 
 
-@dataclass(frozen=True)
-class BodyState:
-    position: PlanarPoint
-    velocity: PlanarPoint
-
-
 @dataclass(frozen=True, eq=False)
 class SystemState:
-    """Masses and phase-space coordinates of all bodies at one instant."""
+    """Initial data of an integration: masses ``(N,)``, positions and
+    velocities ``(N, 2)``, and the time.  Build it with :meth:`from_arrays`."""
 
-    bodies: tuple[tuple[float, BodyState], ...]
+    masses: np.ndarray
+    positions: np.ndarray
+    velocities: np.ndarray
     time: float
 
     def __post_init__(self):
-        coords = [c for _, s in self.bodies for c in (s.position.x, s.position.y)]
-        for (i, j), d in zip(_pairs(len(self.bodies)), _pair_distances(coords).tolist()):
+        coords = self.positions.ravel().tolist()
+        for (i, j), d in zip(_pairs(len(self.masses)), _pair_distances(coords).tolist()):
             if d < COLLISION_TOL:
                 raise CoincidentBodiesError(
                     f"bodies {i + 1} and {j + 1} are within the collision tolerance"
@@ -70,43 +68,62 @@ class SystemState:
 
     @classmethod
     def from_arrays(cls, masses, positions, velocities, time: float) -> "SystemState":
-        bodies = tuple(
-            (
-                float(m),
-                BodyState(
-                    position=PlanarPoint(float(p[0]), float(p[1])),
-                    velocity=PlanarPoint(float(v[0]), float(v[1])),
-                ),
-            )
-            for m, p, v in zip(masses, positions, velocities)
+        return cls(
+            masses=_read_only(masses),
+            positions=_read_only(positions),
+            velocities=_read_only(velocities),
+            time=float(time),
         )
-        return cls(bodies=bodies, time=float(time))
-
-    def mass_array(self) -> np.ndarray:
-        return np.array([m for m, _ in self.bodies], dtype=float)
-
-    def position_array(self) -> np.ndarray:
-        return np.array([[s.position.x, s.position.y] for _, s in self.bodies], dtype=float)
-
-    def velocity_array(self) -> np.ndarray:
-        return np.array([[s.velocity.x, s.velocity.y] for _, s in self.bodies], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered state samples with conserved-quantity series."""
+    """Recorded samples of an N-body integration as one ``(S, 3 + 4N)``
+    float array, one row per sample in time order: ``t``, the positions
+    ``x_1, y_1, ..., x_N, y_N``, the velocities in the same order, the
+    total energy and the angular momentum.  The properties are read-only
+    views of it; ``positions`` and ``velocities`` are ``(S, N, 2)``."""
 
-    samples: tuple[SystemState, ...]
-    energy_series: tuple[float, ...]
-    angular_momentum_series: tuple[float, ...]
+    samples: np.ndarray
 
     def __post_init__(self):
-        times = [s.time for s in self.samples]
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
+        samples = _read_only(self.samples)
+        width = samples.shape[1] if samples.ndim == 2 else 0
+        if samples.ndim != 2 or not len(samples) or width < 7 or (width - 3) % 4:
+            raise ValueError(
+                f"samples must be an (S, 3 + 4N) array with S, N >= 1, not shape {samples.shape}"
+            )
+        object.__setattr__(self, "samples", samples)
+        times = self.times
+        if (times[1:] <= times[:-1]).any():
             raise ValueError("sample times must be strictly increasing")
 
-    def times(self) -> tuple[float, ...]:
-        return tuple(s.time for s in self.samples)
+    @property
+    def times(self) -> np.ndarray:
+        return self.samples[:, 0]
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.samples[:, 1:-2].reshape(len(self.samples), 2, -1, 2)[:, 0]
+
+    @property
+    def velocities(self) -> np.ndarray:
+        return self.samples[:, 1:-2].reshape(len(self.samples), 2, -1, 2)[:, 1]
+
+    @property
+    def energy(self) -> np.ndarray:
+        return self.samples[:, -2]
+
+    @property
+    def angular_momentum(self) -> np.ndarray:
+        return self.samples[:, -1]
+
+
+def _read_only(values) -> np.ndarray:
+    """A float64 copy of ``values`` that cannot be written to."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -120,11 +137,6 @@ class RigidityReport:
     max_angular_momentum_drift: float
 
 
-def accelerations(state: SystemState) -> np.ndarray:
-    """Pairwise gravitational accelerations (G = 1) for every body."""
-    return attraction_field(state.mass_array(), state.position_array())
-
-
 def trapezoid_accelerations(params: TrapezoidParams, m: float, M: float) -> np.ndarray:
     """Accelerations of the standard trapezoid state from the specialised
     per-body formulas, an independent coding of the same force law.
@@ -132,7 +144,7 @@ def trapezoid_accelerations(params: TrapezoidParams, m: float, M: float) -> np.n
     The denominators are the closed-form cubed distances (a for lateral
     pairs, b for diagonals, alpha^3 for the top side, 1 for the bottom),
     never recomputed from coordinates, so agreement with
-    :func:`accelerations` cross-checks both codings.
+    :func:`trapcc.oracle.attraction_field` cross-checks both codings.
     """
     cubes = compute_distance_cubes(params)
     a, b = cubes.a, cubes.b
@@ -216,22 +228,21 @@ def integrate(
     # arithmetic.  Each update is elementwise in the order of the (N, 2)
     # array expression, so the bits match the array form of RK4 kept in
     # tests/array_reference.py
-    masses = [m for m, _ in initial.bodies]
-    pos = [c for _, s in initial.bodies for c in (s.position.x, s.position.y)]
-    vel = [c for _, s in initial.bodies for c in (s.velocity.x, s.velocity.y)]
-    mass_array = np.array(masses)
+    masses = initial.masses.tolist()
+    pos = initial.positions.ravel().tolist()
+    vel = initial.velocities.ravel().tolist()
     t = 0.0
 
-    samples = [initial]
-    start = initial.position_array(), initial.velocity_array()
-    energies = [total_energy(mass_array, *start)]
-    ang_momenta = [total_angular_momentum(mass_array, *start)]
+    # one row of Trajectory.samples per recorded sample
+    rows = []
 
     def record(time):
         p, v = np.reshape(pos, (-1, 2)), np.reshape(vel, (-1, 2))
-        samples.append(SystemState.from_arrays(masses, p, v, time=initial.time + time))
-        energies.append(total_energy(mass_array, p, v))
-        ang_momenta.append(total_angular_momentum(mass_array, p, v))
+        energy = total_energy(initial.masses, p, v)
+        angular_momentum = total_angular_momentum(initial.masses, p, v)
+        rows.append([initial.time + time, *pos, *vel, energy, angular_momentum])
+
+    record(0.0)
 
     n_steps = max(0, math.ceil(t_end / dt - 1e-12))
     for step in range(1, n_steps + 1):
@@ -255,46 +266,30 @@ def integrate(
         t += h
 
         if _min_separation(pos) < COLLISION_TOL:
-            partial = Trajectory(
-                samples=tuple(samples),
-                energy_series=tuple(energies),
-                angular_momentum_series=tuple(ang_momenta),
-            )
             raise CollisionError(
-                f"separation fell below {COLLISION_TOL:g} at t = {t:.6f}", partial
+                f"separation fell below {COLLISION_TOL:g} at t = {t:.6f}", Trajectory(rows)
             )
         if step % output_stride == 0 or step == n_steps:
             record(t)
 
-    return Trajectory(
-        samples=tuple(samples),
-        energy_series=tuple(energies),
-        angular_momentum_series=tuple(ang_momenta),
-    )
+    return Trajectory(rows)
 
 
 def rigidity_metrics(trajectory: Trajectory) -> RigidityReport:
     """Worst relative drift of every pairwise distance, the energy and the
     angular momentum over the trajectory, all against their initial values."""
-    if not trajectory.samples:
-        raise ValueError("empty trajectory")
-    d0 = _pair_distances(trajectory.samples[0].position_array().ravel().tolist())
-    e0 = trajectory.energy_series[0]
-    l0 = trajectory.angular_momentum_series[0]
+    # transposed, the flat positions hold one sample per column, so a single
+    # _pair_distances call measures every pair at every sample: (P, S)
+    distances = _pair_distances(trajectory.positions.reshape(len(trajectory.samples), -1).T)
+    d0 = distances[:, :1]
 
-    max_dist = 0.0
-    for sample in trajectory.samples[1:]:
-        d = _pair_distances(sample.position_array().ravel().tolist())
-        max_dist = max(max_dist, float(np.max(np.abs(d - d0) / d0)))
-
-    def rel_drift(series, ref):
-        if not series:
-            return 0.0
+    def rel_drift(series):
+        ref = series[0]
         scale = abs(ref) if ref != 0.0 else 1.0
-        return max(abs(v - ref) / scale for v in series)
+        return float(np.max(np.abs(series[1:] - ref) / scale, initial=0.0))
 
     return RigidityReport(
-        max_distance_deviation=max_dist,
-        max_energy_drift=rel_drift(trajectory.energy_series[1:], e0),
-        max_angular_momentum_drift=rel_drift(trajectory.angular_momentum_series[1:], l0),
+        max_distance_deviation=float(np.max(np.abs(distances[:, 1:] - d0) / d0, initial=0.0)),
+        max_energy_drift=rel_drift(trajectory.energy),
+        max_angular_momentum_drift=rel_drift(trajectory.angular_momentum),
     )

@@ -131,7 +131,9 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 def _pair_offsets(coords: list[float]) -> tuple[list[float], list[float]]:
     """The offsets ``x_j - x_i`` and ``y_j - y_i`` of every pair of
-    :func:`_pairs`, from flat coordinates ``[x_0, y_0, x_1, y_1, ...]``."""
+    :func:`_pairs`, from flat coordinates ``[x_0, y_0, x_1, y_1, ...]``.
+    The coordinates may be array rows, one column per system, and each
+    offset is then that row difference."""
     xs, ys = coords[0::2], coords[1::2]
     pairs = _pairs(len(xs))
     return [xs[j] - xs[i] for i, j in pairs], [ys[j] - ys[i] for i, j in pairs]

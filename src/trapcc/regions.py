@@ -32,6 +32,7 @@ from .masses import (
 )
 
 BISECTION_XTOL = 1e-12
+WORST_CELLS = 10
 
 
 class ApproxDomainError(ValueError):
@@ -469,10 +470,30 @@ def raster(
     )
 
 
+def top_indices(values, count: int):
+    """Flat indices of the ``count`` largest ``values``, largest first:
+    always ``np.argsort(values.ravel())[::-1][:count]``.
+
+    ``np.argpartition`` keeps the count + 1 largest and only those are
+    sorted.  argsort orders equal values its own way, so when a NaN or a
+    tie is among those count + 1 the full argsort decides.
+    """
+    values = values.ravel()
+    if values.size > count + 1:
+        kth = values.size - count - 1
+        candidates = np.argpartition(values, kth)[kth:]
+        top = values[candidates]
+        if not np.isnan(top).any() and np.unique(top).size == top.size:
+            return candidates[np.argsort(top)[::-1][:count]]
+    return np.argsort(values)[::-1][:count]
+
+
 @dataclass(frozen=True, eq=False)
 class ApproxReport:
     """Exact-versus-published comparison over a raster grid: sign agreement
-    fractions, absolute deviation statistics, and the disagreeing cells."""
+    fractions, absolute deviation statistics, the disagreeing cells, and
+    the (alpha, beta, exact, approx) of the WORST_CELLS cells of largest
+    absolute deviation, largest first."""
 
     f1_sign_agreement: float
     f3_sign_agreement: float
@@ -482,6 +503,8 @@ class ApproxReport:
     f3_mean_abs_deviation: float
     f1_disagreements: tuple[tuple[float, float], ...]
     f3_disagreements: tuple[tuple[float, float], ...]
+    f1_worst_cells: tuple[tuple[float, float, float, float], ...]
+    f3_worst_cells: tuple[tuple[float, float, float, float], ...]
 
 
 def compare_exact_vs_approx(grid: SignGrid, approx=None) -> ApproxReport:
@@ -500,13 +523,22 @@ def compare_exact_vs_approx(grid: SignGrid, approx=None) -> ApproxReport:
 
     def stats(exact, approx):
         agree = np.sign(exact) == np.sign(approx)
-        dev = np.abs(exact - approx)
+        agreement = float(agree.mean())
         rows, cols = np.nonzero(~agree)
-        cells = zip(grid.alpha_axis[cols].tolist(), grid.beta_axis[rows].tolist())
-        return float(agree.mean()), float(dev.max()), float(dev.mean()), tuple(cells)
+        cells = tuple(zip(grid.alpha_axis[cols].tolist(), grid.beta_axis[rows].tolist()))
+        del agree  # a byte per cell, freed before the selection below peaks
+        dev = np.abs(exact - approx)
+        rows, cols = np.unravel_index(top_indices(dev, WORST_CELLS), dev.shape)
+        worst = zip(
+            grid.alpha_axis[cols].tolist(),
+            grid.beta_axis[rows].tolist(),
+            exact[rows, cols].tolist(),
+            approx[rows, cols].tolist(),
+        )
+        return agreement, float(dev.max()), float(dev.mean()), cells, tuple(worst)
 
-    agree1, max1, mean1, cells1 = stats(grid.f1, approx1)
-    agree3, max3, mean3, cells3 = stats(grid.f3, approx3)
+    agree1, max1, mean1, cells1, worst1 = stats(grid.f1, approx1)
+    agree3, max3, mean3, cells3, worst3 = stats(grid.f3, approx3)
     return ApproxReport(
         f1_sign_agreement=agree1,
         f3_sign_agreement=agree3,
@@ -516,4 +548,6 @@ def compare_exact_vs_approx(grid: SignGrid, approx=None) -> ApproxReport:
         f3_mean_abs_deviation=mean3,
         f1_disagreements=cells1,
         f3_disagreements=cells3,
+        f1_worst_cells=worst1,
+        f3_worst_cells=worst3,
     )

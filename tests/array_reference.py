@@ -5,9 +5,9 @@ report on Python floats through one pair kernel, and ``trapcc.dynamics``
 runs RK4 on float lists.  Both must return the same bits as the array code
 below, which is what the package ran before: an ``(N, N, 2)`` difference
 array for the attraction, a Python double loop of ``np.hypot`` for the
-potential, RK4 on ``(N, 2)`` arrays, and a centrality check that builds a
-translated system twice.  The tests compare with ``tobytes()`` or ``==``,
-never with a tolerance.
+potential, RK4 on ``(N, 2)`` arrays, a centrality check that builds a
+translated system twice, and rigidity metrics that loop over the samples.
+The tests compare with ``tobytes()`` or ``==``, never with a tolerance.
 
 Not a test module (no ``test_`` prefix); the tests import it.
 """
@@ -132,3 +132,31 @@ def integrate(masses, pos, vel, dt: float, t_end: float, output_stride: int):
             energies.append(total_energy(masses, pos, vel))
             ang_momenta.append(total_angular_momentum(masses, pos, vel))
     return samples, energies, ang_momenta
+
+
+def rigidity_metrics(samples, energies, ang_momenta) -> dict:
+    """The per-sample loop over :func:`integrate`'s output: the worst
+    relative drift of every pair distance, the energy and the angular
+    momentum against their initial values."""
+
+    def distances(pos):
+        n = len(pos)
+        return np.array(
+            [float(np.hypot(*(pos[j] - pos[i]))) for i in range(n) for j in range(i + 1, n)]
+        )
+
+    d0 = distances(samples[0][1])
+    max_dist = 0.0
+    for _, pos, _ in samples[1:]:
+        max_dist = max(max_dist, float(np.max(np.abs(distances(pos) - d0) / d0)))
+
+    def rel_drift(series):
+        ref = series[0]
+        scale = abs(ref) if ref != 0.0 else 1.0
+        return max((abs(v - ref) / scale for v in series[1:]), default=0.0)
+
+    return {
+        "max_distance_deviation": max_dist,
+        "max_energy_drift": rel_drift(energies),
+        "max_angular_momentum_drift": rel_drift(ang_momenta),
+    }

@@ -321,8 +321,8 @@ def one_period(state):
     except CollisionError as err:
         trajectory = err.trajectory
         collided = True
-    final = trajectory.samples[-1].position_array()
-    return_error = float(np.max(np.linalg.norm(final - state.position_array(), axis=1)))
+    final = trajectory.positions[-1]
+    return_error = float(np.max(np.linalg.norm(final - state.positions, axis=1)))
     return rigidity_metrics(trajectory), return_error, collided
 
 

@@ -16,6 +16,7 @@ from trapcc.cli import (
     EX_DEGENERATE,
     EX_OK,
     EX_REFUSED,
+    EX_SOFTWARE,
     EX_USAGE,
     EX_VERIFY_FAILED,
     MASSES_CSV_HEADER,
@@ -23,10 +24,17 @@ from trapcc.cli import (
     TRAJECTORY_CSV_HEADER,
     fnum,
     main,
-    top_indices,
 )
 from trapcc.masses import solve_masses
-from trapcc.regions import bisect, cell_centers, exact_f3, f1_approx, f3_approx, raster
+from trapcc.regions import (
+    bisect,
+    cell_centers,
+    exact_f3,
+    f1_approx,
+    f3_approx,
+    raster,
+    top_indices,
+)
 
 SRC = str(Path(trapcc.__file__).resolve().parents[1])
 
@@ -688,6 +696,17 @@ def test_top_indices_on_random_draws():
             values[rng.integers(0, n, int(rng.integers(1, 4)))] = np.nan
         expected = np.argsort(values)[::-1][:10]
         assert np.array_equal(top_indices(values, 10), expected)
+
+
+def test_internal_error_exits_70_with_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(trapcc.cli, "cmd_masses", broken)
+    code, out, err = run(capsys, "masses", "--alpha", "1", "--beta", "1")
+    assert code == EX_SOFTWARE == 70
+    assert out == ""
+    assert err == "internal error: RuntimeError('boom\\nsecond line')\n"
 
 
 def test_unknown_command_usage_error(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from trapcc.dynamics import (
     SystemState,
     Trajectory,
     UnphysicalParametersError,
-    accelerations,
     init_relative_equilibrium,
     integrate,
     rigidity_metrics,
@@ -20,6 +20,7 @@ from trapcc.dynamics import (
 )
 from trapcc.geometry import TrapezoidParams, build_configuration
 from trapcc.masses import DegenerateConfigurationError, solve_masses
+from trapcc.oracle import attraction_field
 
 import array_reference
 
@@ -40,14 +41,14 @@ def state_from(masses, positions, velocities=None, time=0.0):
 class TestAccelerations:
     def test_two_body_unit_distance(self):
         state = state_from([1.0, 1.0], [[-0.5, 0.0], [0.5, 0.0]])
-        acc = accelerations(state)
+        acc = attraction_field(state.masses, state.positions)
         assert np.allclose(acc, [[1.0, 0.0], [-1.0, 0.0]], atol=1e-15)
 
     def test_mirror_symmetry(self):
         params = TrapezoidParams(0.6, 0.9)
         solution = solve_masses(params)
         state = init_relative_equilibrium(params)
-        acc = accelerations(state)
+        acc = attraction_field(state.masses, state.positions)
         assert acc[0, 0] == pytest.approx(-acc[3, 0], abs=1e-15)
         assert acc[1, 0] == pytest.approx(-acc[2, 0], abs=1e-15)
         assert acc[0, 1] == pytest.approx(acc[3, 1], abs=1e-15)
@@ -56,9 +57,8 @@ class TestAccelerations:
 
     def test_square_acceleration_is_centripetal(self):
         state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
-        acc = accelerations(state)
-        pos = state.position_array()
-        assert np.max(np.abs(acc + pos)) <= 1e-10
+        acc = attraction_field(state.masses, state.positions)
+        assert np.max(np.abs(acc + state.positions)) <= 1e-10
 
     @given(params=params_st, m=st.floats(0.05, 5.0), M=st.floats(0.05, 5.0))
     @settings(max_examples=100, deadline=None)
@@ -66,7 +66,7 @@ class TestAccelerations:
         config = build_configuration(params, m, M)
         positions = np.array([[p.x, p.y] for p in config.positions])
         state = state_from([M, m, m, M], positions)
-        generic = accelerations(state)
+        generic = attraction_field(state.masses, state.positions)
         specialised = trapezoid_accelerations(params, m, M)
         scale = max(1.0, float(np.abs(generic).max()))
         assert np.max(np.abs(generic - specialised)) <= 1e-13 * scale
@@ -78,7 +78,7 @@ class TestAccelerations:
         positions = np.array([[p.x, p.y] for p in config.positions])
         masses = np.array([M, m, m, M])
         state = state_from(masses, positions)
-        acc = accelerations(state)
+        acc = attraction_field(state.masses, state.positions)
         net = (masses[:, None] * acc).sum(axis=0)
         scale = max(1.0, float(np.abs(masses[:, None] * acc).max()))
         assert np.max(np.abs(net)) <= 1e-13 * scale
@@ -87,8 +87,7 @@ class TestAccelerations:
 class TestInitRelativeEquilibrium:
     def test_circular_speeds(self):
         state = init_relative_equilibrium(TrapezoidParams(0.5, 1.0))
-        pos = state.position_array()
-        vel = state.velocity_array()
+        pos, vel = state.positions, state.velocities
         assert np.allclose(
             np.linalg.norm(vel, axis=1), np.linalg.norm(pos, axis=1), rtol=1e-14
         )
@@ -96,14 +95,12 @@ class TestInitRelativeEquilibrium:
 
     def test_zero_linear_momentum(self):
         state = init_relative_equilibrium(TrapezoidParams(0.8, 1.2))
-        masses = state.mass_array()
-        momentum = (masses[:, None] * state.velocity_array()).sum(axis=0)
+        momentum = (state.masses[:, None] * state.velocities).sum(axis=0)
         assert np.max(np.abs(momentum)) <= 1e-14
 
     def test_square_initial_data(self):
         state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
-        masses = state.mass_array()
-        assert masses[0] == pytest.approx(masses[1], rel=1e-14)
+        assert state.masses[0] == pytest.approx(state.masses[1], rel=1e-14)
 
     def test_refuses_negative_mass_region(self):
         with pytest.raises(UnphysicalParametersError):
@@ -117,7 +114,7 @@ class TestInitRelativeEquilibrium:
 
     def test_force_flag_builds_anyway(self):
         state = init_relative_equilibrium(TrapezoidParams(0.5, 0.5), force=True)
-        assert state.mass_array().min() < 0
+        assert state.masses.min() < 0
 
 
 class TestIntegrate:
@@ -135,7 +132,7 @@ class TestIntegrate:
         velocities = omega * np.stack([-positions[:, 1], positions[:, 0]], axis=1)
         state = state_from([1.0, 1.0], positions, velocities)
         trajectory = integrate(state, dt=1e-3, t_end=2.0 * math.pi / omega)
-        final = trajectory.samples[-1].position_array()
+        final = trajectory.positions[-1]
         assert np.max(np.linalg.norm(final - positions, axis=1)) <= 1e-8
 
     def test_square_rotates_rigidly_for_one_period(self):
@@ -145,14 +142,13 @@ class TestIntegrate:
         assert report.max_distance_deviation <= 1e-6
         assert report.max_energy_drift <= 1e-8
         assert report.max_angular_momentum_drift <= 1e-8
-        final = trajectory.samples[-1].position_array()
-        start = state.position_array()
-        assert np.max(np.linalg.norm(final - start, axis=1)) <= 1e-6
+        final = trajectory.positions[-1]
+        assert np.max(np.linalg.norm(final - state.positions, axis=1)) <= 1e-6
 
     def test_sample_times_strictly_increasing_and_hit_t_end(self):
         state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
         trajectory = integrate(state, dt=1e-2, t_end=0.5, output_stride=7)
-        times = trajectory.times()
+        times = trajectory.times.tolist()
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(0.5, abs=1e-12)
@@ -161,7 +157,7 @@ class TestIntegrate:
         state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
         trajectory = integrate(state, dt=1e-3, t_end=0.0)
         assert len(trajectory.samples) == 1
-        assert trajectory.samples[0].time == 0.0
+        assert trajectory.times[0] == 0.0
 
     def test_collision_aborts_with_partial_trajectory(self):
         # start just above the collision tolerance and fall inwards; the
@@ -171,7 +167,7 @@ class TestIntegrate:
             integrate(state, dt=1e-9, t_end=1e-6)
         partial = excinfo.value.trajectory
         assert len(partial.samples) >= 1
-        assert partial.samples[-1].time < 1e-6
+        assert partial.times[-1] < 1e-6
 
 
 @pytest.mark.parametrize(
@@ -189,18 +185,22 @@ def test_integrate_matches_array_reference_bits(alpha, beta, force, stride):
     t_end = 0.3 * 2.0 * math.pi  # not a whole number of steps: the last one is partial
     trajectory = integrate(state, dt=1e-3, t_end=t_end, output_stride=stride)
     samples, energies, ang_momenta = array_reference.integrate(
-        state.mass_array(), state.position_array(), state.velocity_array(),
+        state.masses, state.positions, state.velocities,
         dt=1e-3, t_end=t_end, output_stride=stride,
     )
-    assert [s.time for s in trajectory.samples] == [t for t, _, _ in samples]
-    assert [s.position_array().tobytes() for s in trajectory.samples] == [
-        pos.tobytes() for _, pos, _ in samples
-    ]
-    assert [s.velocity_array().tobytes() for s in trajectory.samples] == [
-        vel.tobytes() for _, _, vel in samples
-    ]
-    assert list(trajectory.energy_series) == energies
-    assert list(trajectory.angular_momentum_series) == ang_momenta
+    assert trajectory.times.tobytes() == np.array([t for t, _, _ in samples]).tobytes()
+    assert trajectory.positions.tobytes() == np.array([pos for _, pos, _ in samples]).tobytes()
+    assert trajectory.velocities.tobytes() == np.array([vel for _, _, vel in samples]).tobytes()
+    assert trajectory.energy.tobytes() == np.array(energies).tobytes()
+    assert trajectory.angular_momentum.tobytes() == np.array(ang_momenta).tobytes()
+
+    # the vectorised rigidity metrics against the per-sample loop they replaced
+    report = rigidity_metrics(trajectory)
+    expected = array_reference.rigidity_metrics(samples, energies, ang_momenta)
+    fields = ("max_distance_deviation", "max_energy_drift", "max_angular_momentum_drift")
+    assert np.array([getattr(report, f) for f in fields]).tobytes() == (
+        np.array([expected[f] for f in fields]).tobytes()
+    )
 
 
 class TestRigidityMetrics:
@@ -230,25 +230,44 @@ class TestRigidityMetrics:
     def test_conserved_quantities_recorded_per_sample(self):
         state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
         trajectory = integrate(state, dt=1e-3, t_end=0.3, output_stride=50)
-        assert len(trajectory.energy_series) == len(trajectory.samples)
-        assert len(trajectory.angular_momentum_series) == len(trajectory.samples)
-        masses = state.mass_array()
-        expected = total_energy(masses, state.position_array(), state.velocity_array())
-        assert trajectory.energy_series[0] == pytest.approx(expected, rel=1e-14)
-        expected_l = total_angular_momentum(
-            masses, state.position_array(), state.velocity_array()
-        )
-        assert trajectory.angular_momentum_series[0] == pytest.approx(expected_l, rel=1e-14)
+        assert len(trajectory.energy) == len(trajectory.samples)
+        assert len(trajectory.angular_momentum) == len(trajectory.samples)
+        expected = total_energy(state.masses, state.positions, state.velocities)
+        assert trajectory.energy[0] == pytest.approx(expected, rel=1e-14)
+        expected_l = total_angular_momentum(state.masses, state.positions, state.velocities)
+        assert trajectory.angular_momentum[0] == pytest.approx(expected_l, rel=1e-14)
 
 
 def test_trajectory_rejects_unordered_times():
     state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
+    row = [state.time, *state.positions.ravel(), *state.velocities.ravel(), 0.0, 0.0]
     with pytest.raises(ValueError, match="strictly increasing"):
-        Trajectory(
-            samples=(state, state),
-            energy_series=(0.0, 0.0),
-            angular_momentum_series=(0.0, 0.0),
-        )
+        Trajectory([row, row])
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [[], np.zeros((0, 7)), np.zeros(7), np.zeros((2, 6)), np.zeros((2, 9)), np.zeros((1, 7, 1))],
+    ids=["empty list", "no rows", "1-D", "no body", "partial body", "3-D"],
+)
+def test_trajectory_rejects_shapes_other_than_samples_by_columns(samples):
+    with pytest.raises(ValueError, match=r"\(S, 3 \+ 4N\) array"):
+        Trajectory(samples)
+
+
+def test_trajectory_is_one_read_only_array():
+    state = init_relative_equilibrium(TrapezoidParams(0.5, 1.0))
+    trajectory = integrate(state, dt=1e-3, t_end=0.05, output_stride=10)
+    assert [f.name for f in dataclasses.fields(trajectory)] == ["samples"]
+    assert trajectory.samples.shape == (6, 3 + 4 * 4)  # t = 0, 0.01, ..., 0.05
+    views = (trajectory.times, trajectory.positions, trajectory.velocities,
+             trajectory.energy, trajectory.angular_momentum)
+    for view in (trajectory.samples, *views):
+        assert not view.flags.writeable
+    assert all(np.shares_memory(view, trajectory.samples) for view in views)
+    assert trajectory.positions[0].tobytes() == state.positions.tobytes()
+    assert trajectory.velocities[0].tobytes() == state.velocities.tobytes()
+    assert not state.positions.flags.writeable
 
 
 def test_system_state_rejects_near_collision():

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trapcc.geometry import TrapezoidParams
 from trapcc.masses import solve_masses
 from trapcc.oracle import (
+    CoincidentBodiesError,
+    PlanarPoint,
     PlanarSystem,
     attraction_field,
     cc_residual,
@@ -236,11 +238,28 @@ bodies_st = st.integers(min_value=2, max_value=6).flatmap(
 )
 
 
+# one massive body, at (1, 0), and a massless one 1e-9 from the origin: the
+# array coding rebuilt a PlanarSystem from the copy centred on (1, 0), where
+# -1 + 1e-9 rounds to just under 1e-9 from -1, and raised
+# CoincidentBodiesError; the float kernel never rebuilds a system
+NEAR_COINCIDENT_BODIES = ([0.0, 1.0, 0.0, 0.0], [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1e-9, 0.0)])
+
+
 def planar_system_or_none(masses, positions):
     try:
         return PlanarSystem.from_bodies(zip(masses, positions))
     except ValueError:  # vanishing total mass or coincident bodies
         return None
+
+
+def assert_well_formed(report):
+    """Finite sums, scales and centre; lambda_energy may be inf only for a
+    zero moment, a per-body multiplier NaN only for a body at the centre."""
+    values = (report.potential, report.moment, report.max_residual, report.attraction_scale,
+              report.com.x, report.com.y)
+    assert all(math.isfinite(v) for v in values)
+    assert math.isfinite(report.lambda_energy) or report.moment == 0.0
+    assert not any(math.isinf(v) for v in report.lambda_per_body)
 
 
 def report_bits(report) -> bytes:
@@ -274,17 +293,50 @@ class TestFloatKernelBits:
         assert attraction_field(masses, positions).tobytes() == expected.tobytes()
 
     @given(bodies=bodies_st, lam=st.floats(min_value=-3.0, max_value=3.0))
+    @example(bodies=NEAR_COINCIDENT_BODIES, lam=1.0)
     @settings(max_examples=300, deadline=None)
     def test_report_bits_on_random_systems(self, bodies, lam):
         system = planar_system_or_none(*bodies)
         assume(system is not None)
         verdict, report = is_central_configuration(system)
-        expected_verdict, expected = array_reference.is_central_configuration(system)
-        assert verdict == expected_verdict
+        residual = cc_residual(system, lam)
+        # where the array coding rejected its translated copy as coincident
+        # (see NEAR_COINCIDENT_BODIES) it has no bits to compare against
+        try:
+            expected_verdict, expected = array_reference.is_central_configuration(system)
+        except CoincidentBodiesError:
+            assert isinstance(verdict, bool)
+            assert_well_formed(report)
+        else:
+            assert verdict == expected_verdict
+            assert report_bits(report) == report_bits(expected)
+        try:
+            expected = array_reference.cc_residual(system, lam)
+        except CoincidentBodiesError:
+            assert_well_formed(residual)
+        else:
+            assert report_bits(residual) == report_bits(expected)
+
+    def test_reports_where_the_array_coding_found_coincident_bodies(self):
+        system = PlanarSystem.from_bodies(zip(*NEAR_COINCIDENT_BODIES))
+        with pytest.raises(CoincidentBodiesError):
+            array_reference.is_central_configuration(system)
+        with pytest.raises(CoincidentBodiesError):
+            array_reference.cc_residual(system, 1.0)
+        verdict, report = is_central_configuration(system)
+        assert verdict is False
+        expected = {
+            "lambda_per_body": (1.0, math.nan, 0.3535533905932738, 1.0000000029999998),
+            "lambda_energy": math.inf,
+            "potential": 0.0,
+            "moment": 0.0,
+            "max_residual": 1.000000002,
+            "attraction_scale": 0.6250000005,
+            "com": PlanarPoint(0.0, 0.0),
+        }
         assert report_bits(report) == report_bits(expected)
-        assert report_bits(cc_residual(system, lam)) == report_bits(
-            array_reference.cc_residual(system, lam)
-        )
+        expected.update(max_residual=0.9142135623730951, com=PlanarPoint(1.0, 0.0))
+        assert report_bits(cc_residual(system, 1.0)) == report_bits(expected)
 
     @given(
         alpha=st.floats(min_value=0.01, max_value=1.0),
