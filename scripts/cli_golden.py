@@ -64,6 +64,9 @@ COMMANDS = [
                         "--out", "@raster-threads.csv"]),
     ("raster-degenerate", ["raster", "--alpha-range", CROSSING_ALPHA, "--beta-range",
                            CROSSING_BETA, "--resolution", "12x9", "--out", "@raster-deg.csv"]),
+    ("raster-20000x2", ["raster", "--resolution", "20000x2", "--out", "@raster-20000x2.csv"]),
+    ("raster-overflow", ["raster", "--beta-range", "0,1e60", "--resolution", "2",
+                         "--out", "@raster-overflow.csv"]),
     ("raster-zero-resolution", ["raster", "--resolution", "0", "--out", "@raster-0.csv"]),
     ("raster-unwritable", ["raster", "--resolution", "2", "--out", "@missing/x.csv"]),
     ("boundary-f1-alpha", ["boundary", "--which", "f1", "--axis", "alpha", "--fixed",
@@ -119,6 +122,8 @@ COMMANDS = [
     ("compare-37x53", ["compare-approx", "--resolution", "37x53", "--out", "@c1.json"]),
     ("compare-1000", ["compare-approx", "--resolution", "1000", "--out", "@c2.json"]),
     ("compare-800x1250", ["compare-approx", "--resolution", "800x1250", "--out", "@c3.json"]),
+    ("compare-20000x3", ["compare-approx", "--resolution", "20000x3"]),
+    ("compare-3x20000", ["compare-approx", "--resolution", "3x20000", "--out", "@c4.json"]),
     ("compare-zero", ["compare-approx", "--resolution", "0"]),
 ]
 

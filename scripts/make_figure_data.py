@@ -78,12 +78,13 @@ def main():
     both = grid.labels == RegionLabel.BOTH_POSITIVE
     write_membership(grid, m_positive, outdir / "region_m.csv")
     write_membership(grid, both, outdir / "region_both.csv")
-    (outdir / "raster_full.csv").write_text(raster_csv(grid))
+    with (outdir / "raster_full.csv").open("w") as fh:
+        fh.writelines(raster_csv(grid))
 
     write_boundary("f1", outdir / "boundary_f1.csv")
     write_boundary("f3", outdir / "boundary_f3.csv")
 
-    report = compare_exact_vs_approx(raster((0.0, 1.0), (0.0, 1.0), 100, 100))
+    report = compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), 100, 100)
     audit = audit_published_domains()
     (outdir / "approx_report.json").write_text(
         json.dumps(

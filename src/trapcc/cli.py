@@ -46,10 +46,10 @@ from .oracle import (
 from .regions import (
     audit_published_domains,
     compare_exact_vs_approx,
-    f1_approx,
-    f3_approx,
+    f1_approx,  # noqa: F401  not called here, but perfbench/spans.py wraps cli.f1_approx
+    f3_approx,  # noqa: F401  not called here, but perfbench/spans.py wraps cli.f3_approx
     raster,
-    sign_grid,
+    row_blocks,
     trace_boundary,
 )
 
@@ -101,9 +101,9 @@ def emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def write_text(path: str, text: str) -> None:
+def write_text(path: str, text: str, append: bool = False) -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "a" if append else "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as err:
         raise IOError(f"cannot write {path}: {err}") from err
@@ -250,18 +250,19 @@ def cmd_verify(args) -> int:
     return EX_OK if verdict else EX_VERIFY_FAILED
 
 
-def raster_csv(grid) -> str:
-    """The raster CSV text, built one beta row at a time.
+def raster_csv(grid):
+    """The raster CSV text, yielded a block of beta rows at a time
+    (:func:`~trapcc.regions.row_blocks`); the header opens the first block.
 
     The axes are formatted once, and each row's values become Python
     floats in one ``.tolist()``; ``repr`` of a Python float is what
-    :func:`fnum` writes.  The line list is freed on return, before the
-    text is encoded for writing.
+    :func:`fnum` writes.  A block is joined from its row texts, which are
+    freed before it is yielded.
     """
     alphas = [repr(alpha) for alpha in grid.alpha_axis.tolist()]
     betas = [repr(beta) for beta in grid.beta_axis.tolist()]
-    lines = [RASTER_CSV_HEADER]
-    for i, beta in enumerate(betas):
+
+    def row_text(i: int) -> str:
         row = zip(
             alphas,
             grid.f1[i].tolist(),
@@ -270,12 +271,14 @@ def raster_csv(grid) -> str:
             grid.M[i].tolist(),
             grid.labels[i].tolist(),
         )
-        lines.extend(
-            f"{alpha},{beta},{f1!r},{f3!r},{m!r},{M!r},{label.value}"
+        text = "".join(
+            f"{alpha},{betas[i]},{f1!r},{f3!r},{m!r},{M!r},{label.value}\n"
             for alpha, f1, f3, m, M, label in row
         )
-    lines.append("")
-    return "\n".join(lines)
+        return f"{RASTER_CSV_HEADER}\n{text}" if i == 0 else text
+
+    for rows in row_blocks(len(alphas), len(betas)):
+        yield "".join(map(row_text, range(rows.start, rows.stop)))
 
 
 def cmd_raster(args) -> int:
@@ -286,8 +289,14 @@ def cmd_raster(args) -> int:
         grid = raster(alpha_range, beta_range, n_alpha, n_beta)
     except ValueError as err:
         raise UsageError(str(err))
+    except OverflowError:
+        raise UsageError("the sign functions overflow: --beta-range too large")
 
-    write_text(args.out, raster_csv(grid))
+    append = False
+    for text in raster_csv(grid):
+        write_text(args.out, text, append=append)
+        append = True
+        del text  # the block is freed before the next one is built
 
     label_counts = {}
     for label in RegionLabel:
@@ -439,12 +448,9 @@ def cmd_simulate(args) -> int:
 def cmd_compare_approx(args) -> int:
     n_alpha, n_beta = _parse_resolution(args.resolution)
     try:
-        grid = sign_grid((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
+        report = compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
     except ValueError as err:
         raise UsageError(str(err))
-    alphas, betas = grid.alpha_axis[None, :], grid.beta_axis[:, None]
-    approx1, approx3 = f1_approx(alphas, betas), f3_approx(alphas, betas)
-    report = compare_exact_vs_approx(grid, (approx1, approx3))
     audit = audit_published_domains()
 
     def worst_cells(cells):

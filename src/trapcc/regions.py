@@ -33,6 +33,7 @@ from .masses import (
 
 BISECTION_XTOL = 1e-12
 WORST_CELLS = 10
+_BLOCK_CELLS = 2**14  # cells per block of rows evaluated together
 
 
 class ApproxDomainError(ValueError):
@@ -377,9 +378,10 @@ def audit_published_domains(n_samples: int = 1999) -> DomainAudit:
 
 
 @dataclass(frozen=True, eq=False)
-class SignGrid:
-    """The exact sign functions f1 and f3 on a cell-centred grid of the
-    parameter plane.
+class RasterGrid:
+    """Cell-centred classification of a rectangle of the parameter plane:
+    the exact sign functions f1 and f3, the masses, and ``labels``, which
+    holds RegionLabel members.
 
     Arrays are indexed [beta_row, alpha_column]; beta is the vertical axis
     of the reproduced figures.
@@ -389,14 +391,6 @@ class SignGrid:
     beta_axis: np.ndarray
     f1: np.ndarray
     f3: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class RasterGrid(SignGrid):
-    """Cell-centred classification of a rectangle of the parameter plane:
-    the sign functions plus the masses and ``labels``, which holds
-    RegionLabel members."""
-
     m: np.ndarray
     M: np.ndarray
     labels: np.ndarray
@@ -413,33 +407,31 @@ def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) * step
 
 
-def _grid_cubes(alpha_range, beta_range, n_alpha: int, n_beta: int):
-    """The checked cell-centre axes and the distance cubes a, b on them.
-
-    alpha goes in as a row and beta as a column: every cell still gets the
-    same elementwise operations as on a full meshgrid, so the same bits.
-    """
+def _grid_axes(alpha_range, beta_range, n_alpha: int, n_beta: int):
+    """The checked cell-centre axes of a grid."""
     alphas = cell_centers(*alpha_range, n_alpha)
     betas = cell_centers(*beta_range, n_beta)
     if alphas[0] <= 0.0 or alphas[-1] > 1.0:
         raise ValueError("alpha samples must lie in (0, 1]")
     if betas[0] <= 0.0:
         raise ValueError("beta samples must be positive")
-    a, b = distance_cubes_values(alphas[None, :], betas[:, None])
-    return alphas, betas, a, b
+    return alphas, betas
 
 
-def sign_grid(
-    alpha_range: tuple[float, float],
-    beta_range: tuple[float, float],
-    n_alpha: int,
-    n_beta: int,
-) -> SignGrid:
-    """f1 and f3 on the grid :func:`raster` classifies, with its bits, and
-    without the masses and labels."""
-    alphas, betas, a, b = _grid_cubes(alpha_range, beta_range, n_alpha, n_beta)
-    f1, _, f3 = sign_values(a, b, alphas[None, :])
-    return SignGrid(alpha_axis=alphas, beta_axis=betas, f1=f1, f3=f3)
+def row_blocks(n_alpha: int, n_beta: int):
+    """Slices of consecutive beta rows, about _BLOCK_CELLS cells each and
+    at least one row, that cover an ``n_beta`` by ``n_alpha`` grid in order."""
+    rows = max(1, _BLOCK_CELLS // n_alpha)
+    return [slice(start, min(start + rows, n_beta)) for start in range(0, n_beta, rows)]
+
+
+def _exact_signs(alphas, betas):
+    """Exact f1 and f3 with alpha going in as a row and beta as a column:
+    every cell gets the same elementwise operations as on a full meshgrid,
+    so the same bits, whichever rows are evaluated together."""
+    a, b = distance_cubes_values(alphas, betas)
+    f1, _, f3 = sign_values(a, b, alphas)
+    return f1, f3
 
 
 def raster(
@@ -451,10 +443,19 @@ def raster(
 ) -> RasterGrid:
     """Classify a cell-centred grid of the parameter rectangle, every cell
     in one vectorised pass.  Degenerate cells get ``nan`` masses and the
-    DEGENERATE label."""
-    alphas, betas, a, b = _grid_cubes(alpha_range, beta_range, n_alpha, n_beta)
-    m, M, f1, _, f3 = mass_values(a, b, alphas[None, :])
-    degenerate = is_degenerate(f3, a, b, tol)
+    DEGENERATE label.
+
+    Raises OverflowError when a distance cube or a mass overflows, which
+    only a beta range far outside the figures' can do.
+    """
+    alphas, betas = _grid_axes(alpha_range, beta_range, n_alpha, n_beta)
+    try:
+        with np.errstate(over="raise"):
+            a, b = distance_cubes_values(alphas[None, :], betas[:, None])
+            m, M, f1, _, f3 = mass_values(a, b, alphas[None, :])
+            degenerate = is_degenerate(f3, a, b, tol)
+    except FloatingPointError as err:
+        raise OverflowError(f"the sign functions overflow: {err}") from None
     m = np.where(degenerate, np.nan, m)
     M = np.where(degenerate, np.nan, M)
     labels = region_label(m, M)
@@ -507,47 +508,56 @@ class ApproxReport:
     f3_worst_cells: tuple[tuple[float, float, float, float], ...]
 
 
-def compare_exact_vs_approx(grid: SignGrid, approx=None) -> ApproxReport:
-    """Compare the exact f1, f3 of ``grid`` (a :class:`SignGrid` or a
-    :class:`RasterGrid`) with the published surrogates.
+def compare_exact_vs_approx(
+    alpha_range: tuple[float, float],
+    beta_range: tuple[float, float],
+    n_alpha: int,
+    n_beta: int,
+) -> ApproxReport:
+    """Compare the exact f1, f3 with the published surrogates on the grid
+    :func:`raster` classifies, with its bits.
 
-    ``approx`` is the pair (f1_approx, f3_approx) already evaluated on the
-    grid; without it they are evaluated here.  The axes go in as a row and
-    a column, so the beta-only terms are computed once per row and
-    broadcast; the values equal a full-meshgrid evaluation bit for bit.
+    The grid is evaluated a block of beta rows at a time; only the two
+    ``|exact - approx|`` grids are kept whole, so the mean keeps numpy's
+    pairwise sum over the full grid and the worst cells their order.  The
+    exact and approximate values of the worst cells are evaluated again
+    on their rows.
     """
-    if approx is None:
-        alphas, betas = grid.alpha_axis[None, :], grid.beta_axis[:, None]
-        approx = f1_approx(alphas, betas), f3_approx(alphas, betas)
-    approx1, approx3 = approx
+    alphas, betas = _grid_axes(alpha_range, beta_range, n_alpha, n_beta)
+    row = alphas[None, :]
+    surrogates = (f1_approx, f3_approx)
+    agree = [0, 0]
+    cells = ([], [])
+    dev = (np.empty((n_beta, n_alpha)), np.empty((n_beta, n_alpha)))
+    for rows in row_blocks(n_alpha, n_beta):
+        column = betas[rows, None]
+        for k, exact in enumerate(_exact_signs(row, column)):
+            approx = surrogates[k](row, column)
+            same = np.sign(exact) == np.sign(approx)
+            agree[k] += int(np.count_nonzero(same))
+            block_rows, cols = np.nonzero(~same)
+            cells[k].extend(zip(alphas[cols].tolist(), column[block_rows, 0].tolist()))
+            np.abs(exact - approx, out=dev[k][rows])
 
-    def stats(exact, approx):
-        agree = np.sign(exact) == np.sign(approx)
-        agreement = float(agree.mean())
-        rows, cols = np.nonzero(~agree)
-        cells = tuple(zip(grid.alpha_axis[cols].tolist(), grid.beta_axis[rows].tolist()))
-        del agree  # a byte per cell, freed before the selection below peaks
-        dev = np.abs(exact - approx)
-        rows, cols = np.unravel_index(top_indices(dev, WORST_CELLS), dev.shape)
-        worst = zip(
-            grid.alpha_axis[cols].tolist(),
-            grid.beta_axis[rows].tolist(),
-            exact[rows, cols].tolist(),
-            approx[rows, cols].tolist(),
-        )
-        return agreement, float(dev.max()), float(dev.mean()), cells, tuple(worst)
+    def worst_cells(k):
+        i, j = np.unravel_index(top_indices(dev[k], WORST_CELLS), dev[k].shape)
+        column = betas[i, None]
+        cell = np.arange(i.size), j
+        exact = _exact_signs(row, column)[k][cell]
+        approx = surrogates[k](row, column)[cell]
+        return tuple(zip(alphas[j].tolist(), betas[i].tolist(), exact.tolist(), approx.tolist()))
 
-    agree1, max1, mean1, cells1, worst1 = stats(grid.f1, approx1)
-    agree3, max3, mean3, cells3, worst3 = stats(grid.f3, approx3)
+    # a count over the cell count: the same float as numpy's mean of a mask
+    size = n_alpha * n_beta
     return ApproxReport(
-        f1_sign_agreement=agree1,
-        f3_sign_agreement=agree3,
-        f1_max_abs_deviation=max1,
-        f1_mean_abs_deviation=mean1,
-        f3_max_abs_deviation=max3,
-        f3_mean_abs_deviation=mean3,
-        f1_disagreements=cells1,
-        f3_disagreements=cells3,
-        f1_worst_cells=worst1,
-        f3_worst_cells=worst3,
+        f1_sign_agreement=agree[0] / size,
+        f3_sign_agreement=agree[1] / size,
+        f1_max_abs_deviation=float(dev[0].max()),
+        f1_mean_abs_deviation=float(dev[0].mean()),
+        f3_max_abs_deviation=float(dev[1].max()),
+        f3_mean_abs_deviation=float(dev[1].mean()),
+        f1_disagreements=tuple(cells[0]),
+        f3_disagreements=tuple(cells[1]),
+        f1_worst_cells=worst_cells(0),
+        f3_worst_cells=worst_cells(1),
     )

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 import trapcc
 from locus_oracle import locus_beta
+from trapcc import regions
 from trapcc.cli import (
     BOUNDARY_CSV_HEADER,
     EX_COLLISION,
@@ -237,6 +240,19 @@ class TestRaster:
         )
         assert code == EX_USAGE
 
+    @pytest.mark.parametrize("beta_range", ["0,1e60", "0,1e50"])
+    def test_overflow_is_usage_error(self, capsys, tmp_path, beta_range):
+        # at 1e60 the cube products overflow, at 1e50 only the masses do;
+        # unchecked, numpy warns and the CSV gets -inf or nan rows
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "raster", "--beta-range", beta_range,
+                                    "--resolution", "2", "--out", str(out))
+        assert code == EX_USAGE
+        assert err == "usage error: the sign functions overflow: --beta-range too large\n"
+        assert stdout == "" and not out.exists()
+
     def test_unwritable_path_is_io_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -291,6 +307,13 @@ class TestRaster:
 
     def test_rows_match_per_cell_reference(self, capsys, tmp_path):
         self.assert_matches_reference(capsys, tmp_path, (0.05, 0.95), (0.1, 1.4), 37, 23)
+
+    @pytest.mark.parametrize("n_alpha, n_beta", [(200, 170), (20000, 2)])
+    def test_rows_match_per_cell_reference_across_blocks(self, capsys, tmp_path, n_alpha, n_beta):
+        # written a block of rows at a time: three blocks, the last one
+        # partial, and rows wider than a block
+        assert len(regions.row_blocks(n_alpha, n_beta)) > 1
+        self.assert_matches_reference(capsys, tmp_path, (0.05, 0.95), (0.1, 1.4), n_alpha, n_beta)
 
     def test_degenerate_row_matches_per_cell_reference(self, capsys, tmp_path):
         # put one cell centre on f3 = 0 by shifting the beta range until
@@ -591,11 +614,11 @@ class TestCompareApprox:
         assert out.exists()
         assert json.loads(out.read_text())["payload"]["f1"]["sign_agreement"] == payload["f1"]["sign_agreement"]
 
-    def test_matches_meshgrid_reference(self, capsys):
+    @staticmethod
+    def assert_matches_meshgrid_reference(capsys, n_alpha, n_beta, disagreeing=("f1", "f3")):
         # the report as it was computed before the surrogates were evaluated
         # on broadcast axes: on a full meshgrid, once for the statistics and
         # once for the worst cells
-        n_alpha, n_beta = 37, 53
         code, doc, _ = run_json(capsys, "compare-approx", "--resolution", f"{n_alpha}x{n_beta}")
         assert code == EX_OK
         grid = raster((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
@@ -616,7 +639,8 @@ class TestCompareApprox:
                         "approx": float(approx[i, j]),
                     }
                 )
-            assert cells  # the comparison covers disagreeing cells
+            # the comparison covers disagreeing cells
+            assert bool(cells) == (which in disagreeing)
             assert doc["payload"][which] == {
                 "sign_agreement": float(agree.mean()),
                 "max_abs_deviation": float(dev.max()),
@@ -626,23 +650,48 @@ class TestCompareApprox:
                 "worst_cells": worst,
             }
 
-    @pytest.mark.parametrize("n_alpha, n_beta", [(37, 53), (1, 1), (1250, 800)])
+    def test_matches_meshgrid_reference(self, capsys):
+        self.assert_matches_meshgrid_reference(capsys, 37, 53)
+
+    @pytest.mark.parametrize(
+        "n_alpha, n_beta, disagreeing",
+        [(20000, 3, ("f3",)), (3, 20000, ("f1", "f3"))],
+        ids=["20000x3", "3x20000"],
+    )
+    def test_matches_meshgrid_reference_across_blocks(self, capsys, n_alpha, n_beta, disagreeing):
+        # rows wider than a block, and a partial last block
+        assert len(regions.row_blocks(n_alpha, n_beta)) > 1
+        self.assert_matches_meshgrid_reference(capsys, n_alpha, n_beta, disagreeing)
+
+    @pytest.mark.parametrize(
+        "n_alpha, n_beta", [(37, 53), (1, 1), (1250, 800), (20000, 3), (3, 20000)]
+    )
     def test_signs_equal_raster_bits(self, capsys, monkeypatch, n_alpha, n_beta):
-        # compare-approx evaluates only f1 and f3; they keep raster's bits
-        grids = []
-        compare = trapcc.cli.compare_exact_vs_approx
+        # compare-approx evaluates f1 and f3 a block of rows at a time, then
+        # again on the rows of the worst cells; each evaluation keeps the
+        # bits of the matching rows of raster
+        evaluated = []
+        exact_signs = regions._exact_signs
 
-        def capture(grid, approx):
-            grids.append(grid)
-            return compare(grid, approx)
+        def capture(alphas, betas):
+            f1, f3 = exact_signs(alphas, betas)
+            evaluated.append((alphas, betas, f1, f3))
+            return f1, f3
 
-        monkeypatch.setattr(trapcc.cli, "compare_exact_vs_approx", capture)
+        monkeypatch.setattr(regions, "_exact_signs", capture)
         code, _, _ = run(capsys, "compare-approx", "--resolution", f"{n_alpha}x{n_beta}")
         assert code == EX_OK
-        (grid,) = grids
         full = raster((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
-        for name in ("alpha_axis", "beta_axis", "f1", "f3"):
-            assert getattr(grid, name).tobytes() == getattr(full, name).tobytes(), name
+        blocks = regions.row_blocks(n_alpha, n_beta)
+        assert len(evaluated) == len(blocks) + 2
+        for k, (alphas, betas, f1, f3) in enumerate(evaluated):
+            rows = np.searchsorted(full.beta_axis, betas[:, 0])
+            if k < len(blocks):
+                assert np.array_equal(rows, np.arange(n_beta)[blocks[k]])
+            assert alphas.tobytes() == full.alpha_axis[None, :].tobytes()
+            assert betas.tobytes() == full.beta_axis[rows, None].tobytes()
+            assert f1.tobytes() == full.f1[rows].tobytes()
+            assert f3.tobytes() == full.f3[rows].tobytes()
 
     def test_zero_resolution(self, capsys):
         code, _, _ = run(capsys, "compare-approx", "--resolution", "0")
@@ -696,6 +745,27 @@ def test_top_indices_on_random_draws():
             values[rng.integers(0, n, int(rng.integers(1, 4)))] = np.nan
         expected = np.argsort(values)[::-1][:10]
         assert np.array_equal(top_indices(values, 10), expected)
+
+
+@pytest.mark.parametrize(
+    "argv, limit_mib",
+    [(["compare-approx", "--resolution", "1000x1000"], 32), (["raster", "--resolution", "256x256"], 8)],
+    ids=["compare-approx-1000x1000", "raster-256x256"],
+)
+def test_plane_command_traced_peak(capsys, tmp_path, argv, limit_mib):
+    # numpy reports its buffers to tracemalloc; holding the whole grid
+    # several times over takes 48.6 and 21.4 MiB
+    if argv[0] == "raster":
+        argv = argv + ["--out", str(tmp_path / "r.csv")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == EX_OK
+    assert peak <= limit_mib * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_internal_error_exits_70_with_one_line(capsys, monkeypatch):

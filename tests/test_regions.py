@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from trapcc.geometry import TrapezoidParams, distance_cubes_values
 from trapcc.masses import RegionLabel, classify, mass_values
 from trapcc.regions import (
+    _BLOCK_CELLS,
     NegativeRadicandError,
     approx_coefficients,
     audit_published_domains,
@@ -22,6 +23,7 @@ from trapcc.regions import (
     g1_published,
     g3_published,
     raster,
+    row_blocks,
     trace_boundary,
 )
 
@@ -231,6 +233,22 @@ class TestRaster:
         with pytest.raises(ValueError):
             raster((0.5, 2.0), (0.0, 1.0), 10, 10)
 
+    @pytest.mark.parametrize("beta_range", [(0.0, 1e60), (0.0, 1e50)], ids=["1e60", "1e50"])
+    def test_overflow_raises(self, beta_range):
+        # at 1e60 the cube products overflow, at 1e50 only the masses do
+        with pytest.raises(OverflowError, match="overflow"):
+            raster((0.0, 1.0), beta_range, 2, 2)
+
+    @pytest.mark.parametrize("n_alpha, n_beta", [(1, 1), (3, 20000), (1000, 1000), (20000, 3)])
+    def test_row_blocks_cover_the_grid_in_order(self, n_alpha, n_beta):
+        blocks = row_blocks(n_alpha, n_beta)
+        assert blocks[0].start == 0 and blocks[-1].stop == n_beta
+        for block, after in zip(blocks, blocks[1:]):
+            assert block.stop == after.start
+        for block in blocks:
+            assert block.stop > block.start
+            assert (block.stop - block.start) * n_alpha <= max(n_alpha, _BLOCK_CELLS)
+
     def test_cell_centers_stay_inside_open_interval(self):
         centers = cell_centers(0.0, 1.0, 7)
         assert centers[0] > 0.0 and centers[-1] < 1.0
@@ -248,19 +266,19 @@ class TestCompareExactVsApprox:
             assert np.array_equal(surrogate(alphas[None, :], betas[:, None]), surrogate(grid_a, grid_b))
 
     def test_fractions_bounded(self):
-        report = compare_exact_vs_approx(raster((0.0, 1.0), (0.0, 1.0), 40, 40))
+        report = compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), 40, 40)
         for fraction in (report.f1_sign_agreement, report.f3_sign_agreement):
             assert 0.0 <= fraction <= 1.0
         assert report.f1_max_abs_deviation >= report.f1_mean_abs_deviation >= 0.0
 
     def test_single_cell_agreement(self):
-        report = compare_exact_vs_approx(raster((0.0, 1.0), (0.5, 1.5), 1, 1))
+        report = compare_exact_vs_approx((0.0, 1.0), (0.5, 1.5), 1, 1)
         # at (0.5, 1.0) both exact and published f1 are negative
         assert report.f1_sign_agreement == 1.0
         assert report.f1_disagreements == ()
 
     def test_disagreement_cells_listed(self):
-        report = compare_exact_vs_approx(raster((0.0, 1.0), (0.0, 1.0), 50, 50))
+        report = compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), 50, 50)
         assert len(report.f1_disagreements) == int(round((1 - report.f1_sign_agreement) * 2500))
 
 
