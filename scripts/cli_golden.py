@@ -117,6 +117,9 @@ COMMANDS = [
     ("simulate-coincident", ["simulate", "--alpha", "1e-10", "--beta", "1",
                              "--out", "@s12.csv"]),
     ("simulate-degenerate", ["simulate", "--alpha", "1", "--beta", "1e-5", "--out", "@s13.csv"]),
+    # a step far longer than the run still integrates, to t_end
+    ("simulate-huge-dt", ["simulate", "--alpha", "1", "--beta", "1", "--periods", "1",
+                          "--dt", "1e13", "--out", "@s15.csv"]),
     ("compare-20", ["compare-approx", "--resolution", "20"]),
     ("compare-1x1", ["compare-approx", "--resolution", "1x1"]),
     ("compare-37x53", ["compare-approx", "--resolution", "37x53", "--out", "@c1.json"]),

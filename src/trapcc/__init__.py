@@ -3,125 +3,58 @@
 Closed-form pair masses, sign analysis of the parameter plane, a generic
 planar N-body centrality checker, and a fixed-step integrator for
 rigid-rotation verification.  See the README for the CLI surface.
+
+``import trapcc`` loads none of the modules below: the first lookup of a
+public name (or of a module, ``trapcc.regions``) imports its module
+(PEP 562), so a process pays only for the modules it uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    DegenerateMassError,
-    DistanceCubes,
-    PlanarPoint,
-    TrapezoidConfiguration,
-    TrapezoidParams,
-    build_configuration,
-    compute_distance_cubes,
-    reconstruct_positions,
-)
-from .masses import (
-    DegenerateConfigurationError,
-    MassSolution,
-    RegionLabel,
-    SignTriple,
-    classify,
-    sign_functions,
-    solve_masses,
-    solve_masses_linear,
-)
-from .oracle import (
-    PlanarSystem,
-    ResidualReport,
-    cc_residual,
-    center_of_mass,
-    is_central_configuration,
-    potential_and_moment,
-    trapezoid_system,
-)
-from .dynamics import (
-    CollisionError,
-    RigidityReport,
-    SystemState,
-    Trajectory,
-    UnphysicalParametersError,
-    init_relative_equilibrium,
-    integrate,
-    rigidity_metrics,
-    trapezoid_accelerations,
-)
-from .regions import (
-    ApproxCoefficients,
-    ApproxReport,
-    BoundaryCurve,
-    BoundarySample,
-    DomainAudit,
-    NegativeDiscriminantError,
-    NegativeRadicandError,
-    RasterGrid,
-    RootSearch,
-    audit_published_domains,
-    compare_exact_vs_approx,
-    exact_boundary,
-    exact_f1,
-    exact_f3,
-    f1_approx,
-    f3_approx,
-    g1_published,
-    g3_published,
-    raster,
-    trace_boundary,
-)
+# each module and the public names it defines, in the order of __all__
+_NAMES = {
+    "geometry": (
+        "DegenerateMassError", "DistanceCubes", "PlanarPoint", "TrapezoidConfiguration",
+        "TrapezoidParams", "build_configuration", "compute_distance_cubes",
+        "reconstruct_positions",
+    ),
+    "masses": (
+        "DegenerateConfigurationError", "MassSolution", "RegionLabel", "SignTriple",
+        "classify", "sign_functions", "solve_masses", "solve_masses_linear",
+    ),
+    "oracle": (
+        "PlanarSystem", "ResidualReport", "cc_residual", "center_of_mass",
+        "is_central_configuration", "potential_and_moment", "trapezoid_system",
+    ),
+    "dynamics": (
+        "CollisionError", "RigidityReport", "SystemState", "Trajectory",
+        "UnphysicalParametersError", "init_relative_equilibrium", "integrate",
+        "rigidity_metrics", "trapezoid_accelerations",
+    ),
+    "regions": (
+        "ApproxCoefficients", "ApproxReport", "BoundaryCurve", "BoundarySample",
+        "DomainAudit", "NegativeDiscriminantError", "NegativeRadicandError", "RasterGrid",
+        "RootSearch", "audit_published_domains", "compare_exact_vs_approx",
+        "exact_boundary", "exact_f1", "exact_f3", "f1_approx", "f3_approx", "g1_published",
+        "g3_published", "raster", "trace_boundary",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "DegenerateMassError",
-    "DistanceCubes",
-    "PlanarPoint",
-    "TrapezoidConfiguration",
-    "TrapezoidParams",
-    "build_configuration",
-    "compute_distance_cubes",
-    "reconstruct_positions",
-    "DegenerateConfigurationError",
-    "MassSolution",
-    "RegionLabel",
-    "SignTriple",
-    "classify",
-    "sign_functions",
-    "solve_masses",
-    "solve_masses_linear",
-    "PlanarSystem",
-    "ResidualReport",
-    "cc_residual",
-    "center_of_mass",
-    "is_central_configuration",
-    "potential_and_moment",
-    "trapezoid_system",
-    "CollisionError",
-    "RigidityReport",
-    "SystemState",
-    "Trajectory",
-    "UnphysicalParametersError",
-    "init_relative_equilibrium",
-    "integrate",
-    "rigidity_metrics",
-    "trapezoid_accelerations",
-    "ApproxCoefficients",
-    "ApproxReport",
-    "BoundaryCurve",
-    "BoundarySample",
-    "DomainAudit",
-    "NegativeDiscriminantError",
-    "NegativeRadicandError",
-    "RasterGrid",
-    "RootSearch",
-    "audit_published_domains",
-    "compare_exact_vs_approx",
-    "exact_boundary",
-    "exact_f1",
-    "exact_f3",
-    "f1_approx",
-    "f3_approx",
-    "g1_published",
-    "g3_published",
-    "raster",
-    "trace_boundary",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name in _NAMES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

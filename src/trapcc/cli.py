@@ -14,6 +14,7 @@ error (a bug: one ``internal error: ...`` line on stderr), 74 I/O error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -21,37 +22,50 @@ from typing import Sequence
 
 from . import __version__
 from ._numpy import default_one_blas_thread, np
-from .dynamics import (
-    CollisionError,
-    UnphysicalParametersError,
-    init_relative_equilibrium,
-    integrate,
-    rigidity_metrics,
-)
-from .geometry import TrapezoidParams, build_configuration, compute_distance_cubes
-from .masses import (
-    DegenerateConfigurationError,
-    RegionLabel,
-    classify,  # noqa: F401  not called here, but perfbench/spans.py wraps cli.classify
-    region_label,
-    solve_masses,
-)
-from .oracle import (
-    DEFAULT_CC_TOL,
-    CoincidentBodiesError,
-    PlanarSystem,
-    is_central_configuration,
-    trapezoid_system,
-)
-from .regions import (
-    audit_published_domains,
-    compare_exact_vs_approx,
-    f1_approx,  # noqa: F401  not called here, but perfbench/spans.py wraps cli.f1_approx
-    f3_approx,  # noqa: F401  not called here, but perfbench/spans.py wraps cli.f3_approx
-    raster,
-    row_blocks,
-    trace_boundary,
-)
+
+# The layer names the commands call, by module.  A command imports only its
+# own modules (_load), so ``--version`` imports no layer module at all.  The
+# names become globals of this module, and a caller that replaces one
+# (perfbench/spans.py wraps ``cli.raster``, ``cli.solve_masses`` and so on)
+# is the one the command calls: _load keeps a name that is already set, and
+# looking a name up here before its command has run loads its module.
+_NAMES = {
+    "geometry": ("TrapezoidParams", "build_configuration", "compute_distance_cubes"),
+    "masses": (
+        "DegenerateConfigurationError", "RegionLabel", "region_label", "solve_masses",
+        "classify",  # not called here, but perfbench/spans.py wraps cli.classify
+    ),
+    "oracle": (
+        "DEFAULT_CC_TOL", "CoincidentBodiesError", "PlanarSystem",
+        "is_central_configuration", "trapezoid_system",
+    ),
+    "dynamics": (
+        "CollisionError", "UnphysicalParametersError", "init_relative_equilibrium",
+        "integrate", "rigidity_metrics",
+    ),
+    "regions": (
+        "audit_published_domains", "compare_exact_vs_approx", "raster", "row_blocks",
+        "trace_boundary",
+        # not called here, but perfbench/spans.py wraps cli.f1_approx and cli.f3_approx
+        "f1_approx", "f3_approx",
+    ),
+}
+
+
+def _load(*modules: str) -> None:
+    """Import each layer module and bind its names here, keeping any set."""
+    for module in modules:
+        namespace = vars(importlib.import_module(f"{__package__}.{module}"))
+        for name in _NAMES[module]:
+            globals().setdefault(name, namespace[name])
+
+
+def __getattr__(name: str):
+    for module, names in _NAMES.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 EX_OK = 0
 EX_VERIFY_FAILED = 1
@@ -164,6 +178,7 @@ def _params_or_usage(alpha: float, beta: float) -> TrapezoidParams:
 
 
 def cmd_masses(args) -> int:
+    _load("geometry", "masses")
     params = _params_or_usage(args.alpha, args.beta)
     try:
         solution = solve_masses(params)
@@ -208,6 +223,7 @@ def _relative_residual(report) -> float:
 
 
 def cmd_verify(args) -> int:
+    _load("geometry", "masses", "oracle")
     params = _params_or_usage(args.alpha, args.beta)
     try:
         solution = solve_masses(params)
@@ -259,6 +275,7 @@ def raster_csv(grid):
     :func:`fnum` writes.  A block is joined from its row texts, which are
     freed before it is yielded.
     """
+    _load("regions")
     alphas = [repr(alpha) for alpha in grid.alpha_axis.tolist()]
     betas = [repr(beta) for beta in grid.beta_axis.tolist()]
 
@@ -282,6 +299,7 @@ def raster_csv(grid):
 
 
 def cmd_raster(args) -> int:
+    _load("regions", "masses")
     alpha_range = _parse_range(args.alpha_range, "--alpha-range")
     beta_range = _parse_range(args.beta_range, "--beta-range")
     n_alpha, n_beta = _parse_resolution(args.resolution)
@@ -321,6 +339,7 @@ def cmd_raster(args) -> int:
 
 
 def cmd_boundary(args) -> int:
+    _load("regions")
     fixed_values = []
     if args.fixed:
         for chunk in args.fixed.split(","):
@@ -371,6 +390,7 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _load("dynamics", "oracle", "masses", "geometry")
     params = _params_or_usage(args.alpha, args.beta)
     if args.periods < 0:
         raise UsageError("--periods must be non-negative")
@@ -446,6 +466,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare_approx(args) -> int:
+    _load("regions")
     n_alpha, n_beta = _parse_resolution(args.resolution)
     try:
         report = compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)

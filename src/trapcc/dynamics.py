@@ -244,7 +244,8 @@ def integrate(
 
     record(0.0)
 
-    n_steps = max(0, math.ceil(t_end / dt - 1e-12))
+    # any t_end > 0 takes a step, even one far shorter than dt
+    n_steps = max(int(t_end > 0.0), math.ceil(t_end / dt - 1e-12))
     for step in range(1, n_steps + 1):
         h = min(dt, t_end - t)
         half, sixth = 0.5 * h, h / 6.0

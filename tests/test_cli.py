@@ -534,6 +534,22 @@ class TestSimulate:
         assert out.read_text() == TRAJECTORY_CSV_HEADER + "\n"
         assert doc["payload"]["max_distance_deviation"] == 0.0
 
+    def test_step_longer_than_the_run_still_integrates(self, capsys, tmp_path):
+        out = tmp_path / "one-step.csv"
+        code, doc, _ = run_json(
+            capsys,
+            "simulate",
+            "--alpha", "1",
+            "--beta", "1",
+            "--periods", "1",
+            "--dt", "1e13",
+            "--out", str(out),
+        )
+        assert code != EX_OK
+        assert doc["payload"]["samples"] == 2
+        last = out.read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == 2.0 * math.pi
+
     def test_bad_dt_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,

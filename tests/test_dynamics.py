@@ -159,6 +159,13 @@ class TestIntegrate:
         assert len(trajectory.samples) == 1
         assert trajectory.times[0] == 0.0
 
+    @pytest.mark.parametrize("dt", [1e12, 1e13, 1e300])
+    def test_horizon_far_shorter_than_dt_takes_one_step(self, dt):
+        state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
+        trajectory = integrate(state, dt=dt, t_end=2.0 * math.pi)
+        assert trajectory.times.tolist() == [0.0, 2.0 * math.pi]
+        assert not np.array_equal(trajectory.positions[-1], state.positions)
+
     def test_collision_aborts_with_partial_trajectory(self):
         # start just above the collision tolerance and fall inwards; the
         # step size is small enough that the threshold crossing is sampled
