@@ -46,6 +46,7 @@ COMMANDS = [
     ("masses-degenerate", ["masses", "--alpha", "0.9", "--beta", DEGENERATE_BETA]),
     ("masses-bad-alpha", ["masses", "--alpha", "0", "--beta", "1"]),
     ("masses-tiny-alpha", ["masses", "--alpha", "1e-16", "--beta", "1"]),
+    ("masses-beta-above-cap", ["masses", "--alpha", "0.5", "--beta", "2.5"]),
     ("verify-square", ["verify", "--alpha", "1", "--beta", "1"]),
     ("verify-off-locus", ["verify", "--alpha", "0.5", "--beta", "1"]),
     ("verify-locus", ["verify", "--alpha", "0.5", "--beta", LOCUS_BETA]),
@@ -120,6 +121,9 @@ COMMANDS = [
     # a step far longer than the run still integrates, to t_end
     ("simulate-huge-dt", ["simulate", "--alpha", "1", "--beta", "1", "--periods", "1",
                           "--dt", "1e13", "--out", "@s15.csv"]),
+    # t_end / dt is 10000.000000000004, and 10000 steps already reach t_end
+    ("simulate-dt-edge", ["simulate", "--alpha", "1", "--beta", "1", "--periods", "1",
+                          "--dt", "0.0006283185307179584", "--out", "@s16.csv"]),
     ("compare-20", ["compare-approx", "--resolution", "20"]),
     ("compare-1x1", ["compare-approx", "--resolution", "1x1"]),
     ("compare-37x53", ["compare-approx", "--resolution", "37x53", "--out", "@c1.json"]),

@@ -84,15 +84,15 @@ def main():
     write_boundary("f1", outdir / "boundary_f1.csv")
     write_boundary("f3", outdir / "boundary_f3.csv")
 
-    report = compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), 100, 100)
+    reports = compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), 100, 100)
     audit = audit_published_domains()
     (outdir / "approx_report.json").write_text(
         json.dumps(
             {
-                "f1_sign_agreement": report.f1_sign_agreement,
-                "f3_sign_agreement": report.f3_sign_agreement,
-                "f1_max_abs_deviation": report.f1_max_abs_deviation,
-                "f3_max_abs_deviation": report.f3_max_abs_deviation,
+                "f1_sign_agreement": reports["f1"].sign_agreement,
+                "f3_sign_agreement": reports["f3"].sign_agreement,
+                "f1_max_abs_deviation": reports["f1"].max_abs_deviation,
+                "f3_max_abs_deviation": reports["f3"].max_abs_deviation,
                 "g1_real_intervals": [list(iv) for iv in audit.g1_intervals],
                 "g3_real_intervals": [list(iv) for iv in audit.g3_intervals],
             },

@@ -18,7 +18,6 @@ _NAMES = {
     "geometry": (
         "DegenerateMassError", "DistanceCubes", "PlanarPoint", "TrapezoidConfiguration",
         "TrapezoidParams", "build_configuration", "compute_distance_cubes",
-        "reconstruct_positions",
     ),
     "masses": (
         "DegenerateConfigurationError", "MassSolution", "RegionLabel", "SignTriple",
@@ -31,7 +30,7 @@ _NAMES = {
     "dynamics": (
         "CollisionError", "RigidityReport", "SystemState", "Trajectory",
         "UnphysicalParametersError", "init_relative_equilibrium", "integrate",
-        "rigidity_metrics", "trapezoid_accelerations",
+        "rigidity_metrics",
     ),
     "regions": (
         "ApproxCoefficients", "ApproxReport", "BoundaryCurve", "BoundarySample",

@@ -186,7 +186,7 @@ def cmd_masses(args) -> int:
         print(f"degenerate: {err}", file=sys.stderr)
         return EX_DEGENERATE
     label = region_label(solution.m, solution.M)
-    config = build_configuration(params, solution.m, solution.M, strict=False)
+    config = build_configuration(params, solution.m, solution.M)
     cubes = compute_distance_cubes(params)
     fields = {
         "alpha": params.alpha,
@@ -394,6 +394,9 @@ def cmd_simulate(args) -> int:
     params = _params_or_usage(args.alpha, args.beta)
     if args.periods < 0:
         raise UsageError("--periods must be non-negative")
+    t_end = args.periods * 2.0 * math.pi
+    if math.isinf(t_end):
+        raise UsageError(f"--periods too large: {args.periods!r} periods overflow the end time")
     if args.dt <= 0:
         raise UsageError("--dt must be positive")
     try:
@@ -445,7 +448,6 @@ def cmd_simulate(args) -> int:
         emit_json(envelope("simulate", parameters, payload, []))
         return EX_OK
 
-    t_end = args.periods * 2.0 * math.pi
     try:
         trajectory = integrate(initial, dt=args.dt, t_end=t_end, output_stride=args.stride)
     except CollisionError as err:
@@ -469,38 +471,30 @@ def cmd_compare_approx(args) -> int:
     _load("regions")
     n_alpha, n_beta = _parse_resolution(args.resolution)
     try:
-        report = compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
+        reports = compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
     except ValueError as err:
         raise UsageError(str(err))
     audit = audit_published_domains()
-
-    def worst_cells(cells):
-        return [dict(zip(("alpha", "beta", "exact", "approx"), cell)) for cell in cells]
-
     payload = {
-        "f1": {
-            "sign_agreement": report.f1_sign_agreement,
-            "max_abs_deviation": report.f1_max_abs_deviation,
-            "mean_abs_deviation": report.f1_mean_abs_deviation,
-            "disagreement_count": len(report.f1_disagreements),
-            "disagreement_cells": [list(c) for c in report.f1_disagreements[:50]],
-            "worst_cells": worst_cells(report.f1_worst_cells),
-        },
-        "f3": {
-            "sign_agreement": report.f3_sign_agreement,
-            "max_abs_deviation": report.f3_max_abs_deviation,
-            "mean_abs_deviation": report.f3_mean_abs_deviation,
-            "disagreement_count": len(report.f3_disagreements),
-            "disagreement_cells": [list(c) for c in report.f3_disagreements[:50]],
-            "worst_cells": worst_cells(report.f3_worst_cells),
-        },
-        "published_domains": {
-            "n_samples": audit.n_samples,
-            "g1_real_intervals": [list(iv) for iv in audit.g1_intervals],
-            "g3_real_intervals": [list(iv) for iv in audit.g3_intervals],
-            "g1_failures": [list(f) for f in audit.g1_failures],
-            "g3_failures": [list(f) for f in audit.g3_failures],
-        },
+        name: {
+            "sign_agreement": report.sign_agreement,
+            "max_abs_deviation": report.max_abs_deviation,
+            "mean_abs_deviation": report.mean_abs_deviation,
+            "disagreement_count": len(report.disagreements),
+            "disagreement_cells": [list(c) for c in report.disagreements[:50]],
+            "worst_cells": [
+                dict(zip(("alpha", "beta", "exact", "approx"), cell))
+                for cell in report.worst_cells
+            ],
+        }
+        for name, report in reports.items()
+    }
+    payload["published_domains"] = {
+        "n_samples": audit.n_samples,
+        "g1_real_intervals": [list(iv) for iv in audit.g1_intervals],
+        "g3_real_intervals": [list(iv) for iv in audit.g3_intervals],
+        "g1_failures": [list(f) for f in audit.g1_failures],
+        "g3_failures": [list(f) for f in audit.g3_failures],
     }
     doc = envelope("compare-approx", {"resolution": f"{n_alpha}x{n_beta}"}, payload, [])
     if args.out:

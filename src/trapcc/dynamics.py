@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .geometry import TrapezoidParams, compute_distance_cubes, build_configuration
+from .geometry import TrapezoidParams, build_configuration
 # classify and attraction_field are not called here, but perfbench/spans.py
 # wraps dynamics.classify and dynamics.attraction_field
 from .masses import RegionLabel, classify, region_label, solve_masses  # noqa: F401
@@ -137,30 +137,6 @@ class RigidityReport:
     max_angular_momentum_drift: float
 
 
-def trapezoid_accelerations(params: TrapezoidParams, m: float, M: float) -> np.ndarray:
-    """Accelerations of the standard trapezoid state from the specialised
-    per-body formulas, an independent coding of the same force law.
-
-    The denominators are the closed-form cubed distances (a for lateral
-    pairs, b for diagonals, alpha^3 for the top side, 1 for the bottom),
-    never recomputed from coordinates, so agreement with
-    :func:`trapcc.oracle.attraction_field` cross-checks both codings.
-    """
-    cubes = compute_distance_cubes(params)
-    a, b = cubes.a, cubes.b
-    alpha3 = params.alpha**3
-    config = build_configuration(params, m, M, strict=False)
-    r = np.array([[p.x, p.y] for p in config.positions])
-    r12, r13, r14 = r[1] - r[0], r[2] - r[0], r[3] - r[0]
-    r23, r24 = r[2] - r[1], r[3] - r[1]
-    r34 = r[3] - r[2]
-    acc1 = m * r12 / a + m * r13 / b + M * r14
-    acc2 = M * (-r12) / a + m * r23 / alpha3 + M * r24 / b
-    acc3 = M * (-r13) / b + m * (-r23) / alpha3 + M * r34 / a
-    acc4 = m * (-r24) / b + M * (-r14) + m * (-r34) / a
-    return np.stack([acc1, acc2, acc3, acc4])
-
-
 def total_energy(masses: np.ndarray, positions: np.ndarray, velocities: np.ndarray) -> float:
     kinetic = 0.5 * float((masses * (velocities**2).sum(axis=1)).sum())
     return kinetic - _potential(masses.tolist(), positions.ravel().tolist())
@@ -190,7 +166,7 @@ def init_relative_equilibrium(params: TrapezoidParams, force: bool = False) -> S
             f"(alpha={params.alpha}, beta={params.beta}) is labelled {label.value}; "
             "pass force=True to build negative-mass initial data anyway"
         )
-    config = build_configuration(params, solution.m, solution.M, strict=False)
+    config = build_configuration(params, solution.m, solution.M)
     positions = np.array([[p.x, p.y] for p in config.positions])
     omega = 1.0
     velocities = omega * np.stack([-positions[:, 1], positions[:, 0]], axis=1)
@@ -207,8 +183,9 @@ def integrate(
     """Fixed-step 4th-order Runge-Kutta integration from ``initial``.
 
     Samples (with energy and angular momentum) are recorded at t = 0, every
-    ``output_stride`` steps, and at t_end, which is hit exactly by a final
-    partial step so return-to-start checks are meaningful.
+    ``output_stride`` steps, and at t_end.  The step that starts at most
+    ``dt * (1 + 1e-9)`` before t_end is the last: it ends at t_end exactly,
+    so return-to-start checks are meaningful and every step is positive.
 
     Raises
     ------
@@ -216,10 +193,10 @@ def integrate(
         When any separation drops below 1e-6; the partial trajectory is
         attached to the exception.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if t_end < 0.0:
-        raise ValueError("t_end must be non-negative")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError("t_end must be finite and non-negative")
     if output_stride < 1:
         raise ValueError("output_stride must be at least 1")
 
@@ -244,10 +221,15 @@ def integrate(
 
     record(0.0)
 
-    # any t_end > 0 takes a step, even one far shorter than dt
-    n_steps = max(int(t_end > 0.0), math.ceil(t_end / dt - 1e-12))
-    for step in range(1, n_steps + 1):
-        h = min(dt, t_end - t)
+    # the time left decides the last step, not a count taken from t_end / dt:
+    # that ratio can round just above a whole number when the steps already
+    # reach t_end, and the extra step would be zero or negative.  Any
+    # t_end > 0 takes a step.
+    step, last = 0, t_end == 0.0
+    while not last:
+        step += 1
+        last = t + dt * (1.0 + 1e-9) >= t_end
+        h = t_end - t if last else dt
         half, sixth = 0.5 * h, h / 6.0
         k1v = _field(masses, pos)
         k2p = [v + half * a for v, a in zip(vel, k1v)]
@@ -264,13 +246,13 @@ def integrate(
             v + sixth * (a + 2.0 * b + 2.0 * c + d)
             for v, a, b, c, d in zip(vel, k1v, k2v, k3v, k4v)
         ]
-        t += h
+        t = t_end if last else t + h
 
         if _min_separation(pos) < COLLISION_TOL:
             raise CollisionError(
                 f"separation fell below {COLLISION_TOL:g} at t = {t:.6f}", Trajectory(rows)
             )
-        if step % output_stride == 0 or step == n_steps:
+        if step % output_stride == 0 or last:
             record(t)
 
     return Trajectory(rows)

@@ -19,14 +19,13 @@ Only two mutual distances enter the mass formulas, and they enter cubed:
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
-BETA_MAX_DEFAULT = 2.0
+BETA_MAX = 2.0
 
 
 class DegenerateMassError(ValueError):
-    """Masses that cannot define a configuration (non-positive in strict
-    mode, or summing to zero so the centre-of-mass split is undefined)."""
+    """Masses summing to zero, so the centre-of-mass split is undefined."""
 
 
 @dataclass(frozen=True)
@@ -49,14 +48,13 @@ class TrapezoidParams:
     would collide bodies 2 and 3.  Values above 1 describe the same shape
     rescaled by the top side and are rejected with a hint.  ``beta`` must
     be positive (beta = 0 collapses to a collinear arrangement) and is
-    capped at ``beta_max`` (default 2) to keep grids bounded.
+    capped at ``BETA_MAX`` to keep grids bounded.
     """
 
     alpha: float
     beta: float
-    beta_max: InitVar[float] = BETA_MAX_DEFAULT
 
-    def __post_init__(self, beta_max):
+    def __post_init__(self):
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite")
         if self.alpha <= 0.0:
@@ -69,8 +67,8 @@ class TrapezoidParams:
             )
         if self.beta <= 0.0:
             raise ValueError("beta must be positive (beta = 0 is collinear)")
-        if self.beta > beta_max:
-            raise ValueError(f"beta={self.beta} exceeds the configured maximum {beta_max}")
+        if self.beta > BETA_MAX:
+            raise ValueError(f"beta={self.beta} exceeds the configured maximum {BETA_MAX}")
 
 
 @dataclass(frozen=True)
@@ -109,31 +107,14 @@ def compute_distance_cubes(params: TrapezoidParams) -> DistanceCubes:
     return DistanceCubes(a=float(a), b=float(b))
 
 
-def build_configuration(
-    params: TrapezoidParams, m: float, M: float, strict: bool = True
-) -> TrapezoidConfiguration:
+def build_configuration(params: TrapezoidParams, m: float, M: float) -> TrapezoidConfiguration:
     """Place the four bodies so the mass-weighted centre is the origin.
 
-    Parameters
-    ----------
-    params : TrapezoidParams
-        Shape of the trapezoid.
-    m, M : float
-        Masses of the upper pair (bodies 2, 3) and lower pair (bodies 1, 4).
-    strict : bool
-        When true (default), both masses must be positive.  The relaxed
-        mode accepts any masses with ``m + M != 0``, which is needed for
-        algebraic checks with sign-indefinite masses.
-
-    Raises
-    ------
-    DegenerateMassError
-        If the masses are rejected under the selected mode.
+    ``m`` is the mass of the upper pair (bodies 2, 3), ``M`` of the lower
+    pair (bodies 1, 4).  Either may carry any sign, which the sign analysis
+    of the mass formulas needs; only ``m + M = 0`` raises
+    DegenerateMassError.
     """
-    if strict and not (m > 0.0 and M > 0.0):
-        raise DegenerateMassError(
-            f"strict mode requires positive masses, got m={m}, M={M}"
-        )
     total = m + M
     if total == 0.0:
         raise DegenerateMassError("m + M = 0: centre-of-mass split undefined")
@@ -148,41 +129,3 @@ def build_configuration(
     )
     return TrapezoidConfiguration(positions=positions, r_A=r_A, r_B=r_B)
 
-
-def reconstruct_positions(
-    offset: PlanarPoint, bottom_edge: PlanarPoint, m: float, M: float, alpha: float
-) -> tuple[PlanarPoint, PlanarPoint, PlanarPoint, PlanarPoint]:
-    """Rebuild the four positions from the two generating vectors.
-
-    ``offset`` is the vector from the lower-pair midpoint to the upper-pair
-    midpoint; ``bottom_edge`` the vector from body 4 to body 1.  Every body
-    position is a linear combination of these two:
-
-        r1 = -m/(m+M) * offset + 1/2     * bottom_edge
-        r2 =  M/(m+M) * offset + alpha/2 * bottom_edge
-        r3 =  M/(m+M) * offset - alpha/2 * bottom_edge
-        r4 = -m/(m+M) * offset - 1/2     * bottom_edge
-
-    The ``alpha`` factor is needed for the inner pair; for the standard
-    configuration pass offset=(0, beta), bottom_edge=(-1, 0).
-    """
-    total = m + M
-    if total == 0.0:
-        raise DegenerateMassError("m + M = 0: decomposition weights undefined")
-    w_out = -m / total
-    w_in = M / total
-    half = 0.5
-    half_top = 0.5 * alpha
-
-    def combine(w, s):
-        return PlanarPoint(
-            w * offset.x + s * bottom_edge.x,
-            w * offset.y + s * bottom_edge.y,
-        )
-
-    return (
-        combine(w_out, half),
-        combine(w_in, half_top),
-        combine(w_in, -half_top),
-        combine(w_out, -half),
-    )

@@ -97,26 +97,26 @@ def sign_functions(cubes: DistanceCubes, alpha: float) -> SignTriple:
     return SignTriple(f1=float(f1), f2=float(f2), f3=float(f3))
 
 
-def is_degenerate(f3, a, b, tol: float = DEGENERACY_TOL):
+def is_degenerate(f3, a, b):
     """The degeneracy test shared by every solver path and the raster:
     |f3| measured relative to a + b, the natural scale of the sign
     functions; scalars or arrays."""
-    return abs(f3) < tol * (a + b)
+    return abs(f3) < DEGENERACY_TOL * (a + b)
 
 
-def solve_masses(params: TrapezoidParams, tol: float = DEGENERACY_TOL) -> MassSolution:
+def solve_masses(params: TrapezoidParams) -> MassSolution:
     """Evaluate the closed-form masses at a parameter point.
 
     Raises
     ------
     DegenerateConfigurationError
-        When |f3| < tol * (a + b); the masses are unbounded there.
+        When |f3| < DEGENERACY_TOL * (a + b); the masses are unbounded there.
     """
     cubes = compute_distance_cubes(params)
     signs = sign_functions(cubes, params.alpha)
-    if is_degenerate(signs.f3, cubes.a, cubes.b, tol):
+    if is_degenerate(signs.f3, cubes.a, cubes.b):
         raise DegenerateConfigurationError(
-            f"f3 = {signs.f3:.3e} is within {tol:.1e} * (a + b) of the "
+            f"f3 = {signs.f3:.3e} is within {DEGENERACY_TOL:.1e} * (a + b) of the "
             f"degenerate curve at (alpha={params.alpha}, beta={params.beta})"
         )
     scale = cubes.a * cubes.b / ((cubes.a + cubes.b) * signs.f3)
@@ -128,9 +128,7 @@ def solve_masses(params: TrapezoidParams, tol: float = DEGENERACY_TOL) -> MassSo
     )
 
 
-def solve_masses_linear(
-    params: TrapezoidParams, tol: float = DEGENERACY_TOL
-) -> tuple[float, float]:
+def solve_masses_linear(params: TrapezoidParams) -> tuple[float, float]:
     """Solve the two balance equations as a 2x2 linear system.
 
     This route never touches the closed forms: the coefficient matrix is
@@ -156,7 +154,7 @@ def solve_masses_linear(
     # rescale the determinant to the f3 scale so this gate coincides with
     # the closed-form degeneracy test
     f3_equivalent = det * (a * b) ** 2 / (a + b)
-    if is_degenerate(f3_equivalent, a, b, tol):
+    if is_degenerate(f3_equivalent, a, b):
         raise DegenerateConfigurationError(
             f"singular balance system at (alpha={params.alpha}, beta={params.beta}); "
             f"determinant corresponds to f3 = {f3_equivalent:.3e}"
@@ -189,14 +187,14 @@ def region_label(m, M):
     return np.array(_LABELS_BY_SIGNS, dtype=object)[index]
 
 
-def classify(params: TrapezoidParams, tol: float = DEGENERACY_TOL) -> RegionLabel:
+def classify(params: TrapezoidParams) -> RegionLabel:
     """Label a parameter point by the signs of the solved masses.
 
     Degenerate points get their own label instead of an exception, so a
     grid sweep always produces exactly one label per point.
     """
     try:
-        solution = solve_masses(params, tol)
+        solution = solve_masses(params)
     except DegenerateConfigurationError:
         return RegionLabel.DEGENERATE
     return region_label(solution.m, solution.M)

@@ -84,12 +84,6 @@ class PlanarSystem:
     def position_array(self) -> np.ndarray:
         return np.array([[p.x, p.y] for p in self.positions], dtype=float)
 
-    def translated(self, dx: float, dy: float) -> "PlanarSystem":
-        return PlanarSystem(
-            masses=self.masses,
-            positions=tuple(PlanarPoint(p.x + dx, p.y + dy) for p in self.positions),
-        )
-
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -193,8 +187,8 @@ def attraction_field(masses: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Gravitational acceleration of every body, G = 1, as an ``(N, 2)``
     array.
 
-    The oracle and the integrator share :func:`_field`, while the
-    trapezoid-specialised formulas in :mod:`trapcc.dynamics` provide the
+    The oracle and the integrator share :func:`_field`; the
+    trapezoid-specialised formulas in ``tests/array_reference.py`` are the
     independent second coding of the same force law.
     """
     return np.array(_field(masses.tolist(), positions.ravel().tolist())).reshape(-1, 2)
@@ -282,7 +276,7 @@ def is_central_configuration(
 def trapezoid_system(params: TrapezoidParams, m: float, M: float) -> PlanarSystem:
     """The four-body system for a trapezoid shape and pair masses, in the
     body order 1..4 (lower, upper, upper, lower)."""
-    config = build_configuration(params, m, M, strict=False)
+    config = build_configuration(params, m, M)
     return PlanarSystem(
         masses=(M, m, m, M),
         positions=config.positions,

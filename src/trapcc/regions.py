@@ -22,16 +22,10 @@ from typing import Callable, Sequence
 
 from ._numpy import np
 from .geometry import distance_cubes_values
-from .masses import (
-    DEGENERACY_TOL,
-    RegionLabel,
-    is_degenerate,
-    mass_values,
-    region_label,
-    sign_values,
-)
+from .masses import RegionLabel, is_degenerate, mass_values, region_label, sign_values
 
 BISECTION_XTOL = 1e-12
+AUDIT_SAMPLES = 1999
 WORST_CELLS = 10
 _BLOCK_CELLS = 2**14  # cells per block of rows evaluated together
 
@@ -220,7 +214,6 @@ def exact_boundary(
     fixed_axis: str,
     fixed_value: float,
     search_interval: tuple[float, float],
-    xtol: float = BISECTION_XTOL,
 ) -> RootSearch:
     """Bisection root of the exact f1 or f3 along one axis.
 
@@ -239,7 +232,7 @@ def exact_boundary(
     else:
         line = lambda alpha: float(func(alpha, fixed_value))
     lo, hi = search_interval
-    return bisect(line, float(lo), float(hi), xtol=xtol)
+    return bisect(line, float(lo), float(hi))
 
 
 @dataclass(frozen=True)
@@ -362,14 +355,15 @@ def _scan_domain(formula: Callable[[float], float], betas: np.ndarray):
     return tuple(intervals), tuple(failures)
 
 
-def audit_published_domains(n_samples: int = 1999) -> DomainAudit:
-    """Scan beta over (0, 1) and report where g1 and g3 evaluate to real
-    numbers.  No agreement target is required anywhere; this only measures."""
-    betas = (np.arange(n_samples) + 0.5) / n_samples
+def audit_published_domains() -> DomainAudit:
+    """Scan AUDIT_SAMPLES cell-centred betas over (0, 1) and report where g1
+    and g3 evaluate to real numbers.  No agreement target is required
+    anywhere; this only measures."""
+    betas = (np.arange(AUDIT_SAMPLES) + 0.5) / AUDIT_SAMPLES
     g1_intervals, g1_failures = _scan_domain(g1_published, betas)
     g3_intervals, g3_failures = _scan_domain(g3_published, betas)
     return DomainAudit(
-        n_samples=n_samples,
+        n_samples=AUDIT_SAMPLES,
         g1_intervals=g1_intervals,
         g3_intervals=g3_intervals,
         g1_failures=g1_failures,
@@ -439,7 +433,6 @@ def raster(
     beta_range: tuple[float, float],
     n_alpha: int,
     n_beta: int,
-    tol: float = DEGENERACY_TOL,
 ) -> RasterGrid:
     """Classify a cell-centred grid of the parameter rectangle, every cell
     in one vectorised pass.  Degenerate cells get ``nan`` masses and the
@@ -453,7 +446,7 @@ def raster(
         with np.errstate(over="raise"):
             a, b = distance_cubes_values(alphas[None, :], betas[:, None])
             m, M, f1, _, f3 = mass_values(a, b, alphas[None, :])
-            degenerate = is_degenerate(f3, a, b, tol)
+            degenerate = is_degenerate(f3, a, b)
     except FloatingPointError as err:
         raise OverflowError(f"the sign functions overflow: {err}") from None
     m = np.where(degenerate, np.nan, m)
@@ -491,21 +484,17 @@ def top_indices(values, count: int):
 
 @dataclass(frozen=True, eq=False)
 class ApproxReport:
-    """Exact-versus-published comparison over a raster grid: sign agreement
-    fractions, absolute deviation statistics, the disagreeing cells, and
-    the (alpha, beta, exact, approx) of the WORST_CELLS cells of largest
+    """Exact-versus-published comparison of one sign function over a raster
+    grid: the fraction of cells where the signs agree, absolute deviation
+    statistics, the (alpha, beta) of the disagreeing cells, and the
+    (alpha, beta, exact, approx) of the WORST_CELLS cells of largest
     absolute deviation, largest first."""
 
-    f1_sign_agreement: float
-    f3_sign_agreement: float
-    f1_max_abs_deviation: float
-    f1_mean_abs_deviation: float
-    f3_max_abs_deviation: float
-    f3_mean_abs_deviation: float
-    f1_disagreements: tuple[tuple[float, float], ...]
-    f3_disagreements: tuple[tuple[float, float], ...]
-    f1_worst_cells: tuple[tuple[float, float, float, float], ...]
-    f3_worst_cells: tuple[tuple[float, float, float, float], ...]
+    sign_agreement: float
+    max_abs_deviation: float
+    mean_abs_deviation: float
+    disagreements: tuple[tuple[float, float], ...]
+    worst_cells: tuple[tuple[float, float, float, float], ...]
 
 
 def compare_exact_vs_approx(
@@ -513,9 +502,10 @@ def compare_exact_vs_approx(
     beta_range: tuple[float, float],
     n_alpha: int,
     n_beta: int,
-) -> ApproxReport:
+) -> dict[str, ApproxReport]:
     """Compare the exact f1, f3 with the published surrogates on the grid
-    :func:`raster` classifies, with its bits.
+    :func:`raster` classifies, with its bits: one report each, under the
+    keys ``"f1"`` and ``"f3"``.
 
     The grid is evaluated a block of beta rows at a time; only the two
     ``|exact - approx|`` grids are kept whole, so the mean keeps numpy's
@@ -539,25 +529,21 @@ def compare_exact_vs_approx(
             cells[k].extend(zip(alphas[cols].tolist(), column[block_rows, 0].tolist()))
             np.abs(exact - approx, out=dev[k][rows])
 
-    def worst_cells(k):
+    def report(k):
         i, j = np.unravel_index(top_indices(dev[k], WORST_CELLS), dev[k].shape)
         column = betas[i, None]
         cell = np.arange(i.size), j
         exact = _exact_signs(row, column)[k][cell]
         approx = surrogates[k](row, column)[cell]
-        return tuple(zip(alphas[j].tolist(), betas[i].tolist(), exact.tolist(), approx.tolist()))
+        return ApproxReport(
+            # a count over the cell count: the same float as numpy's mean of a mask
+            sign_agreement=agree[k] / (n_alpha * n_beta),
+            max_abs_deviation=float(dev[k].max()),
+            mean_abs_deviation=float(dev[k].mean()),
+            disagreements=tuple(cells[k]),
+            worst_cells=tuple(
+                zip(alphas[j].tolist(), betas[i].tolist(), exact.tolist(), approx.tolist())
+            ),
+        )
 
-    # a count over the cell count: the same float as numpy's mean of a mask
-    size = n_alpha * n_beta
-    return ApproxReport(
-        f1_sign_agreement=agree[0] / size,
-        f3_sign_agreement=agree[1] / size,
-        f1_max_abs_deviation=float(dev[0].max()),
-        f1_mean_abs_deviation=float(dev[0].mean()),
-        f3_max_abs_deviation=float(dev[1].max()),
-        f3_mean_abs_deviation=float(dev[1].mean()),
-        f1_disagreements=tuple(cells[0]),
-        f3_disagreements=tuple(cells[1]),
-        f1_worst_cells=worst_cells(0),
-        f3_worst_cells=worst_cells(1),
-    )
+    return {name: report(k) for k, name in enumerate(("f1", "f3"))}

@@ -9,6 +9,11 @@ potential, RK4 on ``(N, 2)`` arrays, a centrality check that builds a
 translated system twice, and rigidity metrics that loop over the samples.
 The tests compare with ``tobytes()`` or ``==``, never with a tolerance.
 
+It also keeps two independent second codings that the tests check the
+package against within rounding: the specialised trapezoid force law
+(:func:`trapezoid_accelerations`) and the body positions rebuilt from two
+generating vectors (:func:`reconstruct_positions`).
+
 Not a test module (no ``test_`` prefix); the tests import it.
 """
 
@@ -18,7 +23,22 @@ import math
 
 import numpy as np
 
-from trapcc.geometry import PlanarPoint
+from trapcc.geometry import (
+    DegenerateMassError,
+    PlanarPoint,
+    TrapezoidParams,
+    build_configuration,
+    compute_distance_cubes,
+)
+from trapcc.oracle import PlanarSystem
+
+
+def translated(system: PlanarSystem, dx: float, dy: float) -> PlanarSystem:
+    """``system`` with every position moved by ``(dx, dy)``."""
+    return PlanarSystem(
+        masses=system.masses,
+        positions=tuple(PlanarPoint(p.x + dx, p.y + dy) for p in system.positions),
+    )
 
 
 def attraction_field(masses: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -63,7 +83,7 @@ def cc_residual(system, lam: float) -> dict:
         else:
             lam_body.append(float(-(attractions[k] @ rel[k]) / u2))
 
-    centred = system.translated(-float(com[0]), -float(com[1]))
+    centred = translated(system, -float(com[0]), -float(com[1]))
     potential, moment = potential_and_moment(centred)
     lambda_energy = potential / (2.0 * moment) if moment != 0.0 else math.inf
 
@@ -82,7 +102,7 @@ def is_central_configuration(system, tol: float = 1e-10) -> tuple[bool, dict]:
     masses = system.mass_array()
     pos = system.position_array()
     c = (masses[:, None] * pos).sum(axis=0) / masses.sum()
-    centred = system.translated(-float(c[0]), -float(c[1]))
+    centred = translated(system, -float(c[0]), -float(c[1]))
     potential, moment = potential_and_moment(centred)
     if moment == 0.0:
         return False, cc_residual(centred, 0.0)
@@ -160,3 +180,66 @@ def rigidity_metrics(samples, energies, ang_momenta) -> dict:
         "max_energy_drift": rel_drift(energies),
         "max_angular_momentum_drift": rel_drift(ang_momenta),
     }
+
+
+def trapezoid_accelerations(params: TrapezoidParams, m: float, M: float) -> np.ndarray:
+    """Accelerations of the standard trapezoid state from the specialised
+    per-body formulas, an independent coding of the same force law.
+
+    The denominators are the closed-form cubed distances (a for lateral
+    pairs, b for diagonals, alpha^3 for the top side, 1 for the bottom),
+    never recomputed from coordinates, so agreement with
+    :func:`trapcc.oracle.attraction_field` cross-checks both codings.
+    """
+    cubes = compute_distance_cubes(params)
+    a, b = cubes.a, cubes.b
+    alpha3 = params.alpha**3
+    config = build_configuration(params, m, M)
+    r = np.array([[p.x, p.y] for p in config.positions])
+    r12, r13, r14 = r[1] - r[0], r[2] - r[0], r[3] - r[0]
+    r23, r24 = r[2] - r[1], r[3] - r[1]
+    r34 = r[3] - r[2]
+    acc1 = m * r12 / a + m * r13 / b + M * r14
+    acc2 = M * (-r12) / a + m * r23 / alpha3 + M * r24 / b
+    acc3 = M * (-r13) / b + m * (-r23) / alpha3 + M * r34 / a
+    acc4 = m * (-r24) / b + M * (-r14) + m * (-r34) / a
+    return np.stack([acc1, acc2, acc3, acc4])
+
+
+def reconstruct_positions(
+    offset: PlanarPoint, bottom_edge: PlanarPoint, m: float, M: float, alpha: float
+) -> tuple[PlanarPoint, PlanarPoint, PlanarPoint, PlanarPoint]:
+    """Rebuild the four positions from the two generating vectors.
+
+    ``offset`` is the vector from the lower-pair midpoint to the upper-pair
+    midpoint; ``bottom_edge`` the vector from body 4 to body 1.  Every body
+    position is a linear combination of these two:
+
+        r1 = -m/(m+M) * offset + 1/2     * bottom_edge
+        r2 =  M/(m+M) * offset + alpha/2 * bottom_edge
+        r3 =  M/(m+M) * offset - alpha/2 * bottom_edge
+        r4 = -m/(m+M) * offset - 1/2     * bottom_edge
+
+    The ``alpha`` factor is needed for the inner pair; for the standard
+    configuration pass offset=(0, beta), bottom_edge=(-1, 0).
+    """
+    total = m + M
+    if total == 0.0:
+        raise DegenerateMassError("m + M = 0: decomposition weights undefined")
+    w_out = -m / total
+    w_in = M / total
+    half = 0.5
+    half_top = 0.5 * alpha
+
+    def combine(w, s):
+        return PlanarPoint(
+            w * offset.x + s * bottom_edge.x,
+            w * offset.y + s * bottom_edge.y,
+        )
+
+    return (
+        combine(w_out, half),
+        combine(w_in, half_top),
+        combine(w_in, -half_top),
+        combine(w_out, -half),
+    )

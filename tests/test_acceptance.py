@@ -298,7 +298,7 @@ def test_criterion_08_published_formula_audit():
     Only measured, no agreement target."""
     with pytest.raises(NegativeRadicandError):
         g1_published(0.5)
-    audit = audit_published_domains(999)
+    audit = audit_published_domains()
     report(
         8,
         True,
@@ -387,7 +387,7 @@ def test_criterion_10_negative_control():
     result = cc_residual(system, lam=1.0)
     assert result.max_residual > 1e-3
 
-    config = build_configuration(params, m_pert, solution.M, strict=False)
+    config = build_configuration(params, m_pert, solution.M)
     positions = np.array([[p.x, p.y] for p in config.positions])
     velocities = np.stack([-positions[:, 1], positions[:, 0]], axis=1)
     state = SystemState.from_arrays(

@@ -590,6 +590,32 @@ class TestSimulate:
         assert doc["payload"]["samples"] == steps + 1
         assert len(out.read_text().splitlines()) == steps + 2
 
+    @pytest.mark.parametrize(
+        "periods, dt",
+        [("1", "0.0006283185307179584"), ("2", "0.0012566370614359168")],
+    )
+    def test_dt_a_rounding_error_below_t_end_over_n(self, capsys, tmp_path, periods, dt):
+        # t_end / dt is 10000.000000000004: the steps reach t_end after 10000
+        out = tmp_path / "t.csv"
+        code, _, err = run(
+            capsys, "simulate", "--alpha", "1", "--beta", "1",
+            "--periods", periods, "--dt", dt, "--out", str(out),
+        )
+        assert code == EX_OK, err
+        last_t = float(out.read_text().splitlines()[-1].split(",")[0])
+        assert last_t == float(periods) * 2.0 * math.pi
+
+    def test_periods_overflowing_the_end_time_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code, stdout, err = run(
+            capsys, "simulate", "--alpha", "1", "--beta", "1",
+            "--periods", "1e308", "--out", str(out),
+        )
+        assert code == EX_USAGE
+        assert "--periods too large" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_collision_writes_partial_and_exits_3(self, capsys, tmp_path, monkeypatch):
         # no CLI-reachable initial data collides within a few periods, so
         # drive the handler directly with an aborting integrator

@@ -16,7 +16,6 @@ from trapcc.dynamics import (
     rigidity_metrics,
     total_angular_momentum,
     total_energy,
-    trapezoid_accelerations,
 )
 from trapcc.geometry import TrapezoidParams, build_configuration
 from trapcc.masses import DegenerateConfigurationError, solve_masses
@@ -67,7 +66,7 @@ class TestAccelerations:
         positions = np.array([[p.x, p.y] for p in config.positions])
         state = state_from([M, m, m, M], positions)
         generic = attraction_field(state.masses, state.positions)
-        specialised = trapezoid_accelerations(params, m, M)
+        specialised = array_reference.trapezoid_accelerations(params, m, M)
         scale = max(1.0, float(np.abs(generic).max()))
         assert np.max(np.abs(generic - specialised)) <= 1e-13 * scale
 
@@ -165,6 +164,21 @@ class TestIntegrate:
         trajectory = integrate(state, dt=dt, t_end=2.0 * math.pi)
         assert trajectory.times.tolist() == [0.0, 2.0 * math.pi]
         assert not np.array_equal(trajectory.positions[-1], state.positions)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100])
+    @pytest.mark.parametrize("ulps", range(-3, 4))
+    def test_dt_near_a_whole_fraction_of_t_end(self, n, ulps):
+        # t_end / dt lands a rounding error above or below n: every step is
+        # positive and at most dt * (1 + 1e-9), and the last ends at t_end
+        state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
+        for t_end in (2.0 * math.pi, 0.3 * 2.0 * math.pi):
+            dt = t_end / n
+            for _ in range(abs(ulps)):
+                dt = math.nextafter(dt, math.copysign(math.inf, ulps))
+            times = integrate(state, dt=dt, t_end=t_end, output_stride=1).times.tolist()
+            steps = [t2 - t1 for t1, t2 in zip(times, times[1:])]
+            assert all(0.0 < h <= dt * (1.0 + 1e-9) for h in steps), steps
+            assert times[-1] == t_end
 
     def test_collision_aborts_with_partial_trajectory(self):
         # start just above the collision tolerance and fall inwards; the

@@ -12,8 +12,9 @@ from trapcc.geometry import (
     build_configuration,
     compute_distance_cubes,
     distance_cubes_values,
-    reconstruct_positions,
 )
+
+from array_reference import reconstruct_positions
 
 params_st = st.builds(
     TrapezoidParams,
@@ -39,10 +40,10 @@ class TestTrapezoidParams:
         with pytest.raises(ValueError, match="beta must be positive"):
             TrapezoidParams(alpha=0.5, beta=0.0)
 
-    def test_beta_cap_is_configurable(self):
-        with pytest.raises(ValueError, match="exceeds"):
+    def test_beta_above_cap_rejected(self):
+        with pytest.raises(ValueError, match=r"exceeds the configured maximum 2\.0$"):
             TrapezoidParams(alpha=0.5, beta=3.0)
-        TrapezoidParams(alpha=0.5, beta=3.0, beta_max=5.0)
+        TrapezoidParams(alpha=0.5, beta=2.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -105,16 +106,16 @@ class TestBuildConfiguration:
         assert p1.y == p4.y == -config.r_B
         assert p2.y == p3.y == config.r_A
 
-    def test_strict_mode_rejects_zero_mass(self):
-        with pytest.raises(DegenerateMassError):
-            build_configuration(TrapezoidParams(0.5, 1.0), m=1.0, M=0.0)
+    def test_accepts_zero_mass(self):
+        config = build_configuration(TrapezoidParams(0.5, 1.0), m=1.0, M=0.0)
+        assert (config.r_A, config.r_B) == (0.0, 1.0)  # centre of mass on the upper pair
 
     def test_relaxed_mode_rejects_cancelling_masses(self):
         with pytest.raises(DegenerateMassError):
-            build_configuration(TrapezoidParams(0.5, 1.0), m=1.0, M=-1.0, strict=False)
+            build_configuration(TrapezoidParams(0.5, 1.0), m=1.0, M=-1.0)
 
     def test_relaxed_mode_accepts_negative_mass(self):
-        config = build_configuration(TrapezoidParams(0.5, 0.5), m=0.25, M=-0.1, strict=False)
+        config = build_configuration(TrapezoidParams(0.5, 0.5), m=0.25, M=-0.1)
         assert config.r_A < 0  # centre of mass above the upper pair
 
     @given(params=params_st, m=positive_mass_st, M=positive_mass_st)

@@ -22,7 +22,6 @@ SURFACE = {
     "geometry": [
         "DegenerateMassError", "DistanceCubes", "PlanarPoint", "TrapezoidConfiguration",
         "TrapezoidParams", "build_configuration", "compute_distance_cubes",
-        "reconstruct_positions",
     ],
     "masses": [
         "DegenerateConfigurationError", "MassSolution", "RegionLabel", "SignTriple",
@@ -35,7 +34,7 @@ SURFACE = {
     "dynamics": [
         "CollisionError", "RigidityReport", "SystemState", "Trajectory",
         "UnphysicalParametersError", "init_relative_equilibrium", "integrate",
-        "rigidity_metrics", "trapezoid_accelerations",
+        "rigidity_metrics",
     ],
     "regions": [
         "ApproxCoefficients", "ApproxReport", "BoundaryCurve", "BoundarySample",
@@ -60,7 +59,7 @@ def fresh(tmp_path, script: str) -> str:
 
 def test_all_lists_the_same_names_in_the_same_order():
     assert trapcc.__all__ == ["__version__", *PUBLIC]
-    assert len(trapcc.__all__) == 53
+    assert len(trapcc.__all__) == 51
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in SURFACE.items() for n in names])

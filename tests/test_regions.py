@@ -94,7 +94,7 @@ class TestPublishedBoundaries:
             g3_published(0.9)
 
     def test_domain_audit(self):
-        audit = audit_published_domains(999)
+        audit = audit_published_domains()
         # the printed g1 is never real on (0, 1): the two radicands are
         # never simultaneously non-negative
         assert audit.g1_intervals == ()
@@ -266,20 +266,21 @@ class TestCompareExactVsApprox:
             assert np.array_equal(surrogate(alphas[None, :], betas[:, None]), surrogate(grid_a, grid_b))
 
     def test_fractions_bounded(self):
-        report = compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), 40, 40)
-        for fraction in (report.f1_sign_agreement, report.f3_sign_agreement):
-            assert 0.0 <= fraction <= 1.0
-        assert report.f1_max_abs_deviation >= report.f1_mean_abs_deviation >= 0.0
+        reports = compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), 40, 40)
+        assert list(reports) == ["f1", "f3"]
+        for report in reports.values():
+            assert 0.0 <= report.sign_agreement <= 1.0
+            assert report.max_abs_deviation >= report.mean_abs_deviation >= 0.0
 
     def test_single_cell_agreement(self):
-        report = compare_exact_vs_approx((0.0, 1.0), (0.5, 1.5), 1, 1)
+        report = compare_exact_vs_approx((0.0, 1.0), (0.5, 1.5), 1, 1)["f1"]
         # at (0.5, 1.0) both exact and published f1 are negative
-        assert report.f1_sign_agreement == 1.0
-        assert report.f1_disagreements == ()
+        assert report.sign_agreement == 1.0
+        assert report.disagreements == ()
 
     def test_disagreement_cells_listed(self):
-        report = compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), 50, 50)
-        assert len(report.f1_disagreements) == int(round((1 - report.f1_sign_agreement) * 2500))
+        for report in compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), 50, 50).values():
+            assert len(report.disagreements) == int(round((1 - report.sign_agreement) * 2500))
 
 
 class TestTraceBoundary:
