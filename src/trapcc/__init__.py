@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 # each module and the public names it defines, in the order of __all__
 _NAMES = {
     "geometry": (
-        "DegenerateMassError", "DistanceCubes", "PlanarPoint", "TrapezoidConfiguration",
-        "TrapezoidParams", "build_configuration", "compute_distance_cubes",
+        "DegenerateMassError", "DistanceCubes", "TrapezoidConfiguration", "TrapezoidParams",
+        "build_configuration", "compute_distance_cubes",
     ),
     "masses": (
         "DegenerateConfigurationError", "MassSolution", "RegionLabel", "SignTriple",

@@ -253,7 +253,7 @@ def cmd_verify(args) -> int:
         "lambda_per_body": list(report.lambda_per_body),
         "potential": report.potential,
         "moment": report.moment,
-        "com": [report.com.x, report.com.y],
+        "com": list(report.com),
     }
     emit_json(
         envelope(
@@ -409,7 +409,7 @@ def cmd_simulate(args) -> int:
         return EX_REFUSED
     # the closed-form masses balance only two of the three equations, so
     # off the central-configuration locus the motion is not a rigid rotation
-    system = PlanarSystem.from_bodies(zip(initial.masses.tolist(), initial.positions.tolist()))
+    system = PlanarSystem(initial.masses, initial.positions)
     central, report = is_central_configuration(system)
     if not central:
         print(

@@ -26,6 +26,7 @@ from .oracle import (  # noqa: F401
     _pair_distances,
     _pairs,
     _potential,
+    _read_only,
     attraction_field,
 )
 
@@ -119,13 +120,6 @@ class Trajectory:
         return self.samples[:, -1]
 
 
-def _read_only(values) -> np.ndarray:
-    """A float64 copy of ``values`` that cannot be written to."""
-    array = np.array(values, dtype=float)
-    array.flags.writeable = False
-    return array
-
-
 @dataclass(frozen=True)
 class RigidityReport:
     """Worst-case relative drifts over a trajectory: pairwise distances
@@ -167,7 +161,7 @@ def init_relative_equilibrium(params: TrapezoidParams, force: bool = False) -> S
             "pass force=True to build negative-mass initial data anyway"
         )
     config = build_configuration(params, solution.m, solution.M)
-    positions = np.array([[p.x, p.y] for p in config.positions])
+    positions = np.array(config.positions)
     omega = 1.0
     velocities = omega * np.stack([-positions[:, 1], positions[:, 0]], axis=1)
     masses = np.array([solution.M, solution.m, solution.m, solution.M])

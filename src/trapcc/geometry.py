@@ -14,6 +14,9 @@ Conventions used throughout the package:
 Only two mutual distances enter the mass formulas, and they enter cubed:
 ``a`` for the lateral pairs (1-2 and 3-4) and ``b`` for the diagonals
 (1-3 and 2-4).
+
+:func:`build_configuration` gives the four positions as ``(x, y)`` float
+tuples: this module never loads numpy, so ``trapcc masses`` runs without it.
 """
 
 from __future__ import annotations
@@ -26,18 +29,6 @@ BETA_MAX = 2.0
 
 class DegenerateMassError(ValueError):
     """Masses summing to zero, so the centre-of-mass split is undefined."""
-
-
-@dataclass(frozen=True)
-class PlanarPoint:
-    """A 2-vector in the configuration plane (also used for velocities)."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite components: ({self.x}, {self.y})")
 
 
 @dataclass(frozen=True)
@@ -82,7 +73,8 @@ class DistanceCubes:
 
 @dataclass(frozen=True)
 class TrapezoidConfiguration:
-    """The four body positions plus the vertical split of ``beta``.
+    """The four body positions, as ``(x, y)`` float tuples in body order,
+    plus the vertical split of ``beta``.
 
     ``r_A`` is the distance from the system centre of mass to the line of
     the upper (mass ``m``) pair, ``r_B`` to the line of the lower (mass
@@ -90,7 +82,7 @@ class TrapezoidConfiguration:
     outside the strip, which flips a sign.
     """
 
-    positions: tuple[PlanarPoint, PlanarPoint, PlanarPoint, PlanarPoint]
+    positions: tuple[tuple[float, float], ...]
     r_A: float
     r_B: float
 
@@ -113,7 +105,7 @@ def build_configuration(params: TrapezoidParams, m: float, M: float) -> Trapezoi
     ``m`` is the mass of the upper pair (bodies 2, 3), ``M`` of the lower
     pair (bodies 1, 4).  Either may carry any sign, which the sign analysis
     of the mass formulas needs; only ``m + M = 0`` raises
-    DegenerateMassError.
+    DegenerateMassError, and a non-finite position ValueError.
     """
     total = m + M
     if total == 0.0:
@@ -121,11 +113,9 @@ def build_configuration(params: TrapezoidParams, m: float, M: float) -> Trapezoi
     r_A = M * params.beta / total
     r_B = m * params.beta / total
     half_top = 0.5 * params.alpha
-    positions = (
-        PlanarPoint(-0.5, -r_B),
-        PlanarPoint(-half_top, r_A),
-        PlanarPoint(half_top, r_A),
-        PlanarPoint(0.5, -r_B),
-    )
+    positions = ((-0.5, -r_B), (-half_top, r_A), (half_top, r_A), (0.5, -r_B))
+    if not (math.isfinite(r_A) and math.isfinite(r_B)):
+        bad = positions[0] if not math.isfinite(r_B) else positions[1]
+        raise ValueError(f"non-finite components: {bad}")
     return TrapezoidConfiguration(positions=positions, r_A=r_A, r_B=r_B)
 

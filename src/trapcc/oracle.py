@@ -8,9 +8,11 @@ proportionality constant lambda:
 
 This module is deliberately model independent: it knows nothing about the
 trapezoid family and simply measures the defect of that equation for any
-list of (mass, position) pairs, with G = 1.  Negative masses are allowed
-(sign analysis of the mass formulas needs them); only a total mass that
-vanishes to rounding or coincident bodies are rejected.
+:class:`PlanarSystem`, masses ``(N,)`` and positions ``(N, 2)`` held as
+read-only float arrays, with G = 1.  Negative masses are allowed (sign
+analysis of the mass formulas needs them); only non-finite values, a total
+mass that vanishes to rounding or coincident bodies are rejected.  Points
+such as the centre of mass are ``(x, y)`` float tuples.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
 
 from ._numpy import np
-from .geometry import PlanarPoint, TrapezoidParams, build_configuration
+from .geometry import TrapezoidParams, build_configuration
 
 MIN_SEPARATION = 1e-9
 DEFAULT_CC_TOL = 1e-10
@@ -34,55 +35,53 @@ class CoincidentBodiesError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PlanarSystem:
-    """An ordered list of point masses in the plane, G = 1.
+    """An ordered list of point masses in the plane, G = 1: masses ``(N,)``
+    and positions ``(N, 2)``, kept as read-only float copies of the
+    arguments.
 
-    Positions must be pairwise distinct (separation above 1e-9) and the
-    total mass must not vanish.  Masses may carry either sign.
+    Masses and positions must be finite, positions pairwise distinct
+    (separation above 1e-9) and the total mass must not vanish.  Masses may
+    carry either sign.
     """
 
-    masses: tuple[float, ...]
-    positions: tuple[PlanarPoint, ...]
+    masses: np.ndarray
+    positions: np.ndarray
 
     def __post_init__(self):
-        if len(self.masses) != len(self.positions):
-            raise ValueError("one mass per position required")
-        if len(self.masses) < 2:
+        masses, positions = _read_only(self.masses), _read_only(self.positions)
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "positions", positions)
+        if masses.ndim != 1 or positions.shape != (len(masses), 2):
+            raise ValueError(
+                f"one (x, y) position per mass required: masses {masses.shape}, "
+                f"positions {positions.shape}"
+            )
+        if len(masses) < 2:
             raise ValueError("at least 2 bodies required")
-        if not all(math.isfinite(m) for m in self.masses):
+        mass_list, coords = masses.tolist(), positions.ravel().tolist()
+        if not all(map(math.isfinite, mass_list)):
             raise ValueError("masses must be finite")
+        if not all(map(math.isfinite, coords)):
+            raise ValueError("positions must be finite")
         # the centre of mass divides by a plain float sum of the masses,
         # which is only known to about n * eps * sum |m|: a total inside
         # that error vanishes as far as the centre can tell
-        total = math.fsum(self.masses)
-        noise = len(self.masses) * sys.float_info.epsilon * math.fsum(map(abs, self.masses))
+        total = math.fsum(mass_list)
+        noise = len(mass_list) * sys.float_info.epsilon * math.fsum(map(abs, mass_list))
         if abs(total) <= noise:
             raise ValueError(f"total mass must not vanish: {total!r} is within rounding of 0")
-        nearest = _min_separation([c for p in self.positions for c in (p.x, p.y)])
+        nearest = _min_separation(coords)
         if nearest < MIN_SEPARATION:
             raise CoincidentBodiesError(
                 f"bodies closer than {MIN_SEPARATION:g}: min separation {nearest:.3e}"
             )
 
-    @classmethod
-    def from_bodies(cls, bodies: Iterable[tuple[float, object]]) -> "PlanarSystem":
-        """Build from (mass, position) pairs; positions may be PlanarPoint
-        or any (x, y) sequence."""
-        masses = []
-        points = []
-        for mass, position in bodies:
-            masses.append(float(mass))
-            if isinstance(position, PlanarPoint):
-                points.append(position)
-            else:
-                x, y = position
-                points.append(PlanarPoint(float(x), float(y)))
-        return cls(masses=tuple(masses), positions=tuple(points))
 
-    def mass_array(self) -> np.ndarray:
-        return np.array(self.masses, dtype=float)
-
-    def position_array(self) -> np.ndarray:
-        return np.array([[p.x, p.y] for p in self.positions], dtype=float)
+def _read_only(values) -> np.ndarray:
+    """A float64 copy of ``values`` that cannot be written to."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ class ResidualReport:
     moment: float
     max_residual: float
     attraction_scale: float
-    com: PlanarPoint
+    com: tuple[float, float]
 
 
 def _centre(masses: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,9 +111,9 @@ def _centre(masses: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return com, pos - com
 
 
-def center_of_mass(system: PlanarSystem) -> PlanarPoint:
-    com, _ = _centre(system.mass_array(), system.position_array())
-    return PlanarPoint(float(com[0]), float(com[1]))
+def center_of_mass(system: PlanarSystem) -> tuple[float, float]:
+    com, _ = _centre(system.masses, system.positions)
+    return tuple(com.tolist())
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,7 +203,7 @@ def potential_and_moment(system: PlanarSystem) -> tuple[float, float]:
     """Self-potential over all unordered pairs and the half moment
     ``0.5 * sum m_i |r_i|^2`` about the origin (translate the system first
     when the centre of mass matters)."""
-    return _potential_and_moment(system.mass_array(), system.position_array())
+    return _potential_and_moment(system.masses, system.positions)
 
 
 def _residual(masses: np.ndarray, pos: np.ndarray, lam: float) -> ResidualReport:
@@ -233,7 +232,7 @@ def _residual(masses: np.ndarray, pos: np.ndarray, lam: float) -> ResidualReport
         moment=moment,
         max_residual=float(defect_norms.max()),
         attraction_scale=float(attraction_norms.mean()),
-        com=PlanarPoint(float(com[0]), float(com[1])),
+        com=tuple(com.tolist()),
     )
 
 
@@ -249,7 +248,7 @@ def cc_residual(system: PlanarSystem, lam: float) -> ResidualReport:
     multipliers, and the energy-ratio multiplier potential/(2*moment) with
     the moment taken about c.
     """
-    return _residual(system.mass_array(), system.position_array(), lam)
+    return _residual(system.masses, system.positions, lam)
 
 
 def is_central_configuration(
@@ -261,8 +260,8 @@ def is_central_configuration(
     the verdict is ``max_residual <= tol * attraction_scale``, making the
     tolerance dimensionless.  The full report is returned either way.
     """
-    masses = system.mass_array()
-    _, centred = _centre(masses, system.position_array())
+    masses = system.masses
+    _, centred = _centre(masses, system.positions)
     potential, moment = _potential_and_moment(masses, centred)
     if moment == 0.0:
         return False, _residual(masses, centred, 0.0)
@@ -276,8 +275,4 @@ def is_central_configuration(
 def trapezoid_system(params: TrapezoidParams, m: float, M: float) -> PlanarSystem:
     """The four-body system for a trapezoid shape and pair masses, in the
     body order 1..4 (lower, upper, upper, lower)."""
-    config = build_configuration(params, m, M)
-    return PlanarSystem(
-        masses=(M, m, m, M),
-        positions=config.positions,
-    )
+    return PlanarSystem((M, m, m, M), build_configuration(params, m, M).positions)

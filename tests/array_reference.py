@@ -25,7 +25,6 @@ import numpy as np
 
 from trapcc.geometry import (
     DegenerateMassError,
-    PlanarPoint,
     TrapezoidParams,
     build_configuration,
     compute_distance_cubes,
@@ -35,10 +34,7 @@ from trapcc.oracle import PlanarSystem
 
 def translated(system: PlanarSystem, dx: float, dy: float) -> PlanarSystem:
     """``system`` with every position moved by ``(dx, dy)``."""
-    return PlanarSystem(
-        masses=system.masses,
-        positions=tuple(PlanarPoint(p.x + dx, p.y + dy) for p in system.positions),
-    )
+    return PlanarSystem(system.masses, system.positions + np.array([dx, dy]))
 
 
 def attraction_field(masses: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -51,8 +47,7 @@ def attraction_field(masses: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 
 def potential_and_moment(system) -> tuple[float, float]:
-    masses = system.mass_array()
-    pos = system.position_array()
+    masses, pos = system.masses, system.positions
     n = len(masses)
     potential = 0.0
     for i in range(n):
@@ -64,8 +59,7 @@ def potential_and_moment(system) -> tuple[float, float]:
 
 
 def cc_residual(system, lam: float) -> dict:
-    masses = system.mass_array()
-    pos = system.position_array()
+    masses, pos = system.masses, system.positions
     total = masses.sum()
     com = (masses[:, None] * pos).sum(axis=0) / total
     rel = pos - com
@@ -94,13 +88,12 @@ def cc_residual(system, lam: float) -> dict:
         "moment": moment,
         "max_residual": float(defect_norms.max()),
         "attraction_scale": float(attraction_norms.mean()),
-        "com": PlanarPoint(float(com[0]), float(com[1])),
+        "com": (float(com[0]), float(com[1])),
     }
 
 
 def is_central_configuration(system, tol: float = 1e-10) -> tuple[bool, dict]:
-    masses = system.mass_array()
-    pos = system.position_array()
+    masses, pos = system.masses, system.positions
     c = (masses[:, None] * pos).sum(axis=0) / masses.sum()
     centred = translated(system, -float(c[0]), -float(c[1]))
     potential, moment = potential_and_moment(centred)
@@ -195,7 +188,7 @@ def trapezoid_accelerations(params: TrapezoidParams, m: float, M: float) -> np.n
     a, b = cubes.a, cubes.b
     alpha3 = params.alpha**3
     config = build_configuration(params, m, M)
-    r = np.array([[p.x, p.y] for p in config.positions])
+    r = np.array(config.positions)
     r12, r13, r14 = r[1] - r[0], r[2] - r[0], r[3] - r[0]
     r23, r24 = r[2] - r[1], r[3] - r[1]
     r34 = r[3] - r[2]
@@ -207,9 +200,10 @@ def trapezoid_accelerations(params: TrapezoidParams, m: float, M: float) -> np.n
 
 
 def reconstruct_positions(
-    offset: PlanarPoint, bottom_edge: PlanarPoint, m: float, M: float, alpha: float
-) -> tuple[PlanarPoint, PlanarPoint, PlanarPoint, PlanarPoint]:
-    """Rebuild the four positions from the two generating vectors.
+    offset: tuple[float, float], bottom_edge: tuple[float, float], m: float, M: float,
+    alpha: float,
+) -> tuple[tuple[float, float], ...]:
+    """Rebuild the four ``(x, y)`` positions from the two generating vectors.
 
     ``offset`` is the vector from the lower-pair midpoint to the upper-pair
     midpoint; ``bottom_edge`` the vector from body 4 to body 1.  Every body
@@ -230,12 +224,10 @@ def reconstruct_positions(
     w_in = M / total
     half = 0.5
     half_top = 0.5 * alpha
+    (ox, oy), (ex, ey) = offset, bottom_edge
 
     def combine(w, s):
-        return PlanarPoint(
-            w * offset.x + s * bottom_edge.x,
-            w * offset.y + s * bottom_edge.y,
-        )
+        return (w * ox + s * ex, w * oy + s * ey)
 
     return (
         combine(w_out, half),

@@ -167,8 +167,8 @@ def test_criterion_02_central_configuration_identity_on_grid():
         scale = result.attraction_scale
         inner = inner_pair_defect(params.alpha, params.beta, solution.m, solution.M)
         identity = abs(result.max_residual - abs(inner)) / scale
-        pos = system.position_array()
-        defect = attraction_field(system.mass_array(), pos) + (pos - [result.com.x, result.com.y])
+        pos = system.positions
+        defect = attraction_field(system.masses, pos) + (pos - result.com)
         balance = max(np.abs(defect[:, 1]).max(), np.abs(defect[[0, 3], 0]).max()) / scale
         at = (params.alpha, params.beta)
         total += 1
@@ -388,7 +388,7 @@ def test_criterion_10_negative_control():
     assert result.max_residual > 1e-3
 
     config = build_configuration(params, m_pert, solution.M)
-    positions = np.array([[p.x, p.y] for p in config.positions])
+    positions = np.array(config.positions)
     velocities = np.stack([-positions[:, 1], positions[:, 0]], axis=1)
     state = SystemState.from_arrays(
         np.array([solution.M, m_pert, m_pert, solution.M]), positions, velocities, 0.0

@@ -19,7 +19,7 @@ from trapcc.dynamics import (
 )
 from trapcc.geometry import TrapezoidParams, build_configuration
 from trapcc.masses import DegenerateConfigurationError, solve_masses
-from trapcc.oracle import attraction_field
+from trapcc.oracle import PlanarSystem, attraction_field
 
 import array_reference
 
@@ -63,7 +63,7 @@ class TestAccelerations:
     @settings(max_examples=100, deadline=None)
     def test_generic_matches_specialised(self, params, m, M):
         config = build_configuration(params, m, M)
-        positions = np.array([[p.x, p.y] for p in config.positions])
+        positions = np.array(config.positions)
         state = state_from([M, m, m, M], positions)
         generic = attraction_field(state.masses, state.positions)
         specialised = array_reference.trapezoid_accelerations(params, m, M)
@@ -74,7 +74,7 @@ class TestAccelerations:
     @settings(max_examples=100, deadline=None)
     def test_third_law(self, params, m, M):
         config = build_configuration(params, m, M)
-        positions = np.array([[p.x, p.y] for p in config.positions])
+        positions = np.array(config.positions)
         masses = np.array([M, m, m, M])
         state = state_from(masses, positions)
         acc = attraction_field(state.masses, state.positions)
@@ -237,7 +237,7 @@ class TestRigidityMetrics:
         params = TrapezoidParams(1.0, 1.0)
         solution = solve_masses(params)
         config = build_configuration(params, solution.m * 1.1, solution.M)
-        positions = np.array([[p.x, p.y] for p in config.positions])
+        positions = np.array(config.positions)
         velocities = np.stack([-positions[:, 1], positions[:, 0]], axis=1)
         state = state_from(
             [solution.M, solution.m * 1.1, solution.m * 1.1, solution.M],
@@ -289,6 +289,28 @@ def test_trajectory_is_one_read_only_array():
     assert trajectory.positions[0].tobytes() == state.positions.tobytes()
     assert trajectory.velocities[0].tobytes() == state.velocities.tobytes()
     assert not state.positions.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda masses, positions: SystemState.from_arrays(
+            masses, positions, np.zeros_like(positions), 0.0
+        ),
+        PlanarSystem,
+    ],
+    ids=["SystemState", "PlanarSystem"],
+)
+def test_systems_hold_read_only_copies(build):
+    masses, positions = np.array([1.0, 2.0, 3.0]), np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    system = build(masses, positions)
+    for array in (system.masses, system.positions):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5.0
+    masses[0], positions[0, 0] = 7.0, 9.0
+    assert system.masses.tolist() == [1.0, 2.0, 3.0]
+    assert system.positions.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 def test_system_state_rejects_near_collision():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from trapcc.geometry import (
     DegenerateMassError,
-    PlanarPoint,
     TrapezoidParams,
     build_configuration,
     compute_distance_cubes,
@@ -100,11 +99,12 @@ class TestBuildConfiguration:
 
     def test_positions_follow_convention(self):
         config = build_configuration(TrapezoidParams(0.5, 1.0), m=1.0, M=3.0)
-        p1, p2, p3, p4 = config.positions
-        assert (p1.x, p4.x) == (-0.5, 0.5)
-        assert (p2.x, p3.x) == (-0.25, 0.25)
-        assert p1.y == p4.y == -config.r_B
-        assert p2.y == p3.y == config.r_A
+        (x1, y1), (x2, y2), (x3, y3), (x4, y4) = config.positions
+        assert (x1, x4) == (-0.5, 0.5)
+        assert (x2, x3) == (-0.25, 0.25)
+        assert y1 == y4 == -config.r_B
+        assert y2 == y3 == config.r_A
+        assert all(type(c) is float for p in config.positions for c in p)
 
     def test_accepts_zero_mass(self):
         config = build_configuration(TrapezoidParams(0.5, 1.0), m=1.0, M=0.0)
@@ -113,6 +113,18 @@ class TestBuildConfiguration:
     def test_relaxed_mode_rejects_cancelling_masses(self):
         with pytest.raises(DegenerateMassError):
             build_configuration(TrapezoidParams(0.5, 1.0), m=1.0, M=-1.0)
+
+    @pytest.mark.parametrize(
+        "m, M",
+        [
+            *[(v, 1.0) for v in (math.nan, math.inf, -math.inf)],
+            *[(1.0, v) for v in (math.nan, math.inf, -math.inf)],
+            (1.0, 1.7e308),  # finite, but M * beta overflows, so r_A would be inf
+        ],
+    )
+    def test_rejects_non_finite_positions(self, m, M):
+        with pytest.raises(ValueError, match="non-finite"):
+            build_configuration(TrapezoidParams(0.5, 2.0), m=m, M=M)
 
     def test_relaxed_mode_accepts_negative_mass(self):
         config = build_configuration(TrapezoidParams(0.5, 0.5), m=0.25, M=-0.1)
@@ -123,7 +135,7 @@ class TestBuildConfiguration:
     def test_center_of_mass_at_origin(self, params, m, M):
         config = build_configuration(params, m, M)
         masses = np.array([M, m, m, M])
-        pos = np.array([[p.x, p.y] for p in config.positions])
+        pos = np.array(config.positions)
         com = (masses[:, None] * pos).sum(axis=0) / masses.sum()
         assert np.max(np.abs(com)) <= 1e-14 * max(1.0, m + M)
 
@@ -131,53 +143,38 @@ class TestBuildConfiguration:
 class TestReconstructPositions:
     def test_equal_mass_split(self):
         beta = 0.8
-        points = reconstruct_positions(
-            PlanarPoint(0.0, beta), PlanarPoint(-1.0, 0.0), m=1.0, M=1.0, alpha=0.5
-        )
-        assert points[0].x == pytest.approx(-0.5)
-        assert points[0].y == pytest.approx(-beta / 2)
+        points = reconstruct_positions((0.0, beta), (-1.0, 0.0), m=1.0, M=1.0, alpha=0.5)
+        assert points[0][0] == pytest.approx(-0.5)
+        assert points[0][1] == pytest.approx(-beta / 2)
 
     def test_solved_mass_split(self):
         points = reconstruct_positions(
-            PlanarPoint(0.0, 1.0),
-            PlanarPoint(-1.0, 0.0),
+            (0.0, 1.0),
+            (-1.0, 0.0),
             m=0.5202504230593612,
             M=0.18146688551497586,
             alpha=0.5,
         )
-        assert points[0].x == pytest.approx(-0.5)
-        assert points[0].y == pytest.approx(-0.7414, abs=1e-4)
+        assert points[0][0] == pytest.approx(-0.5)
+        assert points[0][1] == pytest.approx(-0.7414, abs=1e-4)
 
     def test_zero_vectors_collapse_to_origin(self):
-        points = reconstruct_positions(
-            PlanarPoint(0.0, 0.0), PlanarPoint(0.0, 0.0), m=2.0, M=3.0, alpha=0.7
-        )
-        for p in points:
-            assert p.x == 0.0 and p.y == 0.0
+        points = reconstruct_positions((0.0, 0.0), (0.0, 0.0), m=2.0, M=3.0, alpha=0.7)
+        for x, y in points:
+            assert x == 0.0 and y == 0.0
 
     def test_cancelling_masses_rejected(self):
         with pytest.raises(DegenerateMassError):
-            reconstruct_positions(
-                PlanarPoint(0.0, 1.0), PlanarPoint(-1.0, 0.0), m=1.0, M=-1.0, alpha=0.5
-            )
+            reconstruct_positions((0.0, 1.0), (-1.0, 0.0), m=1.0, M=-1.0, alpha=0.5)
 
     @given(params=params_st, m=positive_mass_st, M=positive_mass_st)
     @settings(max_examples=150, deadline=None)
     def test_matches_build_configuration(self, params, m, M):
         config = build_configuration(params, m, M)
         rebuilt = reconstruct_positions(
-            PlanarPoint(0.0, params.beta),
-            PlanarPoint(-1.0, 0.0),
-            m=m,
-            M=M,
-            alpha=params.alpha,
+            (0.0, params.beta), (-1.0, 0.0), m=m, M=M, alpha=params.alpha
         )
         scale = max(1.0, params.beta)
-        for built, again in zip(config.positions, rebuilt):
-            assert abs(built.x - again.x) <= 1e-14 * scale
-            assert abs(built.y - again.y) <= 1e-14 * scale
-
-
-def test_planar_point_rejects_non_finite():
-    with pytest.raises(ValueError):
-        PlanarPoint(math.inf, 0.0)
+        for (x, y), (x_again, y_again) in zip(config.positions, rebuilt):
+            assert abs(x - x_again) <= 1e-14 * scale
+            assert abs(y - y_again) <= 1e-14 * scale

@@ -9,7 +9,6 @@ from trapcc.geometry import TrapezoidParams
 from trapcc.masses import solve_masses
 from trapcc.oracle import (
     CoincidentBodiesError,
-    PlanarPoint,
     PlanarSystem,
     attraction_field,
     cc_residual,
@@ -27,82 +26,99 @@ SQUARE_MASS = 2.0**1.5 / (2.0 * (1.0 + 2.0**1.5))  # equal-mass square solution
 
 
 def square_system(mass=SQUARE_MASS):
-    return PlanarSystem.from_bodies(
-        [
-            (mass, (-0.5, -0.5)),
-            (mass, (-0.5, 0.5)),
-            (mass, (0.5, 0.5)),
-            (mass, (0.5, -0.5)),
-        ]
-    )
+    return PlanarSystem([mass] * 4, [(-0.5, -0.5), (-0.5, 0.5), (0.5, 0.5), (0.5, -0.5)])
 
 
 def lagrange_triangle(mass=1.0):
     height = math.sqrt(3.0) / 2.0
     points = [(-0.5, 0.0), (0.5, 0.0), (0.0, height)]
-    return PlanarSystem.from_bodies([(mass, p) for p in points])
+    return PlanarSystem([mass] * len(points), points)
 
 
 class TestPlanarSystem:
     def test_requires_two_bodies(self):
         with pytest.raises(ValueError, match="at least 2"):
-            PlanarSystem.from_bodies([(1.0, (0.0, 0.0))])
+            PlanarSystem([1.0], [(0.0, 0.0)])
 
     def test_rejects_coincident_bodies(self):
         with pytest.raises(ValueError, match="closer than"):
-            PlanarSystem.from_bodies([(1.0, (0.0, 0.0)), (1.0, (0.0, 1e-12))])
+            PlanarSystem([1.0, 1.0], [(0.0, 0.0), (0.0, 1e-12)])
 
     def test_rejects_zero_total_mass(self):
         with pytest.raises(ValueError, match="total mass"):
-            PlanarSystem.from_bodies([(1.0, (0.0, 0.0)), (-1.0, (1.0, 0.0))])
+            PlanarSystem([1.0, -1.0], [(0.0, 0.0), (1.0, 0.0)])
 
     def test_rejects_total_mass_within_rounding(self):
         # the total is two ulps of 9, far below the error of summing the
         # masses, so the centre of mass would be noise (1e16 away)
-        bodies = zip([0.0, 0.0, 8.999999999999998, -9.0],
-                     [(0.0, 0.0), (0.0, 1.5), (0.0, 1.0), (0.0, 2.0)])
+        masses = [0.0, 0.0, 8.999999999999998, -9.0]
         with pytest.raises(ValueError, match="total mass"):
-            PlanarSystem.from_bodies(bodies)
+            PlanarSystem(masses, [(0.0, 0.0), (0.0, 1.5), (0.0, 1.0), (0.0, 2.0)])
 
     def test_negative_masses_allowed(self):
-        PlanarSystem.from_bodies([(1.0, (0.0, 0.0)), (-0.5, (1.0, 0.0))])
+        PlanarSystem([1.0, -0.5], [(0.0, 0.0), (1.0, 0.0)])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_rejects_non_finite_position(self, value, where):
+        position = (value, 0.0) if where == "x" else (0.0, value)
+        with pytest.raises(ValueError, match="positions must be finite"):
+            PlanarSystem([1.0, 1.0], [(0.0, 1.0), position])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mass(self, value):
+        with pytest.raises(ValueError, match="masses must be finite"):
+            PlanarSystem([1.0, value], [(0.0, 0.0), (1.0, 0.0)])
+
+    @pytest.mark.parametrize(
+        "masses, positions",
+        [
+            ([1.0, 1.0], [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]),  # more positions than masses
+            ([1.0, 1.0, 1.0], [(0.0, 0.0), (1.0, 0.0)]),  # fewer
+            ([1.0, 1.0], [0.0, 1.0]),  # (N,)
+            ([1.0, 1.0], [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]),  # (N, 3)
+            ([1.0, 1.0], [[(0.0, 0.0)], [(1.0, 0.0)]]),  # (N, 1, 2)
+            ([[1.0, 1.0]], [(0.0, 0.0), (1.0, 0.0)]),  # masses (1, N)
+            (1.0, [(0.0, 0.0)]),  # masses ()
+        ],
+    )
+    def test_rejects_positions_other_than_one_pair_per_mass(self, masses, positions):
+        with pytest.raises(ValueError, match=r"one \(x, y\) position per mass"):
+            PlanarSystem(masses, positions)
 
 
 class TestCenterOfMass:
     def test_symmetric_pair(self):
-        system = PlanarSystem.from_bodies([(1.0, (-1.0, 0.0)), (1.0, (1.0, 0.0))])
-        com = center_of_mass(system)
-        assert com.x == 0.0 and com.y == 0.0
+        system = PlanarSystem([1.0, 1.0], [(-1.0, 0.0), (1.0, 0.0)])
+        assert center_of_mass(system) == (0.0, 0.0)
 
     def test_weighted_mean(self):
-        system = PlanarSystem.from_bodies([(1.0, (0.0, 0.0)), (3.0, (4.0, 0.0))])
-        com = center_of_mass(system)
-        assert com.x == pytest.approx(3.0)
-        assert com.y == 0.0
+        system = PlanarSystem([1.0, 3.0], [(0.0, 0.0), (4.0, 0.0)])
+        x, y = center_of_mass(system)
+        assert x == pytest.approx(3.0)
+        assert y == 0.0
 
     def test_built_trapezoid_centred(self):
         params = TrapezoidParams(0.5, 1.0)
         solution = solve_masses(params)
-        com = center_of_mass(trapezoid_system(params, solution.m, solution.M))
-        assert abs(com.x) <= 1e-14 and abs(com.y) <= 1e-14
+        x, y = center_of_mass(trapezoid_system(params, solution.m, solution.M))
+        assert abs(x) <= 1e-14 and abs(y) <= 1e-14
 
 
 class TestPotentialAndMoment:
     def test_unit_pair(self):
-        system = PlanarSystem.from_bodies([(1.0, (0.0, 0.0)), (1.0, (1.0, 0.0))])
+        system = PlanarSystem([1.0, 1.0], [(0.0, 0.0), (1.0, 0.0)])
         potential, _ = potential_and_moment(system)
         assert potential == pytest.approx(1.0)
 
     def test_unit_square_unit_masses(self):
-        system = PlanarSystem.from_bodies(
-            [(1.0, (-0.5, -0.5)), (1.0, (-0.5, 0.5)), (1.0, (0.5, 0.5)), (1.0, (0.5, -0.5))]
-        )
+        system = square_system(1.0)
         potential, moment = potential_and_moment(system)
         assert potential == pytest.approx(4.0 + 2.0 / math.sqrt(2.0), rel=1e-14)
         assert moment == pytest.approx(1.0, rel=1e-14)
 
     def test_mass_weighted_pair(self):
-        system = PlanarSystem.from_bodies([(2.0, (0.0, 0.0)), (3.0, (2.0, 0.0))])
+        system = PlanarSystem([2.0, 3.0], [(0.0, 0.0), (2.0, 0.0)])
         potential, _ = potential_and_moment(system)
         assert potential == pytest.approx(3.0)
 
@@ -142,7 +158,7 @@ class TestIsCentralConfiguration:
         rng = np.random.default_rng(7)
         for _ in range(5):
             pos = rng.uniform(-1.0, 1.0, size=(4, 2))
-            system = PlanarSystem.from_bodies([(1.0, p) for p in pos])
+            system = PlanarSystem(np.ones(4), pos)
             verdict, _ = is_central_configuration(system)
             assert not verdict
 
@@ -160,9 +176,7 @@ class TestIsCentralConfiguration:
     @settings(max_examples=50, deadline=None)
     def test_scaling_rescales_multiplier(self, scale):
         system = square_system()
-        scaled = PlanarSystem.from_bodies(
-            [(m, (p.x * scale, p.y * scale)) for m, p in zip(system.masses, system.positions)]
-        )
+        scaled = PlanarSystem(system.masses, system.positions * scale)
         verdict_base, report_base = is_central_configuration(system)
         verdict_scaled, report_scaled = is_central_configuration(scaled)
         assert verdict_scaled == verdict_base
@@ -186,8 +200,7 @@ class TestTrapezoidFamily:
             params = TrapezoidParams(alpha, beta)
             solution = solve_masses(params)
             system = trapezoid_system(params, solution.m, solution.M)
-            masses = system.mass_array()
-            pos = system.position_array()
+            masses, pos = system.masses, system.positions
             acc = attraction_field(masses, pos)
             defect = acc + pos  # multiplier 1, centre of mass at origin
             # vertical components balance for every body (pair-sum equation)
@@ -247,7 +260,7 @@ NEAR_COINCIDENT_BODIES = ([0.0, 1.0, 0.0, 0.0], [(0.0, 0.0), (1.0, 0.0), (0.0, 1
 
 def planar_system_or_none(masses, positions):
     try:
-        return PlanarSystem.from_bodies(zip(masses, positions))
+        return PlanarSystem(masses, positions)
     except ValueError:  # vanishing total mass or coincident bodies
         return None
 
@@ -256,7 +269,7 @@ def assert_well_formed(report):
     """Finite sums, scales and centre; lambda_energy may be inf only for a
     zero moment, a per-body multiplier NaN only for a body at the centre."""
     values = (report.potential, report.moment, report.max_residual, report.attraction_scale,
-              report.com.x, report.com.y)
+              *report.com)
     assert all(math.isfinite(v) for v in values)
     assert math.isfinite(report.lambda_energy) or report.moment == 0.0
     assert not any(math.isinf(v) for v in report.lambda_per_body)
@@ -273,8 +286,7 @@ def report_bits(report) -> bytes:
         report["moment"],
         report["max_residual"],
         report["attraction_scale"],
-        report["com"].x,
-        report["com"].y,
+        *report["com"],
     ]
     return np.array(values, dtype=float).tobytes()
 
@@ -318,7 +330,7 @@ class TestFloatKernelBits:
             assert report_bits(residual) == report_bits(expected)
 
     def test_reports_where_the_array_coding_found_coincident_bodies(self):
-        system = PlanarSystem.from_bodies(zip(*NEAR_COINCIDENT_BODIES))
+        system = PlanarSystem(*NEAR_COINCIDENT_BODIES)
         with pytest.raises(CoincidentBodiesError):
             array_reference.is_central_configuration(system)
         with pytest.raises(CoincidentBodiesError):
@@ -332,10 +344,10 @@ class TestFloatKernelBits:
             "moment": 0.0,
             "max_residual": 1.000000002,
             "attraction_scale": 0.6250000005,
-            "com": PlanarPoint(0.0, 0.0),
+            "com": (0.0, 0.0),
         }
         assert report_bits(report) == report_bits(expected)
-        expected.update(max_residual=0.9142135623730951, com=PlanarPoint(1.0, 0.0))
+        expected.update(max_residual=0.9142135623730951, com=(1.0, 0.0))
         assert report_bits(cc_residual(system, 1.0)) == report_bits(expected)
 
     @given(

@@ -20,8 +20,8 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # the public names, by defining module, in the order of trapcc.__all__
 SURFACE = {
     "geometry": [
-        "DegenerateMassError", "DistanceCubes", "PlanarPoint", "TrapezoidConfiguration",
-        "TrapezoidParams", "build_configuration", "compute_distance_cubes",
+        "DegenerateMassError", "DistanceCubes", "TrapezoidConfiguration", "TrapezoidParams",
+        "build_configuration", "compute_distance_cubes",
     ],
     "masses": [
         "DegenerateConfigurationError", "MassSolution", "RegionLabel", "SignTriple",
@@ -59,7 +59,7 @@ def fresh(tmp_path, script: str) -> str:
 
 def test_all_lists_the_same_names_in_the_same_order():
     assert trapcc.__all__ == ["__version__", *PUBLIC]
-    assert len(trapcc.__all__) == 51
+    assert len(trapcc.__all__) == 50
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in SURFACE.items() for n in names])
@@ -105,6 +105,9 @@ SIMULATE = ["simulate", "--alpha", "1", "--beta", "1", "--periods", "0.01", "--o
         (f"main({BOUNDARY!r})", {"oracle", "dynamics", "numpy"}),
         (f"main({SIMULATE!r})", {"regions"}),
         ("from trapcc import masses, oracle", {"regions", "dynamics"}),
+        ("main(['masses', '--alpha', '0.5', '--beta', '1'])",
+         {"numpy", "oracle", "dynamics", "regions"}),
+        ("main(['verify', '--alpha', '0.5', '--beta', '1'])", {"regions", "dynamics"}),
     ],
 )
 def test_each_entry_point_loads_only_its_modules(tmp_path, code, absent):
