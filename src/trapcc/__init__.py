@@ -16,12 +16,12 @@ __version__ = "0.1.0"
 # each module and the public names it defines, in the order of __all__
 _NAMES = {
     "geometry": (
-        "DegenerateMassError", "DistanceCubes", "TrapezoidConfiguration", "TrapezoidParams",
-        "build_configuration", "compute_distance_cubes",
+        "DegenerateMassError", "TrapezoidConfiguration", "TrapezoidParams",
+        "build_configuration",
     ),
     "masses": (
-        "DegenerateConfigurationError", "MassSolution", "RegionLabel", "SignTriple",
-        "classify", "sign_functions", "solve_masses", "solve_masses_linear",
+        "DegenerateConfigurationError", "MassSolution", "RegionLabel", "classify",
+        "solve_masses", "solve_masses_linear",
     ),
     "oracle": (
         "PlanarSystem", "ResidualReport", "cc_residual", "center_of_mass",
@@ -33,11 +33,11 @@ _NAMES = {
         "rigidity_metrics",
     ),
     "regions": (
-        "ApproxCoefficients", "ApproxReport", "BoundaryCurve", "BoundarySample",
-        "DomainAudit", "NegativeDiscriminantError", "NegativeRadicandError", "RasterGrid",
-        "RootSearch", "audit_published_domains", "compare_exact_vs_approx",
-        "exact_boundary", "exact_f1", "exact_f3", "f1_approx", "f3_approx", "g1_published",
-        "g3_published", "raster", "trace_boundary",
+        "ApproxReport", "BoundaryCurve", "BoundarySample", "DomainAudit",
+        "NegativeDiscriminantError", "NegativeRadicandError", "RasterGrid", "RootSearch",
+        "audit_published_domains", "compare_exact_vs_approx", "exact_boundary", "exact_f1",
+        "exact_f3", "f1_approx", "f3_approx", "g1_published", "g3_published", "raster",
+        "trace_boundary",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}

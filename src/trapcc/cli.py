@@ -30,7 +30,7 @@ from ._numpy import default_one_blas_thread, np
 # is the one the command calls: _load keeps a name that is already set, and
 # looking a name up here before its command has run loads its module.
 _NAMES = {
-    "geometry": ("TrapezoidParams", "build_configuration", "compute_distance_cubes"),
+    "geometry": ("TrapezoidParams", "build_configuration"),
     "masses": (
         "DegenerateConfigurationError", "RegionLabel", "region_label", "solve_masses",
         "classify",  # not called here, but perfbench/spans.py wraps cli.classify
@@ -187,18 +187,17 @@ def cmd_masses(args) -> int:
         return EX_DEGENERATE
     label = region_label(solution.m, solution.M)
     config = build_configuration(params, solution.m, solution.M)
-    cubes = compute_distance_cubes(params)
     fields = {
         "alpha": params.alpha,
         "beta": params.beta,
-        "a": cubes.a,
-        "b": cubes.b,
-        "f1": solution.signs.f1,
-        "f2": solution.signs.f2,
-        "f3": solution.signs.f3,
+        "a": solution.a,
+        "b": solution.b,
+        "f1": solution.f1,
+        "f2": solution.f2,
+        "f3": solution.f3,
         "m": solution.m,
         "M": solution.M,
-        "lambda": solution.lam,
+        "lambda": 1.0,
         "r_A": config.r_A,
         "r_B": config.r_B,
     }

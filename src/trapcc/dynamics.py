@@ -21,6 +21,7 @@ from .geometry import TrapezoidParams, build_configuration
 from .masses import RegionLabel, classify, region_label, solve_masses  # noqa: F401
 from .oracle import (  # noqa: F401
     CoincidentBodiesError,
+    _check_bodies,
     _field,
     _min_separation,
     _pair_distances,
@@ -51,8 +52,8 @@ class CollisionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SystemState:
-    """Initial data of an integration: masses ``(N,)``, positions and
-    velocities ``(N, 2)``, and the time.  Build it with :meth:`from_arrays`."""
+    """Initial data of an integration: finite masses ``(N,)``, positions and
+    velocities ``(N, 2)``, N >= 2, and the time.  Build it with :meth:`from_arrays`."""
 
     masses: np.ndarray
     positions: np.ndarray
@@ -60,6 +61,7 @@ class SystemState:
     time: float
 
     def __post_init__(self):
+        _check_bodies(self.masses, self.positions, self.velocities)
         coords = self.positions.ravel().tolist()
         for (i, j), d in zip(_pairs(len(self.masses)), _pair_distances(coords).tolist()):
             if d < COLLISION_TOL:

@@ -63,15 +63,6 @@ class TrapezoidParams:
 
 
 @dataclass(frozen=True)
-class DistanceCubes:
-    """Cubed mutual distances: ``a`` for the lateral pairs, ``b`` for the
-    diagonals.  ``a < b`` strictly whenever alpha > 0."""
-
-    a: float
-    b: float
-
-
-@dataclass(frozen=True)
 class TrapezoidConfiguration:
     """The four body positions, as ``(x, y)`` float tuples in body order,
     plus the vertical split of ``beta``.
@@ -88,15 +79,11 @@ class TrapezoidConfiguration:
 
 
 def distance_cubes_values(alpha, beta):
-    """Cubed lateral and diagonal distances; works on scalars or arrays."""
+    """Cubed lateral and diagonal distances ``(a, b)``, with ``a < b``
+    strictly whenever alpha > 0; works on scalars or arrays."""
     a = ((0.5 - 0.5 * alpha) ** 2 + beta**2) ** 1.5
     b = ((0.5 + 0.5 * alpha) ** 2 + beta**2) ** 1.5
     return a, b
-
-
-def compute_distance_cubes(params: TrapezoidParams) -> DistanceCubes:
-    a, b = distance_cubes_values(params.alpha, params.beta)
-    return DistanceCubes(a=float(a), b=float(b))
 
 
 def build_configuration(params: TrapezoidParams, m: float, M: float) -> TrapezoidConfiguration:

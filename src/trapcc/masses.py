@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._numpy import np
-from .geometry import DistanceCubes, TrapezoidParams, compute_distance_cubes
+from .geometry import TrapezoidParams, distance_cubes_values
 
 DEGENERACY_TOL = 1e-12
 
@@ -48,26 +48,22 @@ class RegionLabel(Enum):
 
 
 @dataclass(frozen=True)
-class SignTriple:
-    f1: float
-    f2: float
-    f3: float
-
-
-@dataclass(frozen=True)
 class MassSolution:
-    """Masses of the two pairs with their sign diagnostics.
+    """Masses of the two pairs and the numbers they are solved from.
 
     ``m`` belongs to the upper pair (bodies 2, 3), ``M`` to the lower pair
-    (bodies 1, 4).  ``lam`` is the balance multiplier, identically 1 under
-    this normalisation.  Either mass may be negative; positivity is the
-    caller's concern (see :func:`classify`).
+    (bodies 1, 4); ``a``, ``b`` are the cubed distances and ``f1``, ``f2``,
+    ``f3`` the sign functions.  Either mass may be negative; positivity is
+    the caller's concern (see :func:`classify`).
     """
 
     m: float
     M: float
-    lam: float
-    signs: SignTriple
+    a: float
+    b: float
+    f1: float
+    f2: float
+    f3: float
 
 
 def sign_values(a, b, alpha):
@@ -79,7 +75,7 @@ def sign_values(a, b, alpha):
 
 
 def mass_values(a, b, alpha):
-    """Closed-form (m, M) plus the sign triple; array friendly.
+    """Closed-form ``(m, M, f1, f2, f3)``; array friendly.
 
     No degeneracy guard: near f3 = 0 the quotients overflow or lose
     precision, which callers handling grids mask themselves.
@@ -90,11 +86,6 @@ def mass_values(a, b, alpha):
         m = a * b * f1 / denom
         M = a * b * alpha * f2 / denom
     return m, M, f1, f2, f3
-
-
-def sign_functions(cubes: DistanceCubes, alpha: float) -> SignTriple:
-    f1, f2, f3 = sign_values(cubes.a, cubes.b, alpha)
-    return SignTriple(f1=float(f1), f2=float(f2), f3=float(f3))
 
 
 def is_degenerate(f3, a, b):
@@ -112,20 +103,16 @@ def solve_masses(params: TrapezoidParams) -> MassSolution:
     DegenerateConfigurationError
         When |f3| < DEGENERACY_TOL * (a + b); the masses are unbounded there.
     """
-    cubes = compute_distance_cubes(params)
-    signs = sign_functions(cubes, params.alpha)
-    if is_degenerate(signs.f3, cubes.a, cubes.b):
+    alpha = params.alpha
+    a, b = map(float, distance_cubes_values(alpha, params.beta))
+    f1, f2, f3 = map(float, sign_values(a, b, alpha))
+    if is_degenerate(f3, a, b):
         raise DegenerateConfigurationError(
-            f"f3 = {signs.f3:.3e} is within {DEGENERACY_TOL:.1e} * (a + b) of the "
-            f"degenerate curve at (alpha={params.alpha}, beta={params.beta})"
+            f"f3 = {f3:.3e} is within {DEGENERACY_TOL:.1e} * (a + b) of the "
+            f"degenerate curve at (alpha={alpha}, beta={params.beta})"
         )
-    scale = cubes.a * cubes.b / ((cubes.a + cubes.b) * signs.f3)
-    return MassSolution(
-        m=signs.f1 * scale,
-        M=params.alpha * signs.f2 * scale,
-        lam=1.0,
-        signs=signs,
-    )
+    scale = a * b / ((a + b) * f3)
+    return MassSolution(m=f1 * scale, M=alpha * f2 * scale, a=a, b=b, f1=f1, f2=f2, f3=f3)
 
 
 def solve_masses_linear(params: TrapezoidParams) -> tuple[float, float]:
@@ -141,8 +128,8 @@ def solve_masses_linear(params: TrapezoidParams) -> tuple[float, float]:
         When the system is singular, which happens exactly on the f3 = 0
         curve (the determinant equals (a + b) * f3 / (a*b)^2).
     """
-    cubes = compute_distance_cubes(params)
-    a, b, alpha = cubes.a, cubes.b, params.alpha
+    alpha = params.alpha
+    a, b = map(float, distance_cubes_values(alpha, params.beta))
     pair_sum = 1.0 / a + 1.0 / b
     matrix = np.array(
         [

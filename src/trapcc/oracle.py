@@ -51,18 +51,8 @@ class PlanarSystem:
         masses, positions = _read_only(self.masses), _read_only(self.positions)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "positions", positions)
-        if masses.ndim != 1 or positions.shape != (len(masses), 2):
-            raise ValueError(
-                f"one (x, y) position per mass required: masses {masses.shape}, "
-                f"positions {positions.shape}"
-            )
-        if len(masses) < 2:
-            raise ValueError("at least 2 bodies required")
+        _check_bodies(masses, positions)
         mass_list, coords = masses.tolist(), positions.ravel().tolist()
-        if not all(map(math.isfinite, mass_list)):
-            raise ValueError("masses must be finite")
-        if not all(map(math.isfinite, coords)):
-            raise ValueError("positions must be finite")
         # the centre of mass divides by a plain float sum of the masses,
         # which is only known to about n * eps * sum |m|: a total inside
         # that error vanishes as far as the centre can tell
@@ -82,6 +72,23 @@ def _read_only(values) -> np.ndarray:
     array = np.array(values, dtype=float)
     array.flags.writeable = False
     return array
+
+
+def _check_bodies(masses: np.ndarray, positions: np.ndarray, velocities=None) -> None:
+    """Raise ValueError unless ``masses`` is ``(N,)`` with N >= 2, and
+    ``positions`` and, when given, ``velocities`` are ``(N, 2)``, all finite."""
+    if masses.ndim != 1 or positions.shape != (len(masses), 2):
+        raise ValueError(
+            f"one (x, y) position per mass required: masses {masses.shape}, "
+            f"positions {positions.shape}"
+        )
+    if velocities is not None and velocities.shape != positions.shape:
+        raise ValueError(f"velocities {velocities.shape} must match positions {positions.shape}")
+    if len(masses) < 2:
+        raise ValueError("at least 2 bodies required")
+    for name, values in (("masses", masses), ("positions", positions), ("velocities", velocities)):
+        if values is not None and not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

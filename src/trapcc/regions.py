@@ -74,17 +74,9 @@ def f1_approx(alpha, beta):
     return quad * alpha**2 + const
 
 
-@dataclass(frozen=True)
-class ApproxCoefficients:
-    """Coefficients of the published quartic surrogate
+def approx_coefficients(beta):
+    """Coefficients ``(h0, h1, h2)`` of the published quartic surrogate
     f3aprox = h2 * alpha^4 + h1 * alpha^2 + h0, each a function of beta."""
-
-    h0: float
-    h1: float
-    h2: float
-
-
-def approx_coefficients(beta) -> ApproxCoefficients:
     # both are the IEEE square root; math.sqrt keeps the scalar g3 path
     # free of the numpy import
     root = math.sqrt(beta**2 + 0.25) if isinstance(beta, float) else np.sqrt(beta**2 + 0.25)
@@ -98,13 +90,13 @@ def approx_coefficients(beta) -> ApproxCoefficients:
         + 0.047 * beta**4 / root
         - 0.006
     ) / (beta**2 + 0.25) ** 2
-    return ApproxCoefficients(h0=h0, h1=h1, h2=h2)
+    return h0, h1, h2
 
 
 def f3_approx(alpha, beta):
     """Published quartic surrogate for f3."""
-    c = approx_coefficients(beta)
-    return c.h2 * alpha**4 + c.h1 * alpha**2 + c.h0
+    h0, h1, h2 = approx_coefficients(beta)
+    return h2 * alpha**4 + h1 * alpha**2 + h0
 
 
 def g1_published(beta: float) -> float:
@@ -151,11 +143,11 @@ def g3_published(beta: float) -> float:
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("g3 is defined for 0 < beta < 1")
-    c = approx_coefficients(beta)
-    discriminant = c.h1**2 - 4.0 * c.h0 * c.h2
+    h0, h1, h2 = approx_coefficients(beta)
+    discriminant = h1**2 - 4.0 * h0 * h2
     if discriminant < 0.0:
         raise NegativeDiscriminantError(discriminant)
-    radicand = -math.sqrt(discriminant) / (2.0 * c.h2) - c.h1 / (2.0 * c.h2)
+    radicand = -math.sqrt(discriminant) / (2.0 * h2) - h1 / (2.0 * h2)
     if radicand < 0.0:
         raise NegativeRadicandError("quartic root", radicand)
     return math.sqrt(radicand)

@@ -27,7 +27,7 @@ from trapcc.geometry import (
     DegenerateMassError,
     TrapezoidParams,
     build_configuration,
-    compute_distance_cubes,
+    distance_cubes_values,
 )
 from trapcc.oracle import PlanarSystem
 
@@ -184,8 +184,7 @@ def trapezoid_accelerations(params: TrapezoidParams, m: float, M: float) -> np.n
     never recomputed from coordinates, so agreement with
     :func:`trapcc.oracle.attraction_field` cross-checks both codings.
     """
-    cubes = compute_distance_cubes(params)
-    a, b = cubes.a, cubes.b
+    a, b = distance_cubes_values(params.alpha, params.beta)
     alpha3 = params.alpha**3
     config = build_configuration(params, m, M)
     r = np.array(config.positions)

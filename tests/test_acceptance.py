@@ -35,13 +35,12 @@ from trapcc.dynamics import (
 from trapcc.geometry import (
     TrapezoidParams,
     build_configuration,
-    compute_distance_cubes,
     distance_cubes_values,
 )
 from trapcc.masses import (
     RegionLabel,
     is_degenerate,
-    sign_functions,
+    sign_values,
     solve_masses,
     solve_masses_linear,
 )
@@ -73,11 +72,10 @@ def non_degenerate_points():
     for beta in betas:
         for alpha in alphas:
             params = TrapezoidParams(float(alpha), float(beta))
-            cubes = compute_distance_cubes(params)
-            signs = sign_functions(cubes, alpha)
-            if is_degenerate(signs.f3, cubes.a, cubes.b):
+            a, b = distance_cubes_values(params.alpha, params.beta)
+            if is_degenerate(sign_values(a, b, alpha)[2], a, b):
                 continue
-            yield params, cubes, signs
+            yield params, a, b
 
 
 def report(number, ok, detail):
@@ -207,9 +205,9 @@ def test_criterion_03_normalisation_identities():
     relative, at every non-degenerate grid point."""
     worst_pair = 0.0
     worst_outer = 0.0
-    for params, cubes, _ in non_degenerate_points():
+    for params, a, b in non_degenerate_points():
         solution = solve_masses(params)
-        a, b, alpha = cubes.a, cubes.b, params.alpha
+        alpha = params.alpha
         pair_sum = (solution.m + solution.M) * (1.0 / a + 1.0 / b)
         outer = (
             2.0 * solution.M

@@ -28,6 +28,7 @@ from trapcc.cli import (
     fnum,
     main,
 )
+from trapcc.geometry import TrapezoidParams
 from trapcc.masses import solve_masses
 from trapcc.regions import (
     bisect,
@@ -82,6 +83,13 @@ class TestMasses:
         lines = out.splitlines()
         assert lines[0] == MASSES_CSV_HEADER
         assert lines[1].endswith(",BothPositive")
+
+    def test_json_prints_the_solved_cubes_and_signs(self, capsys):
+        code, doc, _ = run_json(capsys, "masses", "--alpha", "0.7", "--beta", "0.9", "--format", "json")
+        assert code == EX_OK
+        solution = solve_masses(TrapezoidParams(0.7, 0.9))
+        for name in ("a", "b", "f1", "f2", "f3"):
+            assert doc["payload"][name] == getattr(solution, name), name
 
     def test_invalid_alpha_is_usage_error(self, capsys):
         code, _, err = run(capsys, "masses", "--alpha", "0", "--beta", "1")

@@ -313,6 +313,49 @@ def test_systems_hold_read_only_copies(build):
     assert system.positions.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 
+# (id, masses, positions, velocities, message)
+MALFORMED_BODIES = [
+    ("nan-position", [1.0, 1.0], [[0.0, 0.0], [math.nan, 0.0]], np.zeros((2, 2)),
+     "positions must be finite"),
+    ("more-masses-than-positions", [1.0, 1.0, 1.0], [[0.0, 0.0], [1.0, 0.0]], np.zeros((2, 2)),
+     r"one \(x, y\) position per mass"),
+    ("one-body", [1.0], [[0.0, 0.0]], np.zeros((1, 2)), "at least 2 bodies"),
+]
+# PlanarSystem takes no velocities
+MALFORMED_VELOCITIES = [
+    ("inf-velocity", [1.0, 1.0], [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [math.inf, 0.0]],
+     "velocities must be finite"),
+    ("fewer-velocities", [1.0, 1.0], [[0.0, 0.0], [1.0, 0.0]], np.zeros((1, 2)),
+     r"velocities \(1, 2\) must match positions \(2, 2\)"),
+]
+
+
+def build_state(masses, positions, velocities):
+    return SystemState.from_arrays(masses, positions, velocities, 0.0)
+
+
+def build_planar(masses, positions, velocities):
+    return PlanarSystem(masses, positions)
+
+
+@pytest.mark.parametrize(
+    "build, masses, positions, velocities, message",
+    [
+        pytest.param(build, *case, id=f"{name}-{case_id}")
+        for name, build, cases in [
+            ("SystemState", build_state, MALFORMED_BODIES + MALFORMED_VELOCITIES),
+            ("PlanarSystem", build_planar, MALFORMED_BODIES),
+        ]
+        for case_id, *case in cases
+    ],
+)
+def test_systems_reject_malformed_bodies_at_construction(
+    build, masses, positions, velocities, message
+):
+    with pytest.raises(ValueError, match=message):
+        build(masses, positions, velocities)
+
+
 def test_system_state_rejects_near_collision():
     with pytest.raises(ValueError, match="collision"):
         state_from([1.0, 1.0], [[0.0, 0.0], [0.0, 1e-7]])

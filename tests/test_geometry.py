@@ -9,7 +9,6 @@ from trapcc.geometry import (
     DegenerateMassError,
     TrapezoidParams,
     build_configuration,
-    compute_distance_cubes,
     distance_cubes_values,
 )
 
@@ -51,20 +50,20 @@ class TestTrapezoidParams:
 
 class TestDistanceCubes:
     def test_square_case(self):
-        cubes = compute_distance_cubes(TrapezoidParams(1.0, 1.0))
-        assert cubes.a == pytest.approx(1.0, rel=1e-15)
-        assert cubes.b == pytest.approx(2.0**1.5, rel=1e-15)
+        a, b = distance_cubes_values(1.0, 1.0)
+        assert a == pytest.approx(1.0, rel=1e-15)
+        assert b == pytest.approx(2.0**1.5, rel=1e-15)
 
     def test_half_alpha_unit_beta(self):
         # direct evaluation: a = 1.0625^(3/2), b = 1.5625^(3/2) = 1.953125
-        cubes = compute_distance_cubes(TrapezoidParams(0.5, 1.0))
-        assert cubes.a == pytest.approx(1.0951999318046912, rel=1e-15)
-        assert cubes.b == pytest.approx(1.953125, rel=1e-15)
+        a, b = distance_cubes_values(0.5, 1.0)
+        assert a == pytest.approx(1.0951999318046912, rel=1e-15)
+        assert b == pytest.approx(1.953125, rel=1e-15)
 
     def test_half_half(self):
-        cubes = compute_distance_cubes(TrapezoidParams(0.5, 0.5))
-        assert cubes.a == pytest.approx(0.17469281074217108, rel=1e-12)
-        assert cubes.b == pytest.approx(0.7323776028286229, rel=1e-12)
+        a, b = distance_cubes_values(0.5, 0.5)
+        assert a == pytest.approx(0.17469281074217108, rel=1e-12)
+        assert b == pytest.approx(0.7323776028286229, rel=1e-12)
 
     def test_a_below_b_on_dense_grid(self):
         alphas = (np.arange(200) + 1.0) / 200.0  # (0, 1]

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from trapcc.geometry import TrapezoidParams, compute_distance_cubes
+from trapcc.geometry import TrapezoidParams, distance_cubes_values
 from trapcc.masses import (
     DegenerateConfigurationError,
     RegionLabel,
     classify,
     region_label,
-    sign_functions,
+    sign_values,
     solve_masses,
     solve_masses_linear,
 )
@@ -32,43 +32,44 @@ def degenerate_params(alpha=0.9):
     return TrapezoidParams(alpha, found.root)
 
 
+def signs_at(params):
+    """f1, f2, f3 at a parameter point."""
+    return sign_values(*distance_cubes_values(params.alpha, params.beta), params.alpha)
+
+
 class TestSignFunctions:
     def test_half_half(self):
-        params = TrapezoidParams(0.5, 0.5)
-        signs = sign_functions(compute_distance_cubes(params), params.alpha)
-        assert signs.f1 == pytest.approx(0.651188, abs=1e-5)
-        assert signs.f2 == pytest.approx(-0.557685, abs=1e-5)
-        assert signs.f3 == pytest.approx(0.372346, abs=1e-5)
+        f1, f2, f3 = signs_at(TrapezoidParams(0.5, 0.5))
+        assert f1 == pytest.approx(0.651188, abs=1e-5)
+        assert f2 == pytest.approx(-0.557685, abs=1e-5)
+        assert f3 == pytest.approx(0.372346, abs=1e-5)
 
     def test_half_unit(self):
-        params = TrapezoidParams(0.5, 1.0)
-        signs = sign_functions(compute_distance_cubes(params), params.alpha)
-        assert signs.f1 == pytest.approx(-1.2297999, abs=1e-6)
-        assert signs.f2 == pytest.approx(-0.8579251, abs=1e-6)
-        assert signs.f3 == pytest.approx(-1.6587625, abs=1e-6)
+        f1, f2, f3 = signs_at(TrapezoidParams(0.5, 1.0))
+        assert f1 == pytest.approx(-1.2297999, abs=1e-6)
+        assert f2 == pytest.approx(-0.8579251, abs=1e-6)
+        assert f3 == pytest.approx(-1.6587625, abs=1e-6)
 
     def test_square_f2_negative(self):
-        params = TrapezoidParams(1.0, 1.0)
-        signs = sign_functions(compute_distance_cubes(params), params.alpha)
-        assert signs.f2 == pytest.approx(1.0 - 2.0**1.5, rel=1e-15)
-        assert signs.f2 < 0
+        _, f2, _ = signs_at(TrapezoidParams(1.0, 1.0))
+        assert f2 == pytest.approx(1.0 - 2.0**1.5, rel=1e-15)
+        assert f2 < 0
 
     @given(params=params_st)
     @settings(max_examples=200, deadline=None)
     def test_f3_identity(self, params):
-        cubes = compute_distance_cubes(params)
-        signs = sign_functions(cubes, params.alpha)
-        recombined = signs.f1 + params.alpha * signs.f2
+        a, b = distance_cubes_values(params.alpha, params.beta)
+        f1, f2, f3 = sign_values(a, b, params.alpha)
+        recombined = f1 + params.alpha * f2
         # the identity is exact up to rounding of O(a+b+2ab)-sized terms;
         # near the f3 zero curve no tighter relative statement is possible
-        scale = cubes.a + cubes.b + 2.0 * cubes.a * cubes.b
-        assert abs(signs.f3 - recombined) <= 1e-15 * scale
+        scale = a + b + 2.0 * a * b
+        assert abs(f3 - recombined) <= 1e-15 * scale
 
     @given(params=params_st)
     @settings(max_examples=200, deadline=None)
     def test_f2_always_negative(self, params):
-        signs = sign_functions(compute_distance_cubes(params), params.alpha)
-        assert signs.f2 < 0
+        assert signs_at(params)[1] < 0
 
 
 class TestSolveMasses:
@@ -79,7 +80,6 @@ class TestSolveMasses:
         b = 2.0**1.5
         assert solution.m == pytest.approx(b / (2.0 * (1.0 + b)), abs=1e-9)
         assert solution.m == pytest.approx(0.3693980, abs=1e-7)
-        assert solution.lam == 1.0
 
     def test_half_unit_values(self):
         solution = solve_masses(TrapezoidParams(0.5, 1.0))
@@ -98,12 +98,18 @@ class TestSolveMasses:
     @given(params=params_st)
     @settings(max_examples=200, deadline=None)
     def test_balance_identities(self, params):
-        cubes = compute_distance_cubes(params)
-        signs = sign_functions(cubes, params.alpha)
+        alpha = params.alpha
+        a, b = distance_cubes_values(alpha, params.beta)
+        _, _, f3 = sign_values(a, b, alpha)
         # stay clear of the pole, where the closed form legitimately loses digits
-        assume(abs(signs.f3) > 1e-3 * (cubes.a + cubes.b))
+        assume(abs(f3) > 1e-3 * (a + b))
         solution = solve_masses(params)
-        a, b, alpha = cubes.a, cubes.b, params.alpha
+        fields = (solution.a, solution.b, solution.f1, solution.f2, solution.f3)
+        assert all(type(value) is float for value in fields)
+        # the record carries the very floats it was solved from
+        assert [x.hex() for x in fields[:2]] == [x.hex() for x in (a, b)]
+        expected_signs = sign_values(solution.a, solution.b, alpha)
+        assert [x.hex() for x in fields[2:]] == [x.hex() for x in expected_signs]
         pair_sum = (solution.m + solution.M) * (1.0 / a + 1.0 / b)
         outer = 2.0 * solution.M - solution.m * (alpha - 1.0) / a + solution.m * (alpha + 1.0) / b
         assert pair_sum == pytest.approx(1.0, rel=1e-12)
@@ -137,9 +143,8 @@ class TestLinearOracle:
     @given(params=params_st)
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_closed_form(self, params):
-        cubes = compute_distance_cubes(params)
-        signs = sign_functions(cubes, params.alpha)
-        assume(abs(signs.f3) > 1e-3 * (cubes.a + cubes.b))
+        a, b = distance_cubes_values(params.alpha, params.beta)
+        assume(abs(sign_values(a, b, params.alpha)[2]) > 1e-3 * (a + b))
         closed = solve_masses(params)
         m, M = solve_masses_linear(params)
         scale = max(1.0, abs(closed.m), abs(closed.M))
@@ -176,9 +181,9 @@ class TestClassify:
         label = classify(params)
         if label is RegionLabel.DEGENERATE:
             return
-        signs = sign_functions(compute_distance_cubes(params), params.alpha)
-        m_positive = (signs.f1 < 0 and signs.f3 < 0) or (signs.f1 > 0 and signs.f3 > 0)
-        M_positive = signs.f3 < 0
+        f1, _, f3 = signs_at(params)
+        m_positive = (f1 < 0 and f3 < 0) or (f1 > 0 and f3 > 0)
+        M_positive = f3 < 0
         expected = {
             (True, True): RegionLabel.BOTH_POSITIVE,
             (False, True): RegionLabel.ONLY_M_LOWER_POSITIVE,

@@ -20,12 +20,12 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # the public names, by defining module, in the order of trapcc.__all__
 SURFACE = {
     "geometry": [
-        "DegenerateMassError", "DistanceCubes", "TrapezoidConfiguration", "TrapezoidParams",
-        "build_configuration", "compute_distance_cubes",
+        "DegenerateMassError", "TrapezoidConfiguration", "TrapezoidParams",
+        "build_configuration",
     ],
     "masses": [
-        "DegenerateConfigurationError", "MassSolution", "RegionLabel", "SignTriple",
-        "classify", "sign_functions", "solve_masses", "solve_masses_linear",
+        "DegenerateConfigurationError", "MassSolution", "RegionLabel", "classify",
+        "solve_masses", "solve_masses_linear",
     ],
     "oracle": [
         "PlanarSystem", "ResidualReport", "cc_residual", "center_of_mass",
@@ -37,11 +37,11 @@ SURFACE = {
         "rigidity_metrics",
     ],
     "regions": [
-        "ApproxCoefficients", "ApproxReport", "BoundaryCurve", "BoundarySample",
-        "DomainAudit", "NegativeDiscriminantError", "NegativeRadicandError", "RasterGrid",
-        "RootSearch", "audit_published_domains", "compare_exact_vs_approx",
-        "exact_boundary", "exact_f1", "exact_f3", "f1_approx", "f3_approx", "g1_published",
-        "g3_published", "raster", "trace_boundary",
+        "ApproxReport", "BoundaryCurve", "BoundarySample", "DomainAudit",
+        "NegativeDiscriminantError", "NegativeRadicandError", "RasterGrid", "RootSearch",
+        "audit_published_domains", "compare_exact_vs_approx", "exact_boundary", "exact_f1",
+        "exact_f3", "f1_approx", "f3_approx", "g1_published", "g3_published", "raster",
+        "trace_boundary",
     ],
 }
 PUBLIC = [name for names in SURFACE.values() for name in names]
@@ -59,7 +59,7 @@ def fresh(tmp_path, script: str) -> str:
 
 def test_all_lists_the_same_names_in_the_same_order():
     assert trapcc.__all__ == ["__version__", *PUBLIC]
-    assert len(trapcc.__all__) == 50
+    assert len(trapcc.__all__) == 45
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in SURFACE.items() for n in names])

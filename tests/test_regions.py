@@ -48,7 +48,7 @@ class TestApproxFunctions:
 
     def test_f3_approx_reduces_to_h0(self):
         for beta in (0.2, 0.5, 0.9):
-            assert f3_approx(0.0, beta) == pytest.approx(approx_coefficients(beta).h0, rel=1e-15)
+            assert f3_approx(0.0, beta) == pytest.approx(approx_coefficients(beta)[0], rel=1e-15)
 
     def test_f3_approx_sign_matches_exact(self):
         assert exact_f3(0.5, 1.0) < 0
