@@ -68,6 +68,9 @@ COMMANDS = [
     ("raster-20000x2", ["raster", "--resolution", "20000x2", "--out", "@raster-20000x2.csv"]),
     ("raster-overflow", ["raster", "--beta-range", "0,1e60", "--resolution", "2",
                          "--out", "@raster-overflow.csv"]),
+    # the first block of rows is finite, the second overflows
+    ("raster-overflow-late", ["raster", "--beta-range", "0,1e27", "--resolution", "16384x20",
+                              "--out", "@raster-overflow-late.csv"]),
     ("raster-zero-resolution", ["raster", "--resolution", "0", "--out", "@raster-0.csv"]),
     ("raster-unwritable", ["raster", "--resolution", "2", "--out", "@missing/x.csv"]),
     ("boundary-f1-alpha", ["boundary", "--which", "f1", "--axis", "alpha", "--fixed",

@@ -78,8 +78,7 @@ def main():
     both = grid.labels == RegionLabel.BOTH_POSITIVE
     write_membership(grid, m_positive, outdir / "region_m.csv")
     write_membership(grid, both, outdir / "region_both.csv")
-    with (outdir / "raster_full.csv").open("w") as fh:
-        fh.writelines(raster_csv(grid))
+    (outdir / "raster_full.csv").write_text(raster_csv(grid))
 
     write_boundary("f1", outdir / "boundary_f1.csv")
     write_boundary("f3", outdir / "boundary_f3.csv")

@@ -265,20 +265,17 @@ def cmd_verify(args) -> int:
     return EX_OK if verdict else EX_VERIFY_FAILED
 
 
-def raster_csv(grid):
-    """The raster CSV text, yielded a block of beta rows at a time
-    (:func:`~trapcc.regions.row_blocks`); the header opens the first block.
+def raster_csv(grid, header: bool = True) -> str:
+    """The raster CSV text of ``grid``'s cells, a beta row at a time, after
+    the header line when ``header`` is set.
 
-    The axes are formatted once, and each row's values become Python
+    The alphas are formatted once, and each row's values become Python
     floats in one ``.tolist()``; ``repr`` of a Python float is what
-    :func:`fnum` writes.  A block is joined from its row texts, which are
-    freed before it is yielded.
+    :func:`fnum` writes.
     """
-    _load("regions")
     alphas = [repr(alpha) for alpha in grid.alpha_axis.tolist()]
-    betas = [repr(beta) for beta in grid.beta_axis.tolist()]
-
-    def row_text(i: int) -> str:
+    lines = [f"{RASTER_CSV_HEADER}\n"] if header else []
+    for i, beta in enumerate(map(repr, grid.beta_axis.tolist())):
         row = zip(
             alphas,
             grid.f1[i].tolist(),
@@ -287,14 +284,11 @@ def raster_csv(grid):
             grid.M[i].tolist(),
             grid.labels[i].tolist(),
         )
-        text = "".join(
-            f"{alpha},{betas[i]},{f1!r},{f3!r},{m!r},{M!r},{label.value}\n"
+        lines.append("".join(
+            f"{alpha},{beta},{f1!r},{f3!r},{m!r},{M!r},{label.value}\n"
             for alpha, f1, f3, m, M, label in row
-        )
-        return f"{RASTER_CSV_HEADER}\n{text}" if i == 0 else text
-
-    for rows in row_blocks(len(alphas), len(betas)):
-        yield "".join(map(row_text, range(rows.start, rows.stop)))
+        ))
+    return "".join(lines)
 
 
 def cmd_raster(args) -> int:
@@ -302,24 +296,19 @@ def cmd_raster(args) -> int:
     alpha_range = _parse_range(args.alpha_range, "--alpha-range")
     beta_range = _parse_range(args.beta_range, "--beta-range")
     n_alpha, n_beta = _parse_resolution(args.resolution)
-    try:
-        grid = raster(alpha_range, beta_range, n_alpha, n_beta)
-    except ValueError as err:
-        raise UsageError(str(err))
-    except OverflowError:
-        raise UsageError("the sign functions overflow: --beta-range too large")
-
-    append = False
-    for text in raster_csv(grid):
-        write_text(args.out, text, append=append)
-        append = True
-        del text  # the block is freed before the next one is built
-
-    label_counts = {}
-    for label in RegionLabel:
-        count = int((grid.labels == label).sum())
-        if count:
-            label_counts[label.value] = count
+    counts = dict.fromkeys(RegionLabel, 0)
+    # one block of rows is held at a time: evaluated, written, counted, dropped
+    for rows in row_blocks(n_alpha, n_beta):
+        try:
+            block = raster(alpha_range, beta_range, n_alpha, n_beta, rows)
+        except ValueError as err:
+            raise UsageError(str(err))
+        except OverflowError:
+            raise UsageError("the sign functions overflow: --beta-range too large")
+        write_text(args.out, raster_csv(block, header=rows.start == 0), append=rows.start > 0)
+        for label in RegionLabel:
+            counts[label] += int(np.count_nonzero(block.labels == label))
+    label_counts = {label.value: count for label, count in counts.items() if count}
     meta = envelope(
         "raster",
         {

@@ -53,7 +53,8 @@ class CollisionError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class SystemState:
     """Initial data of an integration: finite masses ``(N,)``, positions and
-    velocities ``(N, 2)``, N >= 2, and the time.  Build it with :meth:`from_arrays`."""
+    velocities ``(N, 2)``, N >= 2, and the finite time.  Build it with
+    :meth:`from_arrays`."""
 
     masses: np.ndarray
     positions: np.ndarray
@@ -62,6 +63,8 @@ class SystemState:
 
     def __post_init__(self):
         _check_bodies(self.masses, self.positions, self.velocities)
+        if not math.isfinite(self.time):
+            raise ValueError(f"time must be finite, got {self.time!r}")
         coords = self.positions.ravel().tolist()
         for (i, j), d in zip(_pairs(len(self.masses)), _pair_distances(coords).tolist()):
             if d < COLLISION_TOL:
@@ -98,8 +101,8 @@ class Trajectory:
             )
         object.__setattr__(self, "samples", samples)
         times = self.times
-        if (times[1:] <= times[:-1]).any():
-            raise ValueError("sample times must be strictly increasing")
+        if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
+            raise ValueError("sample times must be finite and strictly increasing")
 
     @property
     def times(self) -> np.ndarray:

@@ -365,9 +365,9 @@ def audit_published_domains() -> DomainAudit:
 
 @dataclass(frozen=True, eq=False)
 class RasterGrid:
-    """Cell-centred classification of a rectangle of the parameter plane:
-    the exact sign functions f1 and f3, the masses, and ``labels``, which
-    holds RegionLabel members.
+    """Cell-centred classification of beta rows of a rectangle of the
+    parameter plane: the rows' betas, the exact sign functions f1 and f3,
+    the masses, and ``labels``, which holds RegionLabel members.
 
     Arrays are indexed [beta_row, alpha_column]; beta is the vertical axis
     of the reproduced figures.
@@ -411,45 +411,43 @@ def row_blocks(n_alpha: int, n_beta: int):
     return [slice(start, min(start + rows, n_beta)) for start in range(0, n_beta, rows)]
 
 
-def _exact_signs(alphas, betas):
-    """Exact f1 and f3 with alpha going in as a row and beta as a column:
-    every cell gets the same elementwise operations as on a full meshgrid,
-    so the same bits, whichever rows are evaluated together."""
-    a, b = distance_cubes_values(alphas, betas)
-    f1, _, f3 = sign_values(a, b, alphas)
-    return f1, f3
-
-
 def raster(
     alpha_range: tuple[float, float],
     beta_range: tuple[float, float],
     n_alpha: int,
     n_beta: int,
+    rows=slice(None),
 ) -> RasterGrid:
-    """Classify a cell-centred grid of the parameter rectangle, every cell
-    in one vectorised pass.  Degenerate cells get ``nan`` masses and the
-    DEGENERATE label.
+    """Classify the beta rows ``rows`` (a slice or an array of row indices;
+    default all) of a cell-centred grid of the parameter rectangle.
+    Degenerate cells get ``nan`` masses and the DEGENERATE label.
 
-    Raises OverflowError when a distance cube or a mass overflows, which
-    only a beta range far outside the figures' can do.
+    Alpha goes in as a row and beta as a column, so a cell gets the same
+    bits whichever rows are evaluated with it.
+
+    Raises OverflowError when a distance cube or a mass of any row of the
+    grid overflows, which only a beta range far outside the figures' can
+    do: the top row, where both are largest, is evaluated with every call.
     """
     alphas, betas = _grid_axes(alpha_range, beta_range, n_alpha, n_beta)
+    block = betas[rows]
+    column = np.append(block, betas[-1])[:, None]
     try:
         with np.errstate(over="raise"):
-            a, b = distance_cubes_values(alphas[None, :], betas[:, None])
+            a, b = distance_cubes_values(alphas[None, :], column)
             m, M, f1, _, f3 = mass_values(a, b, alphas[None, :])
-            degenerate = is_degenerate(f3, a, b)
+            degenerate = is_degenerate(f3, a, b)[:-1]
     except FloatingPointError as err:
         raise OverflowError(f"the sign functions overflow: {err}") from None
-    m = np.where(degenerate, np.nan, m)
-    M = np.where(degenerate, np.nan, M)
+    m = np.where(degenerate, np.nan, m[:-1])
+    M = np.where(degenerate, np.nan, M[:-1])
     labels = region_label(m, M)
     labels[degenerate] = RegionLabel.DEGENERATE
     return RasterGrid(
         alpha_axis=alphas,
-        beta_axis=betas,
-        f1=f1,
-        f3=f3,
+        beta_axis=block,
+        f1=f1[:-1],
+        f3=f3[:-1],
         m=m,
         M=M,
         labels=labels,
@@ -499,21 +497,23 @@ def compare_exact_vs_approx(
     :func:`raster` classifies, with its bits: one report each, under the
     keys ``"f1"`` and ``"f3"``.
 
-    The grid is evaluated a block of beta rows at a time; only the two
-    ``|exact - approx|`` grids are kept whole, so the mean keeps numpy's
-    pairwise sum over the full grid and the worst cells their order.  The
-    exact and approximate values of the worst cells are evaluated again
-    on their rows.
+    The grid is evaluated by :func:`raster`, a block of beta rows at a
+    time; only the two ``|exact - approx|`` grids are kept whole, so the
+    mean keeps numpy's pairwise sum over the full grid and the worst cells
+    their order.  The exact and approximate values of the worst cells are
+    evaluated again on their rows.
     """
-    alphas, betas = _grid_axes(alpha_range, beta_range, n_alpha, n_beta)
+    grid = (alpha_range, beta_range, n_alpha, n_beta)
+    alphas, betas = _grid_axes(*grid)
     row = alphas[None, :]
     surrogates = (f1_approx, f3_approx)
     agree = [0, 0]
     cells = ([], [])
     dev = (np.empty((n_beta, n_alpha)), np.empty((n_beta, n_alpha)))
     for rows in row_blocks(n_alpha, n_beta):
-        column = betas[rows, None]
-        for k, exact in enumerate(_exact_signs(row, column)):
+        block = raster(*grid, rows)
+        column = block.beta_axis[:, None]
+        for k, exact in enumerate((block.f1, block.f3)):
             approx = surrogates[k](row, column)
             same = np.sign(exact) == np.sign(approx)
             agree[k] += int(np.count_nonzero(same))
@@ -523,10 +523,10 @@ def compare_exact_vs_approx(
 
     def report(k):
         i, j = np.unravel_index(top_indices(dev[k], WORST_CELLS), dev[k].shape)
-        column = betas[i, None]
         cell = np.arange(i.size), j
-        exact = _exact_signs(row, column)[k][cell]
-        approx = surrogates[k](row, column)[cell]
+        worst = raster(*grid, i)
+        exact = (worst.f1, worst.f3)[k][cell]
+        approx = surrogates[k](row, betas[i, None])[cell]
         return ApproxReport(
             # a count over the cell count: the same float as numpy's mean of a mask
             sign_agreement=agree[k] / (n_alpha * n_beta),

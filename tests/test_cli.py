@@ -12,7 +12,7 @@ import pytest
 
 import trapcc
 from locus_oracle import locus_beta
-from trapcc import regions
+from trapcc import cli, regions
 from trapcc.cli import (
     BOUNDARY_CSV_HEADER,
     EX_COLLISION,
@@ -57,6 +57,23 @@ def run_json(capsys, *argv):
 def degenerate_beta(alpha=0.9):
     found = bisect(lambda beta: float(exact_f3(alpha, beta)), 0.1, 1.0, xtol=0.0)
     return found.root
+
+
+def degenerate_row_grid():
+    """A 12x9 grid ``(alpha_range, beta_range, n_alpha, n_beta)`` with one
+    cell centre on f3 = 0: the beta range is shifted until that centre is
+    the bisected degenerate beta."""
+    alpha_range, n_alpha, n_beta, row = (0.3, 0.8), 12, 9, 4
+    alpha = float(cell_centers(*alpha_range, n_alpha)[7])
+    beta0 = degenerate_beta(alpha)
+    span = 0.5
+    lo = beta0 - (row + 0.5) * span / n_beta
+    for _ in range(64):
+        centre = float(cell_centers(lo, lo + span, n_beta)[row])
+        if centre == beta0:
+            break
+        lo += beta0 - centre
+    return alpha_range, (lo, lo + span), n_alpha, n_beta
 
 
 class TestMasses:
@@ -261,6 +278,40 @@ class TestRaster:
         assert err == "usage error: the sign functions overflow: --beta-range too large\n"
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["no-file", "existing-file"])
+    def test_overflow_in_a_later_block_writes_nothing(self, capsys, tmp_path, existing):
+        # one row per block: the first row (beta 2.5e25) is finite, the
+        # second (7.5e25) overflows
+        assert len(regions.row_blocks(16384, 20)) == 20
+        out = tmp_path / "x.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "raster", "--beta-range", "0,1e27",
+                                    "--resolution", "16384x20", "--out", str(out))
+        assert code == EX_USAGE
+        assert err == "usage error: the sign functions overflow: --beta-range too large\n"
+        assert stdout == ""
+        assert (out.read_bytes() if out.exists() else None) == existing
+        assert not Path(f"{out}.meta.json").exists()
+
+    @pytest.mark.parametrize("n_alpha, n_beta", [(10, 10), (200, 170), (20000, 2)])
+    def test_one_raster_call_per_block(self, capsys, tmp_path, monkeypatch, n_alpha, n_beta):
+        calls = []
+
+        def counted(*args):
+            block = regions.raster(*args)
+            calls.append((args[4], block.f1.size))
+            return block
+
+        monkeypatch.setattr(cli, "raster", counted)
+        code, _, _ = run(capsys, "raster", "--resolution", f"{n_alpha}x{n_beta}",
+                         "--out", str(tmp_path / "x.csv"))
+        assert code == EX_OK
+        assert [rows for rows, _ in calls] == regions.row_blocks(n_alpha, n_beta)
+        assert sum(size for _, size in calls) == n_alpha * n_beta
+
     def test_unwritable_path_is_io_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -324,20 +375,29 @@ class TestRaster:
         self.assert_matches_reference(capsys, tmp_path, (0.05, 0.95), (0.1, 1.4), n_alpha, n_beta)
 
     def test_degenerate_row_matches_per_cell_reference(self, capsys, tmp_path):
-        # put one cell centre on f3 = 0 by shifting the beta range until
-        # that centre is the bisected degenerate beta
-        alpha_range, n_alpha, n_beta, row = (0.3, 0.8), 12, 9, 4
-        alpha = float(cell_centers(*alpha_range, n_alpha)[7])
-        beta0 = degenerate_beta(alpha)
-        span = 0.5
-        lo = beta0 - (row + 0.5) * span / n_beta
-        for _ in range(64):
-            centre = float(cell_centers(lo, lo + span, n_beta)[row])
-            if centre == beta0:
-                break
-            lo += beta0 - centre
-        text = self.assert_matches_reference(capsys, tmp_path, alpha_range, (lo, lo + span), n_alpha, n_beta)
+        text = self.assert_matches_reference(capsys, tmp_path, *degenerate_row_grid())
         assert ",nan,nan,Degenerate\n" in text
+
+    @pytest.mark.parametrize(
+        "grid",
+        [*(((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
+           for n_alpha, n_beta in [(37, 53), (1, 1), (1250, 800), (20000, 3), (3, 20000)]),
+         degenerate_row_grid()],
+        ids=["37x53", "1x1", "1250x800", "20000x3", "3x20000", "12x9-degenerate-row"],
+    )
+    def test_blocks_equal_rows_of_the_whole_grid(self, grid):
+        # each cell gets the same operations whichever rows are evaluated
+        # with it: the blocks of row_blocks, and rows in any order with
+        # repeats, as the worst cells of compare-approx come
+        full = raster(*grid)
+        n_alpha, n_beta = grid[2:]
+        picks = [*regions.row_blocks(n_alpha, n_beta), np.array([n_beta - 1, 0, n_beta - 1])]
+        for rows in picks:
+            block = raster(*grid, rows)
+            assert block.alpha_axis.tobytes() == full.alpha_axis.tobytes()
+            for name in ("beta_axis", "f1", "f3", "m", "M"):
+                assert getattr(block, name).tobytes() == getattr(full, name)[rows].tobytes(), name
+            assert block.labels.tolist() == full.labels[rows].tolist()
 
     def test_deterministic_file_output(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -716,32 +776,28 @@ class TestCompareApprox:
     @pytest.mark.parametrize(
         "n_alpha, n_beta", [(37, 53), (1, 1), (1250, 800), (20000, 3), (3, 20000)]
     )
-    def test_signs_equal_raster_bits(self, capsys, monkeypatch, n_alpha, n_beta):
-        # compare-approx evaluates f1 and f3 a block of rows at a time, then
-        # again on the rows of the worst cells; each evaluation keeps the
-        # bits of the matching rows of raster
+    def test_evaluates_raster_blocks_and_the_worst_rows(self, capsys, monkeypatch, n_alpha, n_beta):
+        # compare-approx evaluates the grid a block of rows at a time, then
+        # the rows of each sign function's worst cells
         evaluated = []
-        exact_signs = regions._exact_signs
+        full_raster = regions.raster
 
-        def capture(alphas, betas):
-            f1, f3 = exact_signs(alphas, betas)
-            evaluated.append((alphas, betas, f1, f3))
-            return f1, f3
+        def capture(*args):
+            evaluated.append(args)
+            return full_raster(*args)
 
-        monkeypatch.setattr(regions, "_exact_signs", capture)
-        code, _, _ = run(capsys, "compare-approx", "--resolution", f"{n_alpha}x{n_beta}")
+        monkeypatch.setattr(regions, "raster", capture)
+        code, doc, _ = run_json(capsys, "compare-approx", "--resolution", f"{n_alpha}x{n_beta}")
         assert code == EX_OK
-        full = raster((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
         blocks = regions.row_blocks(n_alpha, n_beta)
-        assert len(evaluated) == len(blocks) + 2
-        for k, (alphas, betas, f1, f3) in enumerate(evaluated):
-            rows = np.searchsorted(full.beta_axis, betas[:, 0])
-            if k < len(blocks):
-                assert np.array_equal(rows, np.arange(n_beta)[blocks[k]])
-            assert alphas.tobytes() == full.alpha_axis[None, :].tobytes()
-            assert betas.tobytes() == full.beta_axis[rows, None].tobytes()
-            assert f1.tobytes() == full.f1[rows].tobytes()
-            assert f3.tobytes() == full.f3[rows].tobytes()
+        assert [args[:4] for args in evaluated] == [((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)] * (
+            len(blocks) + 2
+        )
+        assert [args[4] for args in evaluated[:-2]] == blocks
+        betas = cell_centers(0.0, 1.0, n_beta)
+        for which, args in zip(("f1", "f3"), evaluated[-2:]):
+            worst = doc["payload"][which]["worst_cells"]
+            assert [cell["beta"] for cell in worst] == betas[args[4]].tolist()
 
     def test_zero_resolution(self, capsys):
         code, _, _ = run(capsys, "compare-approx", "--resolution", "0")

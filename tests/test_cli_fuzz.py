@@ -4,7 +4,10 @@ a traceback.
 
 The numbers include nan, infinities, signed zeros, subnormals, huge values
 and non-numeric text; ``--dt`` is often ``t_end / N`` moved a few ulps.
-Grids stay at most 8 cells per axis and runs at most 500 RK4 steps.
+Grids stay at most 8 cells per axis, or just over one block of rows
+(``regions.row_blocks``) so that a run spans two, and runs at most 500 RK4
+steps.  A beta range may end at 1e27, where the masses of the top rows
+overflow.
 """
 
 import contextlib
@@ -59,9 +62,15 @@ resolutions = st.one_of(
     st.tuples(side, side).map("x".join),
     st.sampled_from(["0", "-1", "8X8", "x", "2x", "1x2x3", "1.5", "nan"]),
     NON_NUMERIC,
+    # 16386 or 16385 cells: two blocks of rows
+    st.sampled_from(["8193x2", "2x8193", "1x16385"]),
 )
 alphas = mostly(floats_in(0.0, 1.0))
 betas = mostly(floats_in(0.0, 2.0))
+# masses overflow from beta about 4.6e25 on
+beta_ranges = st.integers(min_value=0, max_value=4).flatmap(
+    lambda i: range_in(0.0, 2.0) if i else st.floats(0.0, 1e26).map(lambda lo: f"{lo!r},1e27")
+)
 
 
 def as_float(text):
@@ -109,7 +118,7 @@ commands = st.one_of(
     st.builds(
         lambda a, b, res: ["raster", f"--alpha-range={a}", f"--beta-range={b}",
                            f"--resolution={res}"],
-        range_in(0.0, 1.0), range_in(0.0, 2.0), resolutions,
+        range_in(0.0, 1.0), beta_ranges, resolutions,
     ),
     st.builds(
         lambda which, axis, fixed, method, interval: [

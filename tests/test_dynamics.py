@@ -266,6 +266,21 @@ def test_trajectory_rejects_unordered_times():
         Trajectory([row, row])
 
 
+@pytest.mark.parametrize("times", [[math.nan, math.nan], [0.0, math.nan], [0.0, math.inf]])
+def test_trajectory_rejects_non_finite_times(times):
+    state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
+    rest = [*state.positions.ravel(), *state.velocities.ravel(), 0.0, 0.0]
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory([[t, *rest] for t in times])
+
+
+@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+def test_state_rejects_a_non_finite_time(time):
+    # a NaN start time made every sample time of integrate NaN
+    with pytest.raises(ValueError, match="time must be finite"):
+        SystemState.from_arrays([1.0, 1.0], [[-0.5, 0.0], [0.5, 0.0]], [[0.0, -1.0], [0.0, 1.0]], time)
+
+
 @pytest.mark.parametrize(
     "samples",
     [[], np.zeros((0, 7)), np.zeros(7), np.zeros((2, 6)), np.zeros((2, 9)), np.zeros((1, 7, 1))],

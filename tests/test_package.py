@@ -174,6 +174,6 @@ def test_raster_csv_runs_before_any_command(tmp_path):
         "import trapcc\n"
         "from trapcc.cli import raster_csv\n"
         "grid = trapcc.raster((0.0, 1.0), (0.0, 1.0), 2, 2)\n"
-        "print(len(''.join(raster_csv(grid)).splitlines()))\n"
+        "print(len(raster_csv(grid).splitlines()), len(raster_csv(grid, header=False).splitlines()))\n"
     )
-    assert fresh(tmp_path, script) == "5"
+    assert fresh(tmp_path, script) == "5 4"
