@@ -30,19 +30,13 @@ from trapcc.regions import (
 )
 
 
-def write_sign_raster(grid, values, path):
-    lines = ["alpha,beta,sign"]
-    for i, beta in enumerate(grid.beta_axis):
-        for j, alpha in enumerate(grid.alpha_axis):
-            lines.append(f"{float(alpha)!r},{float(beta)!r},{int(np.sign(values[i, j]))}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_membership(grid, mask, path):
-    lines = ["alpha,beta,member"]
-    for i, beta in enumerate(grid.beta_axis):
-        for j, alpha in enumerate(grid.alpha_axis):
-            lines.append(f"{float(alpha)!r},{float(beta)!r},{int(mask[i, j])}")
+def write_cells(grid, column, values, path):
+    """One line per cell of ``grid``: its alpha, its beta and, under
+    ``column``, ``values[i, j]`` as an integer."""
+    alphas = [repr(alpha) for alpha in grid.alpha_axis.tolist()]
+    lines = [f"alpha,beta,{column}"]
+    for beta, row in zip(grid.beta_axis.tolist(), values.astype(int).tolist()):
+        lines.extend(f"{alpha},{beta!r},{value}" for alpha, value in zip(alphas, row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -69,15 +63,14 @@ def main():
     n = args.resolution
 
     grid = raster((0.0, 1.0), (0.0, 1.0), n, n)
-    write_sign_raster(grid, grid.f1, outdir / "region_f1.csv")
-    write_sign_raster(grid, grid.f3, outdir / "region_f3.csv")
+    write_cells(grid, "sign", np.sign(grid.f1), outdir / "region_f1.csv")
+    write_cells(grid, "sign", np.sign(grid.f3), outdir / "region_f3.csv")
 
-    m_positive = np.isin(
-        grid.labels, [RegionLabel.BOTH_POSITIVE, RegionLabel.ONLY_M_UPPER_POSITIVE]
-    )
-    both = grid.labels == RegionLabel.BOTH_POSITIVE
-    write_membership(grid, m_positive, outdir / "region_m.csv")
-    write_membership(grid, both, outdir / "region_both.csv")
+    code = tuple(RegionLabel).index
+    both = grid.labels == code(RegionLabel.BOTH_POSITIVE)
+    m_positive = both | (grid.labels == code(RegionLabel.ONLY_M_UPPER_POSITIVE))
+    write_cells(grid, "member", m_positive, outdir / "region_m.csv")
+    write_cells(grid, "member", both, outdir / "region_both.csv")
     (outdir / "raster_full.csv").write_text(raster_csv(grid))
 
     write_boundary("f1", outdir / "boundary_f1.csv")

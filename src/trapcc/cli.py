@@ -271,8 +271,10 @@ def raster_csv(grid, header: bool = True) -> str:
 
     The alphas are formatted once, and each row's values become Python
     floats in one ``.tolist()``; ``repr`` of a Python float is what
-    :func:`fnum` writes.
+    :func:`fnum` writes.  A label code indexes the labels' values.
     """
+    _load("masses")
+    values = [label.value for label in RegionLabel]
     alphas = [repr(alpha) for alpha in grid.alpha_axis.tolist()]
     lines = [f"{RASTER_CSV_HEADER}\n"] if header else []
     for i, beta in enumerate(map(repr, grid.beta_axis.tolist())):
@@ -285,8 +287,8 @@ def raster_csv(grid, header: bool = True) -> str:
             grid.labels[i].tolist(),
         )
         lines.append("".join(
-            f"{alpha},{beta},{f1!r},{f3!r},{m!r},{M!r},{label.value}\n"
-            for alpha, f1, f3, m, M, label in row
+            f"{alpha},{beta},{f1!r},{f3!r},{m!r},{M!r},{values[code]}\n"
+            for alpha, f1, f3, m, M, code in row
         ))
     return "".join(lines)
 
@@ -296,7 +298,7 @@ def cmd_raster(args) -> int:
     alpha_range = _parse_range(args.alpha_range, "--alpha-range")
     beta_range = _parse_range(args.beta_range, "--beta-range")
     n_alpha, n_beta = _parse_resolution(args.resolution)
-    counts = dict.fromkeys(RegionLabel, 0)
+    counts = 0  # an array from the first block on: numpy loads in raster, not here
     # one block of rows is held at a time: evaluated, written, counted, dropped
     for rows in row_blocks(n_alpha, n_beta):
         try:
@@ -306,9 +308,10 @@ def cmd_raster(args) -> int:
         except OverflowError:
             raise UsageError("the sign functions overflow: --beta-range too large")
         write_text(args.out, raster_csv(block, header=rows.start == 0), append=rows.start > 0)
-        for label in RegionLabel:
-            counts[label] += int(np.count_nonzero(block.labels == label))
-    label_counts = {label.value: count for label, count in counts.items() if count}
+        counts += np.bincount(block.labels.ravel(), minlength=len(RegionLabel))
+    label_counts = {
+        label.value: count for label, count in zip(RegionLabel, counts.tolist()) if count
+    }
     meta = envelope(
         "raster",
         {

@@ -150,28 +150,23 @@ def solve_masses_linear(params: TrapezoidParams) -> tuple[float, float]:
     return float(m), float(M)
 
 
-# indexed by (m > 0) + 2 * (M > 0)
-_LABELS_BY_SIGNS = (
-    RegionLabel.NONE_POSITIVE,
-    RegionLabel.ONLY_M_UPPER_POSITIVE,
-    RegionLabel.ONLY_M_LOWER_POSITIVE,
-    RegionLabel.BOTH_POSITIVE,
-)
-
-
-def region_label(m, M):
+def region_code(m, M):
     """The region of the upper-pair mass ``m`` and the lower-pair mass
-    ``M``, decided by the signs ``m > 0`` and ``M > 0`` alone.
+    ``M`` as its position in ``tuple(RegionLabel)``, decided by the signs
+    ``m > 0`` and ``M > 0`` alone.
 
-    The one coding of the partition: Python floats give a RegionLabel
-    without touching numpy, arrays give an object array of them, element
-    by element.  Zero, negative zero and NaN count as not positive.  The
-    DEGENERATE label is the caller's, since masses do not show it.
+    The one coding of the partition: Python floats give an int without
+    touching numpy, arrays give an ``int8`` array, element by element.
+    Zero, negative zero and NaN count as not positive.  The DEGENERATE
+    code, 4, is the caller's, since masses do not show it.
     """
-    index = (m > 0.0) + 2 * (M > 0.0)
-    if isinstance(index, int):
-        return _LABELS_BY_SIGNS[index]
-    return np.array(_LABELS_BY_SIGNS, dtype=object)[index]
+    code = 3 - (m > 0.0) - 2 * (M > 0.0)
+    return code if isinstance(code, int) else code.astype(np.int8)
+
+
+def region_label(m, M) -> RegionLabel:
+    """The RegionLabel of scalar masses ``m`` and ``M``: see :func:`region_code`."""
+    return tuple(RegionLabel)[region_code(m, M)]
 
 
 def classify(params: TrapezoidParams) -> RegionLabel:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from ._numpy import np
 from .geometry import distance_cubes_values
-from .masses import RegionLabel, is_degenerate, mass_values, region_label, sign_values
+from .masses import RegionLabel, is_degenerate, mass_values, region_code, sign_values
 
 BISECTION_XTOL = 1e-12
 AUDIT_SAMPLES = 1999
@@ -367,7 +367,8 @@ def audit_published_domains() -> DomainAudit:
 class RasterGrid:
     """Cell-centred classification of beta rows of a rectangle of the
     parameter plane: the rows' betas, the exact sign functions f1 and f3,
-    the masses, and ``labels``, which holds RegionLabel members.
+    the masses, and ``labels``, which holds ``int8`` region codes: each
+    cell's RegionLabel is ``tuple(RegionLabel)[code]``.
 
     Arrays are indexed [beta_row, alpha_column]; beta is the vertical axis
     of the reproduced figures.
@@ -420,7 +421,7 @@ def raster(
 ) -> RasterGrid:
     """Classify the beta rows ``rows`` (a slice or an array of row indices;
     default all) of a cell-centred grid of the parameter rectangle.
-    Degenerate cells get ``nan`` masses and the DEGENERATE label.
+    Degenerate cells get ``nan`` masses and the DEGENERATE code.
 
     Alpha goes in as a row and beta as a column, so a cell gets the same
     bits whichever rows are evaluated with it.
@@ -441,8 +442,8 @@ def raster(
         raise OverflowError(f"the sign functions overflow: {err}") from None
     m = np.where(degenerate, np.nan, m[:-1])
     M = np.where(degenerate, np.nan, M[:-1])
-    labels = region_label(m, M)
-    labels[degenerate] = RegionLabel.DEGENERATE
+    labels = region_code(m, M)
+    labels[degenerate] = tuple(RegionLabel).index(RegionLabel.DEGENERATE)
     return RasterGrid(
         alpha_axis=alphas,
         beta_axis=block,

@@ -250,10 +250,11 @@ def test_criterion_05_region_set_identities_on_raster():
     set, cell for cell."""
     start = time.perf_counter()
     grid = raster((0.0, 1.0), (0.0, 1.0), 400, 400)
-    both = grid.labels == RegionLabel.BOTH_POSITIVE
+    code = tuple(RegionLabel).index
+    both = grid.labels == code(RegionLabel.BOTH_POSITIVE)
     predicted_both = (grid.f1 < 0) & (grid.f3 < 0)
     m_positive = np.isin(
-        grid.labels, [RegionLabel.BOTH_POSITIVE, RegionLabel.ONLY_M_UPPER_POSITIVE]
+        grid.labels, [code(RegionLabel.BOTH_POSITIVE), code(RegionLabel.ONLY_M_UPPER_POSITIVE)]
     )
     predicted_m = ((grid.f1 < 0) & (grid.f3 < 0)) | ((grid.f1 > 0) & (grid.f3 > 0))
     elapsed = time.perf_counter() - start

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from trapcc.cli import (
     main,
 )
 from trapcc.geometry import TrapezoidParams
-from trapcc.masses import solve_masses
+from trapcc.masses import RegionLabel, solve_masses
 from trapcc.regions import (
     bisect,
     cell_centers,
@@ -326,6 +327,7 @@ class TestRaster:
     def reference_csv(grid):
         """The per-cell writer that the row-wise one replaced, kept as the
         byte reference."""
+        labels = tuple(RegionLabel)
         lines = [RASTER_CSV_HEADER]
         for i, beta in enumerate(grid.beta_axis):
             for j, alpha in enumerate(grid.alpha_axis):
@@ -338,7 +340,7 @@ class TestRaster:
                             fnum(grid.f3[i, j]),
                             fnum(grid.m[i, j]),
                             fnum(grid.M[i, j]),
-                            grid.labels[i, j].value,
+                            labels[grid.labels[i, j]].value,
                         )
                     )
                 )
@@ -377,6 +379,34 @@ class TestRaster:
     def test_degenerate_row_matches_per_cell_reference(self, capsys, tmp_path):
         text = self.assert_matches_reference(capsys, tmp_path, *degenerate_row_grid())
         assert ",nan,nan,Degenerate\n" in text
+
+    @pytest.mark.parametrize(
+        "grid", [((0.0, 1.0), (0.0, 1.0), 20000, 2), degenerate_row_grid()],
+        ids=["20000x2", "12x9-degenerate-row"],
+    )
+    def test_label_counts_count_the_csv_labels(self, capsys, tmp_path, grid):
+        # stdout and the sidecar carry the same counts, in RegionLabel
+        # order, without zero entries, summed over every block
+        alpha_range, beta_range, n_alpha, n_beta = grid
+        out = tmp_path / "grid.csv"
+        code, doc, _ = run_json(
+            capsys,
+            "raster",
+            "--alpha-range", "%r,%r" % alpha_range,
+            "--beta-range", "%r,%r" % beta_range,
+            "--resolution", f"{n_alpha}x{n_beta}",
+            "--out", str(out),
+        )
+        assert code == EX_OK
+        column = Counter(row.rsplit(",", 1)[1] for row in out.read_text().splitlines()[1:])
+        expected = {
+            label.value: column.pop(label.value) for label in RegionLabel if label.value in column
+        }
+        assert not column and len(expected) > 1
+        sidecar = json.loads(out.with_name(out.name + ".meta.json").read_text())
+        for payload in (doc["payload"], sidecar["payload"]):
+            assert list(payload["label_counts"].items()) == list(expected.items())
+            assert sum(payload["label_counts"].values()) == payload["rows"] == n_alpha * n_beta
 
     @pytest.mark.parametrize(
         "grid",

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import trapcc
 from trapcc.regions import audit_published_domains, compare_exact_vs_approx
 
@@ -15,7 +17,10 @@ FILES = [
 ]
 
 
-def test_figure_script_writes_its_files_and_the_library_report(tmp_path):
+@pytest.fixture(scope="module")
+def outdir(tmp_path_factory):
+    """The figure script's output directory at --resolution 6."""
+    tmp_path = tmp_path_factory.mktemp("figure_data")
     outdir = tmp_path / "figures"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "make_figure_data.py"),
@@ -23,6 +28,16 @@ def test_figure_script_writes_its_files_and_the_library_report(tmp_path):
         capture_output=True, text=True, env={"PYTHONPATH": SRC}, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
+    return outdir
+
+
+def rows_of(path):
+    """The header and the data rows, split into fields, of a CSV file."""
+    header, *rows = path.read_text().splitlines()
+    return header, [row.split(",") for row in rows]
+
+
+def test_figure_script_writes_its_files_and_the_library_report(outdir):
     assert sorted(p.name for p in outdir.iterdir()) == sorted(FILES)
     assert len((outdir / "raster_full.csv").read_text().splitlines()) == 1 + 6 * 6
 
@@ -39,3 +54,28 @@ def test_figure_script_writes_its_files_and_the_library_report(tmp_path):
     report = json.loads((outdir / "approx_report.json").read_text())
     assert list(report) == list(expected)
     assert report == expected
+
+
+def test_region_files_agree_with_the_full_raster(outdir):
+    # alpha,beta,f1,f3,m,M,label
+    _, full = rows_of(outdir / "raster_full.csv")
+    labels = [row[6] for row in full]
+    assert len(set(labels)) >= 3
+
+    def sign(text):
+        value = float(text)
+        return (value > 0.0) - (value < 0.0)
+
+    expected = {
+        "region_f1.csv": ("sign", [sign(row[2]) for row in full]),
+        "region_f3.csv": ("sign", [sign(row[3]) for row in full]),
+        "region_m.csv": (
+            "member", [int(label in ("BothPositive", "OnlyMUpperPositive")) for label in labels]
+        ),
+        "region_both.csv": ("member", [int(label == "BothPositive") for label in labels]),
+    }
+    for name, (column, values) in expected.items():
+        header, rows = rows_of(outdir / name)
+        assert header == f"alpha,beta,{column}", name
+        assert [row[:2] for row in rows] == [row[:2] for row in full], name
+        assert [int(row[2]) for row in rows] == values, name

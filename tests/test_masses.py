@@ -10,6 +10,7 @@ from trapcc.masses import (
     DegenerateConfigurationError,
     RegionLabel,
     classify,
+    region_code,
     region_label,
     sign_values,
     solve_masses,
@@ -214,7 +215,8 @@ class TestRegionLabel:
         pairs = [(m, M) for m in self.VALUES for M in self.VALUES]
         ms = np.array([m for m, _ in pairs]).reshape(9, 9)
         Ms = np.array([M for _, M in pairs]).reshape(9, 9)
-        labels = region_label(ms, Ms)
-        assert labels.shape == (9, 9) and labels.dtype == object
-        for label, (m, M) in zip(labels.ravel(), pairs):
-            assert label is region_label(m, M)
+        codes = region_code(ms, Ms)
+        assert codes.shape == (9, 9) and codes.dtype == np.int8
+        for code, (m, M) in zip(codes.ravel().tolist(), pairs):
+            assert tuple(RegionLabel)[code] is region_label(m, M)
+            assert type(region_code(m, M)) is int and region_code(m, M) == code

@@ -27,6 +27,9 @@ from trapcc.regions import (
     trace_boundary,
 )
 
+# a RasterGrid label code is a position in this tuple
+LABELS = tuple(RegionLabel)
+
 
 class TestApproxFunctions:
     def test_f1_approx_constant_term(self):
@@ -179,29 +182,29 @@ class TestRaster:
         assert np.allclose(grid.beta_axis, [0.25, 0.75])
         for i, beta in enumerate(grid.beta_axis):
             for j, alpha in enumerate(grid.alpha_axis):
-                assert grid.labels[i, j] is classify(TrapezoidParams(alpha, beta))
+                assert LABELS[grid.labels[i, j]] is classify(TrapezoidParams(alpha, beta))
 
     def test_cell_at_known_both_positive_point(self):
         grid = raster((0.0, 1.0), (0.5, 1.5), 1, 1)
         assert grid.alpha_axis[0] == 0.5 and grid.beta_axis[0] == 1.0
-        assert grid.labels[0, 0] is RegionLabel.BOTH_POSITIVE
+        assert LABELS[grid.labels[0, 0]] is RegionLabel.BOTH_POSITIVE
 
     def test_cell_at_known_negative_point(self):
         grid = raster((0.0, 1.0), (0.0, 1.0), 1, 1)
         assert grid.alpha_axis[0] == 0.5 and grid.beta_axis[0] == 0.5
-        assert grid.labels[0, 0] is not RegionLabel.BOTH_POSITIVE
+        assert LABELS[grid.labels[0, 0]] is not RegionLabel.BOTH_POSITIVE
 
     def test_labels_match_pointwise_classify(self):
         grid = raster((0.0, 1.0), (0.0, 2.0), 12, 12)
         for i, beta in enumerate(grid.beta_axis):
             for j, alpha in enumerate(grid.alpha_axis):
-                assert grid.labels[i, j] is classify(TrapezoidParams(alpha, beta))
+                assert LABELS[grid.labels[i, j]] is classify(TrapezoidParams(alpha, beta))
 
     def test_values_equal_meshgrid_evaluation(self):
         # raster evaluates on a row of alphas and a column of betas; every
         # cell must keep the bits of the full-meshgrid evaluation
         grid = raster((0.05, 0.95), (0.1, 1.4), 97, 61)
-        assert not (grid.labels == RegionLabel.DEGENERATE).any()
+        assert not (grid.labels == LABELS.index(RegionLabel.DEGENERATE)).any()
         grid_a, grid_b = np.meshgrid(grid.alpha_axis, grid.beta_axis)
         a, b = distance_cubes_values(grid_a, grid_b)
         m, M, f1, _, f3 = mass_values(a, b, grid_a)
@@ -210,17 +213,18 @@ class TestRaster:
 
     def test_region_set_identities(self):
         grid = raster((0.0, 1.0), (0.0, 1.0), 100, 100)
-        both = grid.labels == RegionLabel.BOTH_POSITIVE
+        both = grid.labels == LABELS.index(RegionLabel.BOTH_POSITIVE)
         assert np.array_equal(both, (grid.f1 < 0) & (grid.f3 < 0))
         m_positive = np.isin(
-            grid.labels, [RegionLabel.BOTH_POSITIVE, RegionLabel.ONLY_M_UPPER_POSITIVE]
+            grid.labels, [LABELS.index(RegionLabel.BOTH_POSITIVE),
+                          LABELS.index(RegionLabel.ONLY_M_UPPER_POSITIVE)]
         )
         same_sign = ((grid.f1 < 0) & (grid.f3 < 0)) | ((grid.f1 > 0) & (grid.f3 > 0))
         assert np.array_equal(m_positive, same_sign)
 
     def test_both_positive_cells_sit_above_half_beta(self):
         grid = raster((0.0, 1.0), (0.0, 1.0), 400, 400)
-        both = grid.labels == RegionLabel.BOTH_POSITIVE
+        both = grid.labels == LABELS.index(RegionLabel.BOTH_POSITIVE)
         assert both.any()
         rows_with_hits = np.any(both, axis=1)
         assert float(grid.beta_axis[rows_with_hits].min()) > 0.5
