@@ -21,7 +21,7 @@ import pathlib
 import numpy as np
 
 from trapcc.cli import raster_csv
-from trapcc.masses import RegionLabel
+from trapcc.masses import REGION_LABELS, RegionLabel
 from trapcc.regions import (
     audit_published_domains,
     compare_exact_vs_approx,
@@ -66,7 +66,7 @@ def main():
     write_cells(grid, "sign", np.sign(grid.f1), outdir / "region_f1.csv")
     write_cells(grid, "sign", np.sign(grid.f3), outdir / "region_f3.csv")
 
-    code = tuple(RegionLabel).index
+    code = REGION_LABELS.index
     both = grid.labels == code(RegionLabel.BOTH_POSITIVE)
     m_positive = both | (grid.labels == code(RegionLabel.ONLY_M_UPPER_POSITIVE))
     write_cells(grid, "member", m_positive, outdir / "region_m.csv")

@@ -34,10 +34,9 @@ _NAMES = {
     ),
     "regions": (
         "ApproxReport", "BoundaryCurve", "BoundarySample", "DomainAudit",
-        "NegativeDiscriminantError", "NegativeRadicandError", "RasterGrid", "RootSearch",
-        "audit_published_domains", "compare_exact_vs_approx", "exact_boundary", "exact_f1",
-        "exact_f3", "f1_approx", "f3_approx", "g1_published", "g3_published", "raster",
-        "trace_boundary",
+        "NegativeDiscriminantError", "NegativeRadicandError", "RasterGrid",
+        "audit_published_domains", "compare_exact_vs_approx", "exact_f1", "exact_f3",
+        "f1_approx", "f3_approx", "g1_published", "g3_published", "raster", "trace_boundary",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}

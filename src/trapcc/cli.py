@@ -32,7 +32,7 @@ from ._numpy import default_one_blas_thread, np
 _NAMES = {
     "geometry": ("TrapezoidParams", "build_configuration"),
     "masses": (
-        "DegenerateConfigurationError", "RegionLabel", "region_label", "solve_masses",
+        "DegenerateConfigurationError", "REGION_LABELS", "region_label", "solve_masses",
         "classify",  # not called here, but perfbench/spans.py wraps cli.classify
     ),
     "oracle": (
@@ -274,7 +274,7 @@ def raster_csv(grid, header: bool = True) -> str:
     :func:`fnum` writes.  A label code indexes the labels' values.
     """
     _load("masses")
-    values = [label.value for label in RegionLabel]
+    values = [label.value for label in REGION_LABELS]
     alphas = [repr(alpha) for alpha in grid.alpha_axis.tolist()]
     lines = [f"{RASTER_CSV_HEADER}\n"] if header else []
     for i, beta in enumerate(map(repr, grid.beta_axis.tolist())):
@@ -308,9 +308,9 @@ def cmd_raster(args) -> int:
         except OverflowError:
             raise UsageError("the sign functions overflow: --beta-range too large")
         write_text(args.out, raster_csv(block, header=rows.start == 0), append=rows.start > 0)
-        counts += np.bincount(block.labels.ravel(), minlength=len(RegionLabel))
+        counts += np.bincount(block.labels.ravel(), minlength=len(REGION_LABELS))
     label_counts = {
-        label.value: count for label, count in zip(RegionLabel, counts.tolist()) if count
+        label.value: count for label, count in zip(REGION_LABELS, counts.tolist()) if count
     }
     meta = envelope(
         "raster",

@@ -52,19 +52,16 @@ class CollisionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SystemState:
-    """Initial data of an integration: finite masses ``(N,)``, positions and
-    velocities ``(N, 2)``, N >= 2, and the finite time.  Build it with
+    """Initial data of an integration at t = 0: finite masses ``(N,)``,
+    positions and velocities ``(N, 2)``, N >= 2.  Build it with
     :meth:`from_arrays`."""
 
     masses: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
-    time: float
 
     def __post_init__(self):
         _check_bodies(self.masses, self.positions, self.velocities)
-        if not math.isfinite(self.time):
-            raise ValueError(f"time must be finite, got {self.time!r}")
         coords = self.positions.ravel().tolist()
         for (i, j), d in zip(_pairs(len(self.masses)), _pair_distances(coords).tolist()):
             if d < COLLISION_TOL:
@@ -73,12 +70,11 @@ class SystemState:
                 )
 
     @classmethod
-    def from_arrays(cls, masses, positions, velocities, time: float) -> "SystemState":
+    def from_arrays(cls, masses, positions, velocities) -> "SystemState":
         return cls(
             masses=_read_only(masses),
             positions=_read_only(positions),
             velocities=_read_only(velocities),
-            time=float(time),
         )
 
 
@@ -170,7 +166,7 @@ def init_relative_equilibrium(params: TrapezoidParams, force: bool = False) -> S
     omega = 1.0
     velocities = omega * np.stack([-positions[:, 1], positions[:, 0]], axis=1)
     masses = np.array([solution.M, solution.m, solution.m, solution.M])
-    return SystemState.from_arrays(masses, positions, velocities, time=0.0)
+    return SystemState.from_arrays(masses, positions, velocities)
 
 
 def integrate(
@@ -216,7 +212,7 @@ def integrate(
         p, v = np.reshape(pos, (-1, 2)), np.reshape(vel, (-1, 2))
         energy = total_energy(initial.masses, p, v)
         angular_momentum = total_angular_momentum(initial.masses, p, v)
-        rows.append([initial.time + time, *pos, *vel, energy, angular_momentum])
+        rows.append([time, *pos, *vel, energy, angular_momentum])
 
     record(0.0)
 

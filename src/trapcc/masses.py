@@ -47,6 +47,10 @@ class RegionLabel(Enum):
     DEGENERATE = "Degenerate"
 
 
+# the labels in enum order: a region code is a position in this tuple
+REGION_LABELS = tuple(RegionLabel)
+
+
 @dataclass(frozen=True)
 class MassSolution:
     """Masses of the two pairs and the numbers they are solved from.
@@ -152,7 +156,7 @@ def solve_masses_linear(params: TrapezoidParams) -> tuple[float, float]:
 
 def region_code(m, M):
     """The region of the upper-pair mass ``m`` and the lower-pair mass
-    ``M`` as its position in ``tuple(RegionLabel)``, decided by the signs
+    ``M`` as its position in ``REGION_LABELS``, decided by the signs
     ``m > 0`` and ``M > 0`` alone.
 
     The one coding of the partition: Python floats give an int without
@@ -166,7 +170,7 @@ def region_code(m, M):
 
 def region_label(m, M) -> RegionLabel:
     """The RegionLabel of scalar masses ``m`` and ``M``: see :func:`region_code`."""
-    return tuple(RegionLabel)[region_code(m, M)]
+    return REGION_LABELS[region_code(m, M)]
 
 
 def classify(params: TrapezoidParams) -> RegionLabel:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._numpy import np
-from .geometry import distance_cubes_values
-from .masses import RegionLabel, is_degenerate, mass_values, region_code, sign_values
+from .geometry import BETA_MAX, distance_cubes_values
+from .masses import REGION_LABELS, RegionLabel, is_degenerate, mass_values, region_code, sign_values
 
 BISECTION_XTOL = 1e-12
 AUDIT_SAMPLES = 1999
@@ -153,19 +153,11 @@ def g3_published(beta: float) -> float:
     return math.sqrt(radicand)
 
 
-@dataclass(frozen=True)
-class RootSearch:
-    """Outcome of a bracketed root search: ``root`` is None when the
-    endpoint values ``f_lo`` / ``f_hi`` do not change sign."""
-
-    root: float | None
-    f_root: float | None
-    f_lo: float
-    f_hi: float
-
-
-def bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float = BISECTION_XTOL) -> RootSearch:
-    """Plain bisection, refined until the bracket is below ``xtol``.
+def bisect(
+    f: Callable[[float], float], lo: float, hi: float, xtol: float = BISECTION_XTOL
+) -> float | None:
+    """Plain bisection, refined until the bracket is below ``xtol``: the
+    root as a float, or None when ``f(lo)`` and ``f(hi)`` have one sign.
 
     Raises ValueError on an invalid interval, or when ``f`` is NaN at an
     endpoint (a NaN has no sign to bracket a root with).
@@ -177,11 +169,11 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float = BISE
     if math.isnan(f_lo) or math.isnan(f_hi):
         raise ValueError(f"f is NaN at an endpoint of [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}")
     if f_lo == 0.0:
-        return RootSearch(root=lo, f_root=0.0, f_lo=f_lo, f_hi=f_hi)
+        return lo
     if f_hi == 0.0:
-        return RootSearch(root=hi, f_root=0.0, f_lo=f_lo, f_hi=f_hi)
+        return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
-        return RootSearch(root=None, f_root=None, f_lo=f_lo, f_hi=f_hi)
+        return None
     a, b, fa = lo, hi, f_lo
     while b - a > xtol:
         mid = 0.5 * (a + b)
@@ -189,42 +181,15 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float = BISE
             break
         fm = f(mid)
         if fm == 0.0:
-            return RootSearch(root=mid, f_root=0.0, f_lo=f_lo, f_hi=f_hi)
+            return mid
         if (fa > 0.0) == (fm > 0.0):
             a, fa = mid, fm
         else:
             b = mid
-    root = 0.5 * (a + b)
-    return RootSearch(root=root, f_root=f(root), f_lo=f_lo, f_hi=f_hi)
+    return 0.5 * (a + b)
 
 
 _EXACT_FUNCTIONS = {"f1": exact_f1, "f3": exact_f3}
-
-
-def exact_boundary(
-    which: str,
-    fixed_axis: str,
-    fixed_value: float,
-    search_interval: tuple[float, float],
-) -> RootSearch:
-    """Bisection root of the exact f1 or f3 along one axis.
-
-    ``fixed_axis`` names the axis held constant ('alpha' or 'beta'); the
-    search runs over the other axis on ``search_interval``.  Returns a
-    no-sign-change result (root None, endpoint values filled in) when the
-    bracket does not straddle a zero.
-    """
-    if which not in _EXACT_FUNCTIONS:
-        raise ValueError(f"unknown sign function {which!r}; expected 'f1' or 'f3'")
-    if fixed_axis not in ("alpha", "beta"):
-        raise ValueError(f"unknown axis {fixed_axis!r}; expected 'alpha' or 'beta'")
-    func = _EXACT_FUNCTIONS[which]
-    if fixed_axis == "alpha":
-        line = lambda beta: float(func(fixed_value, beta))
-    else:
-        line = lambda alpha: float(func(alpha, fixed_value))
-    lo, hi = search_interval
-    return bisect(line, float(lo), float(hi))
 
 
 @dataclass(frozen=True)
@@ -254,8 +219,9 @@ def trace_boundary(
 ) -> BoundaryCurve:
     """Boundary samples for a list of fixed coordinates.
 
-    With method='exact' each sample is a bisection root along the free
-    axis (default search interval: the full domain of that axis).  With
+    With method='exact' each sample is a :func:`bisect` root along the
+    free axis (default search interval: the full domain of that axis) and
+    the exact sign function there.  With
     method='published' the printed g1/g3 formulas are evaluated (fixed
     axis must be beta since they give alpha as a function of beta); the
     f_value recorded is the EXACT sign function at the published point,
@@ -263,49 +229,37 @@ def trace_boundary(
     """
     if which not in _EXACT_FUNCTIONS:
         raise ValueError(f"unknown sign function {which!r}; expected 'f1' or 'f3'")
+    if fixed_axis not in ("alpha", "beta"):
+        raise ValueError(f"unknown axis {fixed_axis!r}; expected 'alpha' or 'beta'")
+    exact = _EXACT_FUNCTIONS[which]
     samples = []
     if method == "exact":
         if search_interval is None:
-            search_interval = (1e-6, 1.0) if fixed_axis == "beta" else (1e-6, 2.0)
+            search_interval = (1e-6, 1.0) if fixed_axis == "beta" else (1e-6, BETA_MAX)
+        lo, hi = map(float, search_interval)
         for fixed in fixed_values:
-            result = exact_boundary(which, fixed_axis, fixed, search_interval)
-            if result.root is None:
-                samples.append(
-                    BoundarySample(fixed=fixed, root=None, f_value=None, status="no_sign_change")
-                )
+            if fixed_axis == "alpha":
+                line = lambda beta: float(exact(fixed, beta))
             else:
-                samples.append(
-                    BoundarySample(
-                        fixed=fixed, root=result.root, f_value=result.f_root, status="ok"
-                    )
-                )
+                line = lambda alpha: float(exact(alpha, fixed))
+            root = bisect(line, lo, hi)
+            samples.append(
+                BoundarySample(fixed, None, None, "no_sign_change") if root is None
+                else BoundarySample(fixed, root, line(root), "ok")
+            )
         return BoundaryCurve(samples=tuple(samples), method="exact-rootfind")
     if method == "published":
         if fixed_axis != "beta":
             raise ValueError("published boundaries give alpha as a function of beta")
         formula = g1_published if which == "f1" else g3_published
-        exact = _EXACT_FUNCTIONS[which]
         for beta in fixed_values:
             try:
                 alpha = formula(beta)
             except ApproxDomainError as err:
-                samples.append(
-                    BoundarySample(
-                        fixed=beta,
-                        root=None,
-                        f_value=None,
-                        status=f"domain_error:{type(err).__name__}",
-                    )
-                )
+                sample = BoundarySample(beta, None, None, f"domain_error:{type(err).__name__}")
             else:
-                samples.append(
-                    BoundarySample(
-                        fixed=beta,
-                        root=alpha,
-                        f_value=float(exact(alpha, beta)),
-                        status="ok",
-                    )
-                )
+                sample = BoundarySample(beta, alpha, float(exact(alpha, beta)), "ok")
+            samples.append(sample)
         return BoundaryCurve(samples=tuple(samples), method="published-approximation")
     raise ValueError(f"unknown method {method!r}; expected 'exact' or 'published'")
 
@@ -368,7 +322,7 @@ class RasterGrid:
     """Cell-centred classification of beta rows of a rectangle of the
     parameter plane: the rows' betas, the exact sign functions f1 and f3,
     the masses, and ``labels``, which holds ``int8`` region codes: each
-    cell's RegionLabel is ``tuple(RegionLabel)[code]``.
+    cell's RegionLabel is ``REGION_LABELS[code]``.
 
     Arrays are indexed [beta_row, alpha_column]; beta is the vertical axis
     of the reproduced figures.
@@ -443,7 +397,7 @@ def raster(
     m = np.where(degenerate, np.nan, m[:-1])
     M = np.where(degenerate, np.nan, M[:-1])
     labels = region_code(m, M)
-    labels[degenerate] = tuple(RegionLabel).index(RegionLabel.DEGENERATE)
+    labels[degenerate] = REGION_LABELS.index(RegionLabel.DEGENERATE)
     return RasterGrid(
         alpha_axis=alphas,
         beta_axis=block,

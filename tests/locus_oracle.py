@@ -83,12 +83,12 @@ def locus_beta(alpha):
     lo, hi = LOCUS_BRACKET
     dziobek = bisect(lambda beta: dziobek_defect(alpha, beta), lo, hi, xtol=0.0)
     determinant = bisect(lambda beta: inner_pair_consistency(alpha, beta), lo, hi, xtol=0.0)
-    if dziobek.root is None or determinant.root is None:
+    if dziobek is None or determinant is None:
         raise ValueError(f"no locus crossing in beta in {LOCUS_BRACKET} at alpha = {alpha}")
-    gap = abs(dziobek.root - determinant.root)
-    if gap > LOCUS_AGREEMENT_ULPS * np.spacing(determinant.root):
+    gap = abs(dziobek - determinant)
+    if gap > LOCUS_AGREEMENT_ULPS * np.spacing(determinant):
         raise AssertionError(
             f"locus codings disagree at alpha = {alpha}: Dziobek beta* = "
-            f"{dziobek.root!r}, determinant beta* = {determinant.root!r}"
+            f"{dziobek!r}, determinant beta* = {determinant!r}"
         )
-    return determinant.root
+    return determinant

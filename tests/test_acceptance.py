@@ -282,12 +282,12 @@ def test_criterion_06_f2_always_negative():
 def test_criterion_07_exact_boundary_bracket():
     """Bisection on exact f1 at alpha = 0.5 over beta in [0.5, 1] lands in
     [0.86, 0.88] with |f1| <= 1e-10 at the root."""
-    result = bisect(lambda beta: float(exact_f1(0.5, beta)), 0.5, 1.0)
-    assert result.root is not None
-    residual = abs(exact_f1(0.5, result.root))
-    ok = 0.86 <= result.root <= 0.88 and residual <= 1e-10
-    report(7, ok, f"root beta* = {result.root:.10f}, |f1| = {residual:.3e}")
-    assert 0.86 <= result.root <= 0.88
+    root = bisect(lambda beta: float(exact_f1(0.5, beta)), 0.5, 1.0)
+    assert root is not None
+    residual = abs(exact_f1(0.5, root))
+    ok = 0.86 <= root <= 0.88 and residual <= 1e-10
+    report(7, ok, f"root beta* = {root:.10f}, |f1| = {residual:.3e}")
+    assert 0.86 <= root <= 0.88
     assert residual <= 1e-10
 
 
@@ -390,7 +390,7 @@ def test_criterion_10_negative_control():
     positions = np.array(config.positions)
     velocities = np.stack([-positions[:, 1], positions[:, 0]], axis=1)
     state = SystemState.from_arrays(
-        np.array([solution.M, m_pert, m_pert, solution.M]), positions, velocities, 0.0
+        np.array([solution.M, m_pert, m_pert, solution.M]), positions, velocities
     )
     metrics, _, _ = one_period(state)
     ok = result.max_residual > 1e-3 and metrics.max_distance_deviation > 1e-3

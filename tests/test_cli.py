@@ -56,8 +56,7 @@ def run_json(capsys, *argv):
 
 
 def degenerate_beta(alpha=0.9):
-    found = bisect(lambda beta: float(exact_f3(alpha, beta)), 0.1, 1.0, xtol=0.0)
-    return found.root
+    return bisect(lambda beta: float(exact_f3(alpha, beta)), 0.1, 1.0, xtol=0.0)
 
 
 def degenerate_row_grid():

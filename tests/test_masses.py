@@ -28,9 +28,9 @@ params_st = st.builds(
 def degenerate_params(alpha=0.9):
     """A parameter point on the f3 = 0 curve, located by bisection refined
     to the last representable bracket."""
-    found = bisect(lambda beta: float(exact_f3(alpha, beta)), 0.1, 1.0, xtol=0.0)
-    assert found.root is not None
-    return TrapezoidParams(alpha, found.root)
+    root = bisect(lambda beta: float(exact_f3(alpha, beta)), 0.1, 1.0, xtol=0.0)
+    assert root is not None
+    return TrapezoidParams(alpha, root)
 
 
 def signs_at(params):

@@ -210,10 +210,10 @@ class TestTrapezoidFamily:
             assert abs(defect[3, 0]) <= 1e-12 * np.abs(acc).max()
 
     def test_centrality_on_consistency_locus(self):
-        found = bisect(lambda beta: inner_pair_consistency(0.5, beta), 0.5, 1.5, xtol=0.0)
-        assert found.root is not None
-        assert found.root == pytest.approx(0.8771966348582857, abs=1e-9)
-        params = TrapezoidParams(0.5, found.root)
+        root = bisect(lambda beta: inner_pair_consistency(0.5, beta), 0.5, 1.5, xtol=0.0)
+        assert root is not None
+        assert root == pytest.approx(0.8771966348582857, abs=1e-9)
+        params = TrapezoidParams(0.5, root)
         solution = solve_masses(params)
         assert solution.m > 0 and solution.M > 0
         verdict, report = is_central_configuration(trapezoid_system(params, solution.m, solution.M))

@@ -38,10 +38,9 @@ SURFACE = {
     ],
     "regions": [
         "ApproxReport", "BoundaryCurve", "BoundarySample", "DomainAudit",
-        "NegativeDiscriminantError", "NegativeRadicandError", "RasterGrid", "RootSearch",
-        "audit_published_domains", "compare_exact_vs_approx", "exact_boundary", "exact_f1",
-        "exact_f3", "f1_approx", "f3_approx", "g1_published", "g3_published", "raster",
-        "trace_boundary",
+        "NegativeDiscriminantError", "NegativeRadicandError", "RasterGrid",
+        "audit_published_domains", "compare_exact_vs_approx", "exact_f1", "exact_f3",
+        "f1_approx", "f3_approx", "g1_published", "g3_published", "raster", "trace_boundary",
     ],
 }
 PUBLIC = [name for names in SURFACE.values() for name in names]
@@ -59,7 +58,7 @@ def fresh(tmp_path, script: str) -> str:
 
 def test_all_lists_the_same_names_in_the_same_order():
     assert trapcc.__all__ == ["__version__", *PUBLIC]
-    assert len(trapcc.__all__) == 45
+    assert len(trapcc.__all__) == 43
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in SURFACE.items() for n in names])
@@ -141,6 +140,39 @@ def test_every_tracer_wrap_point_resolves(tmp_path):
         "print('ok')\n"
     )
     assert fresh(tmp_path, script) == "ok"
+
+
+def test_the_tracer_patches_and_counts_through_every_hook(tmp_path):
+    # besides WRAPPED, Tracer.install replaces regions.bisect (to count its
+    # evaluations), dynamics._min_separation (one call per RK4 step) and
+    # SystemState.from_arrays (a dynamics.sample span); spans.py is loaded
+    # as it is, and each hook must still be found and still see the work
+    script = (
+        "import importlib.util\n"
+        "import trapcc.cli as cli\n"
+        "from trapcc import dynamics, regions\n"
+        f"spec = importlib.util.spec_from_file_location('spans', {str(SPANS)!r})\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "hooks = lambda: (regions.bisect, dynamics._min_separation,\n"
+        "                 dynamics.SystemState.from_arrays)\n"
+        "before = hooks()\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "assert all(new is not old for new, old in zip(hooks(), before))\n"
+        f"assert cli.main({BOUNDARY!r}) == 0\n"
+        f"assert cli.main({SIMULATE!r}) == 0\n"
+        "summary = tracer.summary()\n"
+        "print(summary['counts'], summary['spans']['dynamics.sample'][0])\n"
+    )
+    counts, sample_spans = fresh(tmp_path, script).rsplit(" ", 1)
+    counts = eval(counts)
+    # one root, bracketed and then bisected through the counting wrapper
+    assert counts["roots"] == 1 and counts["bisect_evals"] > 2
+    # 0.01 periods at dt = 1e-3: ceil(0.02 * pi / 1e-3) steps
+    assert counts["steps"] == 63
+    # energy and angular momentum per sample, and from_arrays once
+    assert int(sample_spans) == 2 * counts["samples"] + 1
 
 
 def test_a_wrapper_on_the_cli_is_the_function_the_command_calls(tmp_path):

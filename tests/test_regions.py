@@ -15,7 +15,6 @@ from trapcc.regions import (
     bisect,
     cell_centers,
     compare_exact_vs_approx,
-    exact_boundary,
     exact_f1,
     exact_f3,
     f1_approx,
@@ -113,37 +112,43 @@ class TestPublishedBoundaries:
         assert hi == pytest.approx(0.866, abs=5e-3)
 
 
+def exact_sample(which, fixed_axis, fixed, search_interval):
+    """The one exact boundary row of ``fixed``."""
+    (sample,) = trace_boundary(which, fixed_axis, [fixed], search_interval=search_interval).samples
+    return sample
+
+
 class TestExactBoundary:
     def test_f1_crossing_at_half_alpha(self):
-        result = exact_boundary("f1", "alpha", 0.5, (0.5, 1.0))
-        assert result.root is not None
-        assert 0.86 <= result.root <= 0.88
-        assert abs(result.f_root) <= 1e-10
-        assert result.f_lo > 0 and result.f_hi < 0
+        sample = exact_sample("f1", "alpha", 0.5, (0.5, 1.0))
+        assert sample.status == "ok"
+        assert 0.86 <= sample.root <= 0.88
+        assert abs(sample.f_value) <= 1e-10
+        assert exact_f1(0.5, 0.5) > 0 and exact_f1(0.5, 1.0) < 0
 
     def test_no_sign_change_along_alpha(self):
-        result = exact_boundary("f1", "beta", 0.9, (1e-6, 1.0))
-        assert result.root is None
-        assert result.f_lo < 0 and result.f_hi < 0
+        sample = exact_sample("f1", "beta", 0.9, (1e-6, 1.0))
+        assert (sample.root, sample.f_value, sample.status) == (None, None, "no_sign_change")
+        assert exact_f1(1e-6, 0.9) < 0 and exact_f1(1.0, 0.9) < 0
 
     def test_f3_crosses_before_f1(self):
-        root_f1 = exact_boundary("f1", "alpha", 0.5, (0.5, 1.0)).root
-        root_f3 = exact_boundary("f3", "alpha", 0.5, (0.5, 1.0)).root
+        root_f1 = exact_sample("f1", "alpha", 0.5, (0.5, 1.0)).root
+        root_f3 = exact_sample("f3", "alpha", 0.5, (0.5, 1.0)).root
         assert root_f3 is not None and root_f1 is not None
         assert root_f3 < root_f1
         assert abs(exact_f3(0.5, root_f3)) <= 1e-10
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
-            exact_boundary("f1", "alpha", 0.5, (1.0, 0.5))
+            exact_sample("f1", "alpha", 0.5, (1.0, 0.5))
         with pytest.raises(ValueError):
-            exact_boundary("f2", "alpha", 0.5, (0.5, 1.0))
+            exact_sample("f2", "alpha", 0.5, (0.5, 1.0))
 
     def test_roots_substitute_back(self):
-        for alpha in (0.2, 0.5, 0.8):
-            result = exact_boundary("f1", "alpha", alpha, (0.05, 2.0))
-            if result.root is not None:
-                assert abs(exact_f1(alpha, result.root)) <= 1e-10
+        curve = trace_boundary("f1", "alpha", [0.2, 0.5, 0.8], search_interval=(0.05, 2.0))
+        for alpha, sample in zip((0.2, 0.5, 0.8), curve.samples):
+            if sample.root is not None:
+                assert abs(exact_f1(alpha, sample.root)) <= 1e-10
 
     @given(alpha=st.floats(min_value=0.05, max_value=1.0))
     @settings(max_examples=50, deadline=None)
@@ -156,17 +161,17 @@ class TestExactBoundary:
 
 class TestBisect:
     def test_finds_simple_root(self):
-        result = bisect(lambda x: x * x - 2.0, 0.0, 2.0)
-        assert result.root == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert bisect(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_reports_no_sign_change(self):
-        result = bisect(lambda x: x * x + 1.0, -1.0, 1.0)
-        assert result.root is None
-        assert result.f_lo == 2.0 and result.f_hi == 2.0
+        def f(x):
+            return x * x + 1.0
+
+        assert bisect(f, -1.0, 1.0) is None
+        assert f(-1.0) == 2.0 and f(1.0) == 2.0
 
     def test_exact_zero_at_endpoint(self):
-        result = bisect(lambda x: x, 0.0, 1.0)
-        assert result.root == 0.0
+        assert bisect(lambda x: x, 0.0, 1.0) == 0.0
 
     @pytest.mark.parametrize("nan_at", [0.0, 1.0])
     def test_nan_endpoint_value_raises(self, nan_at):
@@ -307,3 +312,42 @@ class TestTraceBoundary:
     def test_empty_fixed_values(self):
         curve = trace_boundary("f1", "alpha", [])
         assert curve.samples == ()
+
+    def test_unknown_axis_is_refused_without_values(self):
+        with pytest.raises(ValueError, match="unknown axis 'gamma'"):
+            trace_boundary("f1", "gamma", [])
+
+    @pytest.mark.parametrize(
+        "which, fixed_axis, fixed_values, search_interval, statuses",
+        [
+            ("f1", "alpha", [0.05, 0.5, 0.8, 1.0], (0.868, 2.0), "-oo-"),
+            ("f1", "beta", [0.3, 0.9], None, "--"),
+            ("f3", "alpha", [0.05, 0.5, 1.0], None, "ooo"),  # f3 is 0 at (1, 1e-6)
+            ("f3", "beta", [0.1, 0.6, 0.9, 1.8], None, "oo--"),
+        ],
+        ids=["f1-alpha", "f1-beta", "f3-alpha", "f3-beta"],
+    )
+    def test_rows_are_bisect_on_the_same_line(
+        self, which, fixed_axis, fixed_values, search_interval, statuses
+    ):
+        # each row holds the bits of bisect on the line through its fixed
+        # value, and the exact sign function there; "o" is a root, "-" none
+        exact = {"f1": exact_f1, "f3": exact_f3}[which]
+        curve = trace_boundary(which, fixed_axis, fixed_values, search_interval=search_interval)
+        lo, hi = search_interval or ((1e-6, 1.0) if fixed_axis == "beta" else (1e-6, 2.0))
+        assert len(curve.samples) == len(fixed_values)
+        for fixed, sample, status in zip(fixed_values, curve.samples, statuses):
+
+            def line(free):
+                return float(exact(*((fixed, free) if fixed_axis == "alpha" else (free, fixed))))
+
+            root = bisect(line, lo, hi)
+            assert sample.fixed == fixed
+            if status == "-":
+                assert root is None
+                assert (sample.root, sample.f_value) == (None, None)
+                assert sample.status == "no_sign_change"
+            else:
+                assert sample.status == "ok"
+                assert sample.root.hex() == root.hex()
+                assert sample.f_value.hex() == line(root).hex()
