@@ -20,12 +20,13 @@ _NAMES = {
         "build_configuration",
     ),
     "masses": (
-        "DegenerateConfigurationError", "MassSolution", "RegionLabel", "classify",
-        "solve_masses", "solve_masses_linear",
+        "DegenerateConfigurationError", "MassSolution", "REGION_LABELS", "RegionLabel",
+        "classify", "region_label", "solve_masses", "solve_masses_linear",
     ),
     "oracle": (
-        "PlanarSystem", "ResidualReport", "cc_residual", "center_of_mass",
-        "is_central_configuration", "potential_and_moment", "trapezoid_system",
+        "CoincidentBodiesError", "DEFAULT_CC_TOL", "PlanarSystem", "ResidualReport",
+        "cc_residual", "center_of_mass", "is_central_configuration",
+        "potential_and_moment", "trapezoid_system",
     ),
     "dynamics": (
         "CollisionError", "RigidityReport", "SystemState", "Trajectory",
@@ -35,8 +36,8 @@ _NAMES = {
     "regions": (
         "ApproxReport", "BoundaryCurve", "BoundarySample", "DomainAudit",
         "NegativeDiscriminantError", "NegativeRadicandError", "RasterGrid",
-        "audit_published_domains", "compare_exact_vs_approx", "exact_f1", "exact_f3",
-        "f1_approx", "f3_approx", "g1_published", "g3_published", "raster", "trace_boundary",
+        "audit_published_domains", "compare_exact_vs_approx", "exact_f1", "exact_f3", "f1_approx",
+        "f3_approx", "g1_published", "g3_published", "raster", "row_blocks", "trace_boundary",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}

@@ -20,40 +20,18 @@ import math
 import sys
 from typing import Sequence
 
-from . import __version__
+from . import _MODULE_OF, _NAMES, __version__
 from ._numpy import default_one_blas_thread, np
 
-# The layer names the commands call, by module.  A command imports only its
-# own modules (_load), so ``--version`` imports no layer module at all.  The
-# names become globals of this module, and a caller that replaces one
-# (perfbench/spans.py wraps ``cli.raster``, ``cli.solve_masses`` and so on)
-# is the one the command calls: _load keeps a name that is already set, and
-# looking a name up here before its command has run loads its module.
-_NAMES = {
-    "geometry": ("TrapezoidParams", "build_configuration"),
-    "masses": (
-        "DegenerateConfigurationError", "REGION_LABELS", "region_label", "solve_masses",
-        "classify",  # not called here, but perfbench/spans.py wraps cli.classify
-    ),
-    "oracle": (
-        "DEFAULT_CC_TOL", "CoincidentBodiesError", "PlanarSystem",
-        "is_central_configuration", "trapezoid_system",
-    ),
-    "dynamics": (
-        "CollisionError", "UnphysicalParametersError", "init_relative_equilibrium",
-        "integrate", "rigidity_metrics",
-    ),
-    "regions": (
-        "audit_published_domains", "compare_exact_vs_approx", "raster", "row_blocks",
-        "trace_boundary",
-        # not called here, but perfbench/spans.py wraps cli.f1_approx and cli.f3_approx
-        "f1_approx", "f3_approx",
-    ),
-}
+# A command binds the layer names it calls with _load, from the package's
+# table, and imports only its own modules: ``--version`` imports no layer.  A
+# caller that replaces a name (perfbench/spans.py wraps ``cli.raster`` and so
+# on) is the one the command calls: _load keeps a name that is already set,
+# and looking a layer name up here first loads every layer.
 
 
 def _load(*modules: str) -> None:
-    """Import each layer module and bind its names here, keeping any set."""
+    """Import each layer module and bind its public names here, keeping any set."""
     for module in modules:
         namespace = vars(importlib.import_module(f"{__package__}.{module}"))
         for name in _NAMES[module]:
@@ -61,11 +39,11 @@ def _load(*modules: str) -> None:
 
 
 def __getattr__(name: str):
-    for module, names in _NAMES.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF:  # such as ``__path__``, which ``from trapcc.cli import`` asks for
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(*_NAMES)
+    return globals()[name]
+
 
 EX_OK = 0
 EX_VERIFY_FAILED = 1

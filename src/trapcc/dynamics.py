@@ -53,14 +53,16 @@ class CollisionError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class SystemState:
     """Initial data of an integration at t = 0: finite masses ``(N,)``,
-    positions and velocities ``(N, 2)``, N >= 2.  Build it with
-    :meth:`from_arrays`."""
+    positions and velocities ``(N, 2)``, N >= 2, held as read-only float
+    copies of the values given, as :class:`PlanarSystem` holds its own."""
 
     masses: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
 
     def __post_init__(self):
+        for field in ("masses", "positions", "velocities"):
+            object.__setattr__(self, field, _read_only(getattr(self, field)))
         _check_bodies(self.masses, self.positions, self.velocities)
         coords = self.positions.ravel().tolist()
         for (i, j), d in zip(_pairs(len(self.masses)), _pair_distances(coords).tolist()):
@@ -71,11 +73,7 @@ class SystemState:
 
     @classmethod
     def from_arrays(cls, masses, positions, velocities) -> "SystemState":
-        return cls(
-            masses=_read_only(masses),
-            positions=_read_only(positions),
-            velocities=_read_only(velocities),
-        )
+        return cls(masses, positions, velocities)
 
 
 @dataclass(frozen=True, eq=False)

@@ -307,9 +307,11 @@ def test_trajectory_is_one_read_only_array():
         lambda masses, positions: SystemState.from_arrays(
             masses, positions, np.zeros_like(positions)
         ),
+        # the constructor copies too, and takes lists
+        lambda masses, positions: SystemState(masses, positions, [[0, 0]] * len(masses)),
         PlanarSystem,
     ],
-    ids=["SystemState", "PlanarSystem"],
+    ids=["SystemState", "SystemState-constructor", "PlanarSystem"],
 )
 def test_systems_hold_read_only_copies(build):
     masses, positions = np.array([1.0, 2.0, 3.0]), np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

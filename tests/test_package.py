@@ -5,7 +5,10 @@ its names is first used, so these tests run fresh interpreters where the
 answer depends on what is already loaded.
 """
 
+import ast
+import builtins
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +18,8 @@ import pytest
 import trapcc
 
 SRC = str(Path(trapcc.__file__).resolve().parents[1])
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 # the public names, by defining module, in the order of trapcc.__all__
 SURFACE = {
@@ -24,12 +28,13 @@ SURFACE = {
         "build_configuration",
     ],
     "masses": [
-        "DegenerateConfigurationError", "MassSolution", "RegionLabel", "classify",
-        "solve_masses", "solve_masses_linear",
+        "DegenerateConfigurationError", "MassSolution", "REGION_LABELS", "RegionLabel",
+        "classify", "region_label", "solve_masses", "solve_masses_linear",
     ],
     "oracle": [
-        "PlanarSystem", "ResidualReport", "cc_residual", "center_of_mass",
-        "is_central_configuration", "potential_and_moment", "trapezoid_system",
+        "CoincidentBodiesError", "DEFAULT_CC_TOL", "PlanarSystem", "ResidualReport",
+        "cc_residual", "center_of_mass", "is_central_configuration",
+        "potential_and_moment", "trapezoid_system",
     ],
     "dynamics": [
         "CollisionError", "RigidityReport", "SystemState", "Trajectory",
@@ -39,8 +44,8 @@ SURFACE = {
     "regions": [
         "ApproxReport", "BoundaryCurve", "BoundarySample", "DomainAudit",
         "NegativeDiscriminantError", "NegativeRadicandError", "RasterGrid",
-        "audit_published_domains", "compare_exact_vs_approx", "exact_f1", "exact_f3",
-        "f1_approx", "f3_approx", "g1_published", "g3_published", "raster", "trace_boundary",
+        "audit_published_domains", "compare_exact_vs_approx", "exact_f1", "exact_f3", "f1_approx",
+        "f3_approx", "g1_published", "g3_published", "raster", "row_blocks", "trace_boundary",
     ],
 }
 PUBLIC = [name for names in SURFACE.values() for name in names]
@@ -58,12 +63,56 @@ def fresh(tmp_path, script: str) -> str:
 
 def test_all_lists_the_same_names_in_the_same_order():
     assert trapcc.__all__ == ["__version__", *PUBLIC]
-    assert len(trapcc.__all__) == 43
+    assert len(trapcc.__all__) == 48
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in SURFACE.items() for n in names])
 def test_each_name_is_the_defining_modules_object(module, name):
     assert getattr(trapcc, name) is getattr(importlib.import_module(f"trapcc.{module}"), name)
+
+
+def test_the_readme_library_section_names_every_public_name():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    words = {w for span in re.findall(r"`([^`]+)`", library) for w in re.findall(r"\w+", span)}
+    assert [name for name in trapcc.__all__ if name not in words] == []
+
+
+def test_every_name_a_command_reads_is_bound_before_it_runs():
+    # a command reads its layer names from the globals that _load binds for
+    # the modules it names; any other name that is neither a builtin nor
+    # defined in cli is a NameError on that command's path
+    tree = ast.parse(Path(SRC, "trapcc", "cli.py").read_text(encoding="utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    # _load keeps a name that is set, so cli's own would hide the layer's
+    assert defined.isdisjoint(trapcc._MODULE_OF)
+    defined |= set(dir(builtins))
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and (node.name.startswith("cmd_") or node.name == "raster_csv")]
+    assert len(commands) == 7
+    for command in commands:
+        nodes = list(ast.walk(command))
+        loaded = {arg.value for node in nodes if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "_load"
+                  for arg in node.args}
+        local = {node.arg for node in nodes if isinstance(node, ast.arg)}
+        local |= {node.id for node in nodes
+                  if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
+        local |= {node.name for node in nodes
+                  if isinstance(node, (ast.FunctionDef, ast.ExceptHandler)) and node.name}
+        read = {node.id for node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unbound = sorted(name for name in read - local - defined
+                         if trapcc._MODULE_OF.get(name) not in loaded)
+        assert unbound == [], command.name
 
 
 def test_star_import_binds_every_name():
@@ -173,6 +222,26 @@ def test_the_tracer_patches_and_counts_through_every_hook(tmp_path):
     assert counts["steps"] == 63
     # energy and angular momentum per sample, and from_arrays once
     assert int(sample_spans) == 2 * counts["samples"] + 1
+
+
+def test_the_tracer_records_one_span_per_call_of_a_wrapped_function(tmp_path):
+    # spans.py wraps masses.solve_masses before cli.solve_masses, and
+    # oracle.trapezoid_system before cli.trapezoid_system: the cli row must
+    # wrap the layer's own function, not the module row's wrapper
+    script = (
+        "import importlib.util\n"
+        "import trapcc.cli as cli\n"
+        f"spec = importlib.util.spec_from_file_location('spans', {str(SPANS)!r})\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "assert cli.main(['verify', '--alpha', '0.5', '--beta', '1']) == 1\n"
+        "recorded = tracer.summary()['spans']\n"
+        "print([recorded[name][0] for name in\n"
+        "       ('masses.solve_masses', 'oracle.system_build', 'oracle.check')])\n"
+    )
+    assert fresh(tmp_path, script) == "[1, 1, 1]"
 
 
 def test_a_wrapper_on_the_cli_is_the_function_the_command_calls(tmp_path):
