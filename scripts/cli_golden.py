@@ -12,7 +12,9 @@ and after a refactor: every line that differs is a changed byte.
 
 ``--src`` picks the directory trapcc is imported from (default: the
 ``src`` directory of this checkout), so another checkout's output can be
-taken with this script.
+taken with this script.  ``tests/cli_golden.txt`` holds this output, and
+``tests/test_golden.py`` runs the script and names each command whose
+line differs from it.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ COMMANDS = [
     ("raster-overflow-late", ["raster", "--beta-range", "0,1e27", "--resolution", "16384x20",
                               "--out", "@raster-overflow-late.csv"]),
     ("raster-zero-resolution", ["raster", "--resolution", "0", "--out", "@raster-0.csv"]),
+    ("raster-over-cell-cap", ["raster", "--resolution", "10001x10000",
+                              "--out", "@raster-cap.csv"]),
     ("raster-unwritable", ["raster", "--resolution", "2", "--out", "@missing/x.csv"]),
     ("boundary-f1-alpha", ["boundary", "--which", "f1", "--axis", "alpha", "--fixed",
                            "0.1,0.5,0.9", "--search-interval", "0.5,1", "--out", "@b1.csv"]),
@@ -97,6 +101,17 @@ COMMANDS = [
                                  "1e200", "--out", "@b11.csv"]),
     ("boundary-inf-interval", ["boundary", "--which", "f1", "--axis", "alpha", "--fixed", "",
                                "--search-interval", "0,inf", "--out", "@b12.csv"]),
+    # fixed values and search-interval ends off the plane
+    ("boundary-negative-alpha", ["boundary", "--which", "f1", "--axis", "alpha", "--fixed",
+                                 "-0.5", "--out", "@b13.csv"]),
+    ("boundary-zero-alpha", ["boundary", "--which", "f3", "--axis", "alpha", "--fixed", "0",
+                             "--out", "@b14.csv"]),
+    ("boundary-alpha-interval-above-1", ["boundary", "--which", "f3", "--axis", "beta",
+                                         "--fixed", "0.5", "--search-interval", "0.5,1.5",
+                                         "--out", "@b15.csv"]),
+    ("boundary-beta-interval-below-0", ["boundary", "--which", "f1", "--axis", "alpha",
+                                        "--fixed", "0.5", "--search-interval=-1,1",
+                                        "--out", "@b16.csv"]),
     ("simulate-square", ["simulate", "--alpha", "1", "--beta", "1", "--out", "@s1.csv"]),
     ("simulate-locus", ["simulate", "--alpha", "0.5", "--beta", LOCUS_BETA, "--out", "@s2.csv"]),
     ("simulate-off-locus", ["simulate", "--alpha", "0.5", "--beta", "1.0", "--periods", "0.5",
@@ -127,6 +142,9 @@ COMMANDS = [
     # t_end / dt is 10000.000000000004, and 10000 steps already reach t_end
     ("simulate-dt-edge", ["simulate", "--alpha", "1", "--beta", "1", "--periods", "1",
                           "--dt", "0.0006283185307179584", "--out", "@s16.csv"]),
+    # 6.3e10 RK4 steps, more than dynamics.MAX_STEPS
+    ("simulate-over-step-cap", ["simulate", "--alpha", "1", "--beta", "1", "--periods", "1e-290",
+                                "--dt", "1e-300", "--out", "@s17.csv"]),
     ("compare-20", ["compare-approx", "--resolution", "20"]),
     ("compare-1x1", ["compare-approx", "--resolution", "1x1"]),
     ("compare-37x53", ["compare-approx", "--resolution", "37x53", "--out", "@c1.json"]),
@@ -135,6 +153,7 @@ COMMANDS = [
     ("compare-20000x3", ["compare-approx", "--resolution", "20000x3"]),
     ("compare-3x20000", ["compare-approx", "--resolution", "3x20000", "--out", "@c4.json"]),
     ("compare-zero", ["compare-approx", "--resolution", "0"]),
+    ("compare-over-cell-cap", ["compare-approx", "--resolution", "100000"]),
 ]
 
 

@@ -29,7 +29,7 @@ _NAMES = {
         "potential_and_moment", "trapezoid_system",
     ),
     "dynamics": (
-        "CollisionError", "RigidityReport", "SystemState", "Trajectory",
+        "CollisionError", "MAX_STEPS", "RigidityReport", "SystemState", "Trajectory",
         "UnphysicalParametersError", "init_relative_equilibrium", "integrate",
         "rigidity_metrics",
     ),

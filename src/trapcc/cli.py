@@ -54,6 +54,8 @@ EX_REFUSED = 65
 EX_SOFTWARE = 70
 EX_IO = 74
 
+MAX_CELLS = 10**8  # the most cells a plane command evaluates: 10,000 x 10,000
+
 MASSES_CSV_HEADER = "alpha,beta,a,b,f1,f2,f3,m,M,lambda,r_A,r_B,label"
 RASTER_CSV_HEADER = "alpha,beta,f1,f3,m,M,label"
 BOUNDARY_CSV_HEADER = "fixed,root,f_value,method"
@@ -145,6 +147,8 @@ def _parse_resolution(text: str) -> tuple[int, int]:
         values = [values[0], values[0]]
     if len(values) != 2 or values[0] < 1 or values[1] < 1:
         raise UsageError(f"--resolution must be positive, got {text!r}")
+    if values[0] * values[1] > MAX_CELLS:
+        raise UsageError(f"--resolution {text!r} asks for more than {MAX_CELLS} cells")
     return values[0], values[1]
 
 
@@ -368,6 +372,10 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"--periods too large: {args.periods!r} periods overflow the end time")
     if args.dt <= 0:
         raise UsageError("--dt must be positive")
+    if t_end / args.dt > MAX_STEPS:
+        raise UsageError(
+            f"--periods and --dt ask for {t_end / args.dt:.3g} RK4 steps, more than {MAX_STEPS}"
+        )
     try:
         initial = init_relative_equilibrium(params, force=args.force)
     except (DegenerateConfigurationError, CoincidentBodiesError) as err:

@@ -12,7 +12,7 @@ not of the integration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._numpy import np
 from .geometry import TrapezoidParams, build_configuration
@@ -34,6 +34,7 @@ from .oracle import (  # noqa: F401
 COLLISION_TOL = 1e-6
 DEFAULT_DT = 1e-3
 DEFAULT_OUTPUT_STRIDE = 100
+MAX_STEPS = 10**8  # the most RK4 steps integrate takes, about 1.6 hours of stepping
 
 
 class UnphysicalParametersError(ValueError):
@@ -50,53 +51,53 @@ class CollisionError(RuntimeError):
         self.trajectory = trajectory
 
 
-@dataclass(frozen=True, eq=False)
-class SystemState:
+class SystemState(NamedTuple("SystemState", [
+    ("masses", "np.ndarray"), ("positions", "np.ndarray"), ("velocities", "np.ndarray"),
+])):
     """Initial data of an integration at t = 0: finite masses ``(N,)``,
     positions and velocities ``(N, 2)``, N >= 2, held as read-only float
     copies of the values given, as :class:`PlanarSystem` holds its own."""
 
-    masses: np.ndarray
-    positions: np.ndarray
-    velocities: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        for field in ("masses", "positions", "velocities"):
-            object.__setattr__(self, field, _read_only(getattr(self, field)))
-        _check_bodies(self.masses, self.positions, self.velocities)
-        coords = self.positions.ravel().tolist()
-        for (i, j), d in zip(_pairs(len(self.masses)), _pair_distances(coords).tolist()):
+    def __new__(cls, masses, positions, velocities):
+        masses, positions, velocities = map(_read_only, (masses, positions, velocities))
+        _check_bodies(masses, positions, velocities)
+        coords = positions.ravel().tolist()
+        for (i, j), d in zip(_pairs(len(masses)), _pair_distances(coords).tolist()):
             if d < COLLISION_TOL:
                 raise CoincidentBodiesError(
                     f"bodies {i + 1} and {j + 1} are within the collision tolerance"
                 )
+        return super().__new__(cls, masses, positions, velocities)
 
     @classmethod
     def from_arrays(cls, masses, positions, velocities) -> "SystemState":
         return cls(masses, positions, velocities)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(NamedTuple("Trajectory", [("samples", "np.ndarray")])):
     """Recorded samples of an N-body integration as one ``(S, 3 + 4N)``
     float array, one row per sample in time order: ``t``, the positions
     ``x_1, y_1, ..., x_N, y_N``, the velocities in the same order, the
     total energy and the angular momentum.  The properties are read-only
     views of it; ``positions`` and ``velocities`` are ``(S, N, 2)``."""
 
-    samples: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        samples = _read_only(self.samples)
+    def __new__(cls, samples):
+        samples = _read_only(samples)
         width = samples.shape[1] if samples.ndim == 2 else 0
         if samples.ndim != 2 or not len(samples) or width < 7 or (width - 3) % 4:
             raise ValueError(
                 f"samples must be an (S, 3 + 4N) array with S, N >= 1, not shape {samples.shape}"
             )
-        object.__setattr__(self, "samples", samples)
-        times = self.times
+        times = samples[:, 0]
         if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
             raise ValueError("sample times must be finite and strictly increasing")
+        return super().__new__(cls, samples)
 
     @property
     def times(self) -> np.ndarray:
@@ -119,8 +120,7 @@ class Trajectory:
         return self.samples[:, -1]
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     """Worst-case relative drifts over a trajectory: pairwise distances
     against their initial values, total energy and angular momentum against
     their initial values."""
@@ -182,6 +182,8 @@ def integrate(
 
     Raises
     ------
+    ValueError
+        When ``t_end / dt`` exceeds MAX_STEPS, before any step.
     CollisionError
         When any separation drops below 1e-6; the partial trajectory is
         attached to the exception.
@@ -192,6 +194,8 @@ def integrate(
         raise ValueError("t_end must be finite and non-negative")
     if output_stride < 1:
         raise ValueError("output_stride must be at least 1")
+    if t_end / dt > MAX_STEPS:
+        raise ValueError(f"t_end / dt is {t_end / dt:.3g} RK4 steps, more than {MAX_STEPS}")
 
     # the state is flat coordinates [x_0, y_0, x_1, y_1, ...] of Python
     # floats: for a few bodies numpy's per-call cost outweighs the

@@ -22,7 +22,7 @@ tuples: this module never loads numpy, so ``trapcc masses`` runs without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 BETA_MAX = 2.0
 
@@ -31,8 +31,7 @@ class DegenerateMassError(ValueError):
     """Masses summing to zero, so the centre-of-mass split is undefined."""
 
 
-@dataclass(frozen=True)
-class TrapezoidParams:
+class TrapezoidParams(NamedTuple("TrapezoidParams", [("alpha", float), ("beta", float)])):
     """Shape parameters of the trapezoid at unit bottom-side scale.
 
     ``alpha`` must lie in (0, 1]: alpha = 1 is the rectangle, alpha = 0
@@ -42,28 +41,27 @@ class TrapezoidParams:
     capped at ``BETA_MAX`` to keep grids bounded.
     """
 
-    alpha: float
-    beta: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+    def __new__(cls, alpha: float, beta: float):
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise ValueError("alpha and beta must be finite")
-        if self.alpha <= 0.0:
+        if alpha <= 0.0:
             raise ValueError("alpha must be positive (alpha = 0 collides bodies 2 and 3)")
-        if self.alpha > 1.0:
+        if alpha > 1.0:
             raise ValueError(
-                f"alpha must not exceed 1; alpha={self.alpha} is the same shape as "
-                f"(alpha={1.0 / self.alpha}, beta={self.beta / self.alpha}) after "
-                "rescaling by the top side"
+                f"alpha must not exceed 1; alpha={alpha} is the same shape as "
+                f"(alpha={1.0 / alpha}, beta={beta / alpha}) after rescaling by the top side"
             )
-        if self.beta <= 0.0:
+        if beta <= 0.0:
             raise ValueError("beta must be positive (beta = 0 is collinear)")
-        if self.beta > BETA_MAX:
-            raise ValueError(f"beta={self.beta} exceeds the configured maximum {BETA_MAX}")
+        if beta > BETA_MAX:
+            raise ValueError(f"beta={beta} exceeds the configured maximum {BETA_MAX}")
+        return super().__new__(cls, alpha, beta)
 
 
-@dataclass(frozen=True)
-class TrapezoidConfiguration:
+class TrapezoidConfiguration(NamedTuple):
     """The four body positions, as ``(x, y)`` float tuples in body order,
     plus the vertical split of ``beta``.
 

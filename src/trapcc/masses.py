@@ -23,8 +23,8 @@ throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ._numpy import np
 from .geometry import TrapezoidParams, distance_cubes_values
@@ -51,8 +51,7 @@ class RegionLabel(Enum):
 REGION_LABELS = tuple(RegionLabel)
 
 
-@dataclass(frozen=True)
-class MassSolution:
+class MassSolution(NamedTuple):
     """Masses of the two pairs and the numbers they are solved from.
 
     ``m`` belongs to the upper pair (bodies 2, 3), ``M`` to the lower pair

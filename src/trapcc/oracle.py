@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._numpy import np
 from .geometry import TrapezoidParams, build_configuration
@@ -33,8 +33,9 @@ class CoincidentBodiesError(ValueError):
     """Two bodies of a system are closer than the separation it allows."""
 
 
-@dataclass(frozen=True, eq=False)
-class PlanarSystem:
+class PlanarSystem(
+    NamedTuple("PlanarSystem", [("masses", "np.ndarray"), ("positions", "np.ndarray")])
+):
     """An ordered list of point masses in the plane, G = 1: masses ``(N,)``
     and positions ``(N, 2)``, kept as read-only float copies of the
     arguments.
@@ -44,13 +45,11 @@ class PlanarSystem:
     carry either sign.
     """
 
-    masses: np.ndarray
-    positions: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        masses, positions = _read_only(self.masses), _read_only(self.positions)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "positions", positions)
+    def __new__(cls, masses, positions):
+        masses, positions = _read_only(masses), _read_only(positions)
         _check_bodies(masses, positions)
         mass_list, coords = masses.tolist(), positions.ravel().tolist()
         # the centre of mass divides by a plain float sum of the masses,
@@ -65,6 +64,7 @@ class PlanarSystem:
             raise CoincidentBodiesError(
                 f"bodies closer than {MIN_SEPARATION:g}: min separation {nearest:.3e}"
             )
+        return super().__new__(cls, masses, positions)
 
 
 def _read_only(values) -> np.ndarray:
@@ -91,8 +91,7 @@ def _check_bodies(masses: np.ndarray, positions: np.ndarray, velocities=None) ->
             raise ValueError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Everything measured in one central-configuration check.
 
     ``lambda_per_body`` holds the least-squares multiplier fitting each

@@ -17,8 +17,7 @@ expressions are real-valued and how well they track the exact zero sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ._numpy import np
 from .geometry import BETA_MAX, distance_cubes_values
@@ -192,8 +191,7 @@ def bisect(
 _EXACT_FUNCTIONS = {"f1": exact_f1, "f3": exact_f3}
 
 
-@dataclass(frozen=True)
-class BoundarySample:
+class BoundarySample(NamedTuple):
     """One row of a traced boundary: the fixed coordinate, the located
     crossing (or None), the exact sign-function value at the crossing, and
     a status ('ok', 'no_sign_change', or 'domain_error:<reason>')."""
@@ -204,8 +202,7 @@ class BoundarySample:
     status: str
 
 
-@dataclass(frozen=True)
-class BoundaryCurve:
+class BoundaryCurve(NamedTuple):
     samples: tuple[BoundarySample, ...]
     method: str  # "exact-rootfind" | "published-approximation"
 
@@ -221,7 +218,8 @@ def trace_boundary(
 
     With method='exact' each sample is a :func:`bisect` root along the
     free axis (default search interval: the full domain of that axis) and
-    the exact sign function there.  With
+    the exact sign function there; a fixed value or an interval end off
+    the plane (see :func:`_check_plane`) raises ValueError first.  With
     method='published' the printed g1/g3 formulas are evaluated (fixed
     axis must be beta since they give alpha as a function of beta); the
     f_value recorded is the EXACT sign function at the published point,
@@ -237,6 +235,8 @@ def trace_boundary(
         if search_interval is None:
             search_interval = (1e-6, 1.0) if fixed_axis == "beta" else (1e-6, BETA_MAX)
         lo, hi = map(float, search_interval)
+        ends = (lo, hi)
+        _check_plane(*((fixed_values, ends) if fixed_axis == "alpha" else (ends, fixed_values)))
         for fixed in fixed_values:
             if fixed_axis == "alpha":
                 line = lambda beta: float(exact(fixed, beta))
@@ -264,8 +264,7 @@ def trace_boundary(
     raise ValueError(f"unknown method {method!r}; expected 'exact' or 'published'")
 
 
-@dataclass(frozen=True)
-class DomainAudit:
+class DomainAudit(NamedTuple):
     """Where each published boundary formula is real-valued on (0, 1),
     measured by scanning: intervals of consecutive valid samples, plus the
     failure reason per invalid run."""
@@ -317,8 +316,7 @@ def audit_published_domains() -> DomainAudit:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class RasterGrid:
+class RasterGrid(NamedTuple):
     """Cell-centred classification of beta rows of a rectangle of the
     parameter plane: the rows' betas, the exact sign functions f1 and f3,
     the masses, and ``labels``, which holds ``int8`` region codes: each
@@ -348,14 +346,22 @@ def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) * step
 
 
+def _check_plane(alphas, betas) -> None:
+    """Raise ValueError unless each alpha lies in (0, 1] and each beta is
+    positive: the plane that raster and trace_boundary sample."""
+    for alpha in alphas:
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alpha samples must lie in (0, 1], not {alpha!r}")
+    for beta in betas:
+        if not beta > 0.0:
+            raise ValueError(f"beta samples must be positive, not {beta!r}")
+
+
 def _grid_axes(alpha_range, beta_range, n_alpha: int, n_beta: int):
     """The checked cell-centre axes of a grid."""
     alphas = cell_centers(*alpha_range, n_alpha)
     betas = cell_centers(*beta_range, n_beta)
-    if alphas[0] <= 0.0 or alphas[-1] > 1.0:
-        raise ValueError("alpha samples must lie in (0, 1]")
-    if betas[0] <= 0.0:
-        raise ValueError("beta samples must be positive")
+    _check_plane(alphas[[0, -1]].tolist(), betas[:1].tolist())  # the centres increase
     return alphas, betas
 
 
@@ -427,8 +433,7 @@ def top_indices(values, count: int):
     return np.argsort(values)[::-1][:count]
 
 
-@dataclass(frozen=True, eq=False)
-class ApproxReport:
+class ApproxReport(NamedTuple):
     """Exact-versus-published comparison of one sign function over a raster
     grid: the fraction of cells where the signs agree, absolute deviation
     statistics, the (alpha, beta) of the disagreeing cells, and the

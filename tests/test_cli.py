@@ -29,6 +29,7 @@ from trapcc.cli import (
     fnum,
     main,
 )
+from trapcc.dynamics import MAX_STEPS
 from trapcc.geometry import TrapezoidParams
 from trapcc.masses import RegionLabel, solve_masses
 from trapcc.regions import (
@@ -713,6 +714,28 @@ class TestSimulate:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("steps", [MAX_STEPS, MAX_STEPS + 1, math.inf])
+    def test_more_steps_than_the_cap_is_usage_error(self, capsys, tmp_path, monkeypatch, steps):
+        # the refusal comes before the initial data, so the stub sees only
+        # runs at or under the cap; inf is --dt 1e-300 over 1e10 periods
+        def stub(*args, **kwargs):
+            raise RuntimeError("built the initial data")
+
+        monkeypatch.setattr(cli, "init_relative_equilibrium", stub)
+        out = tmp_path / "t.csv"
+        periods, dt = ("1", 2.0 * math.pi / steps) if steps < math.inf else ("1e10", 1e-300)
+        while 2.0 * math.pi / dt > MAX_STEPS >= steps:  # a rounding error over the cap
+            dt = math.nextafter(dt, math.inf)
+        code, stdout, err = run(capsys, "simulate", "--alpha", "1", "--beta", "1",
+                                "--periods", periods, "--dt", repr(dt), "--out", str(out))
+        if steps == MAX_STEPS:
+            assert code == EX_SOFTWARE and "built the initial data" in err
+        else:
+            assert code == EX_USAGE
+            assert err.startswith("usage error: --periods and --dt ask for ")
+            assert err.endswith(" RK4 steps, more than 100000000\n") and err.count("\n") == 1
+        assert stdout == "" and not out.exists()
+
     def test_collision_writes_partial_and_exits_3(self, capsys, tmp_path, monkeypatch):
         # no CLI-reachable initial data collides within a few periods, so
         # drive the handler directly with an aborting integrator
@@ -831,6 +854,34 @@ class TestCompareApprox:
     def test_zero_resolution(self, capsys):
         code, _, _ = run(capsys, "compare-approx", "--resolution", "0")
         assert code == EX_USAGE
+
+
+def test_the_cell_cap_admits_exactly_max_cells():
+    assert cli.MAX_CELLS == 10**8
+    assert cli._parse_resolution("10000") == (10000, 10000)
+    assert cli._parse_resolution("1x100000000") == (1, 10**8)
+    for text in ("10001x10000", "10000x10001", "100000001x1", "100000"):
+        with pytest.raises(cli.UsageError, match=f"'{text}' asks for more than 100000000 cells"):
+            cli._parse_resolution(text)
+
+
+@pytest.mark.parametrize("command", ["raster", "compare-approx"])
+@pytest.mark.parametrize("resolution", ["10001x10000", "100000"])
+def test_plane_commands_refuse_more_cells_than_the_cap(
+    capsys, tmp_path, monkeypatch, command, resolution
+):
+    # refused before any grid is evaluated or allocated: the stubs stand for
+    # the functions that do both, and would fail the command
+    def stub(*args):
+        raise RuntimeError("evaluated the grid")
+
+    monkeypatch.setattr(cli, "raster", stub)
+    monkeypatch.setattr(cli, "compare_exact_vs_approx", stub)
+    out = tmp_path / "x.out"
+    code, stdout, err = run(capsys, command, "--resolution", resolution, "--out", str(out))
+    assert code == EX_USAGE
+    assert err == f"usage error: --resolution '{resolution}' asks for more than 100000000 cells\n"
+    assert stdout == "" and not out.exists() and not Path(f"{out}.meta.json").exists()
 
 
 def _top_cases():

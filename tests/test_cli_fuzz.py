@@ -5,9 +5,10 @@ a traceback.
 The numbers include nan, infinities, signed zeros, subnormals, huge values
 and non-numeric text; ``--dt`` is often ``t_end / N`` moved a few ulps.
 Grids stay at most 8 cells per axis, or just over one block of rows
-(``regions.row_blocks``) so that a run spans two, and runs at most 500 RK4
-steps.  A beta range may end at 1e27, where the masses of the top rows
-overflow.
+(``regions.row_blocks``) so that a run spans two.  A simulation runs at
+most 500 RK4 steps, or asks for more than ``dynamics.MAX_STEPS`` and must
+be refused with exit 64; step counts in between are skipped for their cost.
+A beta range may end at 1e27, where the masses of the top rows overflow.
 """
 
 import contextlib
@@ -18,9 +19,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from trapcc.cli import main
+from trapcc.dynamics import MAX_STEPS
 
 DOCUMENTED = {0, 1, 2, 3, 64, 65, 74}
-MAX_STEPS = 500
+STEP_BUDGET = 500
 
 SPECIAL = [
     "nan", "-nan", "inf", "-inf", "infinity", "0", "-0", "0.0", "-0.0",
@@ -80,22 +82,31 @@ def as_float(text):
         return math.nan
 
 
+def steps_asked(argv):
+    """``t_end / dt`` of a simulate argv, as the CLI computes it, or nan when
+    either is not a positive finite number."""
+    flags = dict(arg[2:].split("=", 1) for arg in argv if arg.startswith("--") and "=" in arg)
+    t_end, step = as_float(flags["periods"]) * 2.0 * math.pi, as_float(flags["dt"])
+    return t_end / step if 0.0 < t_end < math.inf and 0.0 < step < math.inf else math.nan
+
+
 @st.composite
 def simulate_args(draw):
     periods = draw(mostly(floats_in(0.0, 2.0)))
     t_end = as_float(periods) * 2.0 * math.pi
     if 0.0 < t_end < math.inf and draw(st.integers(min_value=0, max_value=4)):
-        # t_end / N moved k ulps: the ratio lands a rounding error off N
-        dt = t_end / draw(st.integers(min_value=1, max_value=MAX_STEPS - 1))
+        # t_end / N moved k ulps: the ratio lands a rounding error off N,
+        # where N is within the budget or, one draw in five, over the cap
+        steps = draw(st.integers(min_value=0, max_value=4).flatmap(
+            lambda i: st.integers(1, STEP_BUDGET - 1) if i else st.integers(MAX_STEPS + 1, 2**53)
+        ))
+        dt = t_end / steps
         ulps = draw(st.integers(min_value=-3, max_value=3))
         for _ in range(abs(ulps)):
             dt = math.nextafter(dt, math.copysign(math.inf, ulps))
         dt = repr(dt)
     else:
         dt = draw(numbers)
-    step = as_float(dt)
-    # a run longer than the budget is left out for its cost alone
-    assume(not (0.0 < t_end < math.inf and 0.0 < step < math.inf and t_end / step > MAX_STEPS))
     args = [
         "simulate", f"--alpha={draw(alphas)}", f"--beta={draw(betas)}",
         f"--periods={periods}", f"--dt={dt}",
@@ -103,6 +114,9 @@ def simulate_args(draw):
     ]
     if draw(st.booleans()):
         args.append("--force")
+    # a run longer than the budget that the cap lets through is left out
+    # for its cost alone
+    assume(not STEP_BUDGET < steps_asked(args) <= MAX_STEPS)
     return args
 
 
@@ -146,4 +160,6 @@ def test_every_command_exits_with_a_documented_code(tmp_path_factory, argv, out)
         code = main(argv)
     err = stderr.getvalue()
     assert code in DOCUMENTED, (code, err)
+    if argv[0] == "simulate" and steps_asked(argv) > MAX_STEPS:
+        assert code == 64, err
     assert "Traceback" not in err and "internal error" not in err, err

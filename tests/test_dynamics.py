@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trapcc import dynamics
 from trapcc.dynamics import (
+    MAX_STEPS,
     CollisionError,
     SystemState,
     Trajectory,
@@ -287,8 +288,8 @@ def test_trajectory_rejects_shapes_other_than_samples_by_columns(samples):
 def test_trajectory_is_one_read_only_array():
     state = init_relative_equilibrium(TrapezoidParams(0.5, 1.0))
     trajectory = integrate(state, dt=1e-3, t_end=0.05, output_stride=10)
-    assert [f.name for f in dataclasses.fields(trajectory)] == ["samples"]
-    assert [f.name for f in dataclasses.fields(state)] == ["masses", "positions", "velocities"]
+    assert trajectory._fields == ("samples",)
+    assert state._fields == ("masses", "positions", "velocities")
     assert trajectory.times[0] == 0.0
     assert trajectory.samples.shape == (6, 3 + 4 * 4)  # t = 0, 0.01, ..., 0.05
     views = (trajectory.times, trajectory.positions, trajectory.velocities,
@@ -323,6 +324,15 @@ def test_systems_hold_read_only_copies(build):
     masses[0], positions[0, 0] = 7.0, 9.0
     assert system.masses.tolist() == [1.0, 2.0, 3.0]
     assert system.positions.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    # the fields cannot be rebound, and a record made by _replace holds
+    # read-only copies too
+    with pytest.raises(AttributeError):
+        system.positions = positions
+    replaced = system._replace(positions=positions)
+    assert type(replaced) is type(system)
+    assert not replaced.positions.flags.writeable and not replaced.masses.flags.writeable
+    positions[0, 0] = 11.0
+    assert replaced.positions.tolist() == [[9.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 # (id, masses, positions, velocities, message)
@@ -366,6 +376,23 @@ def test_systems_reject_malformed_bodies_at_construction(
 ):
     with pytest.raises(ValueError, match=message):
         build(masses, positions, velocities)
+
+
+def test_integrate_refuses_more_steps_than_the_cap_before_a_step(monkeypatch):
+    state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
+
+    def no_step(*args):
+        raise RuntimeError("took a step")
+
+    monkeypatch.setattr(dynamics, "_field", no_step)
+    assert MAX_STEPS == 10**8
+    with pytest.raises(ValueError, match=r"1e\+08 RK4 steps, more than 100000000"):
+        integrate(state, dt=1.0, t_end=float(MAX_STEPS + 1))
+    with pytest.raises(ValueError, match="more than 100000000"):
+        integrate(state, dt=1e-300, t_end=1e300)  # t_end / dt overflows to inf
+    # at the cap the run starts, and the first step is the stub's
+    with pytest.raises(RuntimeError, match="took a step"):
+        integrate(state, dt=1.0, t_end=float(MAX_STEPS))
 
 
 def test_system_state_rejects_near_collision():

@@ -278,7 +278,7 @@ def assert_well_formed(report):
 def report_bits(report) -> bytes:
     """Every float of a report, as bytes (NaN per-body multipliers included)."""
     if not isinstance(report, dict):
-        report = vars(report)
+        report = report._asdict()
     values = [
         *report["lambda_per_body"],
         report["lambda_energy"],

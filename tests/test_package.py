@@ -37,7 +37,7 @@ SURFACE = {
         "potential_and_moment", "trapezoid_system",
     ],
     "dynamics": [
-        "CollisionError", "RigidityReport", "SystemState", "Trajectory",
+        "CollisionError", "MAX_STEPS", "RigidityReport", "SystemState", "Trajectory",
         "UnphysicalParametersError", "init_relative_equilibrium", "integrate",
         "rigidity_metrics",
     ],
@@ -63,7 +63,7 @@ def fresh(tmp_path, script: str) -> str:
 
 def test_all_lists_the_same_names_in_the_same_order():
     assert trapcc.__all__ == ["__version__", *PUBLIC]
-    assert len(trapcc.__all__) == 48
+    assert len(trapcc.__all__) == 49
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in SURFACE.items() for n in names])
@@ -169,6 +169,21 @@ def test_each_entry_point_loads_only_its_modules(tmp_path, code, absent):
     )
     loaded = set(eval(fresh(tmp_path, script)))
     assert loaded.isdisjoint(absent), loaded & absent
+
+
+@pytest.mark.parametrize(
+    "argv", [["masses", "--alpha", "0.5", "--beta", "1"], BOUNDARY], ids=["masses", "boundary"]
+)
+def test_scalar_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
+    # the records are named tuples: building them loads neither module,
+    # which together cost a fresh process about 4 ms
+    script = (
+        "import sys\n"
+        "from trapcc.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    assert fresh(tmp_path, script) == "[]"
 
 
 def wrapped_points():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from trapcc.geometry import TrapezoidParams, distance_cubes_values
 from trapcc.masses import RegionLabel, classify, mass_values
+from trapcc import regions
 from trapcc.regions import (
     _BLOCK_CELLS,
     NegativeRadicandError,
@@ -316,6 +317,41 @@ class TestTraceBoundary:
     def test_unknown_axis_is_refused_without_values(self):
         with pytest.raises(ValueError, match="unknown axis 'gamma'"):
             trace_boundary("f1", "gamma", [])
+
+    @pytest.mark.parametrize(
+        "which, fixed_axis, fixed_values, search_interval, message",
+        [
+            ("f1", "alpha", [0.5, -0.5], None, r"alpha samples must lie in \(0, 1\], not -0.5"),
+            ("f3", "alpha", [0.0], None, r"alpha samples .*, not 0.0"),
+            ("f1", "alpha", [1.5], None, r"alpha samples .*, not 1.5"),
+            ("f3", "beta", [0.0], None, "beta samples must be positive, not 0.0"),
+            ("f1", "beta", [-1.0], None, r"beta samples .*, not -1.0"),
+            ("f3", "beta", [0.5], (0.5, 1.5), r"alpha samples .*, not 1.5"),
+            ("f3", "beta", [0.5], (0.0, 1.0), r"alpha samples .*, not 0.0"),
+            ("f1", "alpha", [0.5], (-1.0, 1.0), r"beta samples .*, not -1.0"),
+            ("f1", "alpha", [], (0.0, 1.0), r"beta samples .*, not 0.0"),
+        ],
+        ids=["alpha-negative", "alpha-zero", "alpha-above-1", "beta-zero", "beta-negative",
+             "alpha-interval-above-1", "alpha-interval-at-0", "beta-interval-negative",
+             "beta-interval-at-0-without-values"],
+    )
+    def test_refuses_values_off_the_plane_before_bisecting(
+        self, monkeypatch, which, fixed_axis, fixed_values, search_interval, message
+    ):
+        # the parent bisected these: at alpha -0.5 it found a root at beta 0.87
+        def never(*args, **kwargs):
+            raise AssertionError("bisected off the plane")
+
+        monkeypatch.setattr(regions, "bisect", never)
+        with pytest.raises(ValueError, match=message):
+            trace_boundary(which, fixed_axis, fixed_values, search_interval=search_interval)
+
+    def test_accepts_the_edges_of_the_plane(self):
+        # alpha = 1 and any positive beta lie on the plane; beta has no cap here
+        curve = trace_boundary("f3", "alpha", [1.0], search_interval=(5e-324, 3.0))
+        assert [sample.status for sample in curve.samples] == ["ok"]
+        curve = trace_boundary("f1", "beta", [5e-324, 3.0], search_interval=(5e-324, 1.0))
+        assert len(curve.samples) == 2
 
     @pytest.mark.parametrize(
         "which, fixed_axis, fixed_values, search_interval, statuses",
