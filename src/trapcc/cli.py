@@ -396,14 +396,19 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
 
-    def trajectory_csv(traj) -> str:
-        # the CSV leaves out the velocities
-        columns = np.column_stack(
-            [traj.times, traj.positions.reshape(len(traj.times), -1), traj.energy,
-             traj.angular_momentum]
-        )
-        lines = [TRAJECTORY_CSV_HEADER, *(",".join(map(fnum, row)) for row in columns.tolist())]
-        return "\n".join(lines) + "\n"
+    def write_trajectory(traj) -> None:
+        # the CSV leaves out the velocities; a block of rows is formatted
+        # and written at a time, so the text is never held whole
+        n = len(traj.times)
+        positions = traj.positions.reshape(n, -1)
+        for start in range(0, n, 1024):
+            rows = slice(start, start + 1024)
+            columns = np.column_stack(
+                [traj.times[rows], positions[rows], traj.energy[rows], traj.angular_momentum[rows]]
+            )
+            lines = [TRAJECTORY_CSV_HEADER] if start == 0 else []
+            lines.extend(",".join(map(fnum, row)) for row in columns.tolist())
+            write_text(args.out, "\n".join(lines) + "\n", append=start > 0)
 
     parameters = {
         "alpha": params.alpha,
@@ -428,11 +433,11 @@ def cmd_simulate(args) -> int:
     try:
         trajectory = integrate(initial, dt=args.dt, t_end=t_end, output_stride=args.stride)
     except CollisionError as err:
-        write_text(args.out, trajectory_csv(err.trajectory))
+        write_trajectory(err.trajectory)
         print(f"collision: {err}", file=sys.stderr)
         return EX_COLLISION
 
-    write_text(args.out, trajectory_csv(trajectory))
+    write_trajectory(trajectory)
     report = rigidity_metrics(trajectory)
     payload = {
         "max_distance_deviation": report.max_distance_deviation,

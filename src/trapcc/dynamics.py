@@ -12,6 +12,7 @@ not of the integration.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import NamedTuple
 
 from ._numpy import np
@@ -207,14 +208,17 @@ def integrate(
     vel = initial.velocities.ravel().tolist()
     t = 0.0
 
-    # one row of Trajectory.samples per recorded sample
-    rows = []
+    # Trajectory.samples, flat, one row of 3 + 4N floats per recorded sample
+    rows = array("d")
 
     def record(time):
         p, v = np.reshape(pos, (-1, 2)), np.reshape(vel, (-1, 2))
         energy = total_energy(initial.masses, p, v)
         angular_momentum = total_angular_momentum(initial.masses, p, v)
-        rows.append([time, *pos, *vel, energy, angular_momentum])
+        rows.extend((time, *pos, *vel, energy, angular_momentum))
+
+    def trajectory():
+        return Trajectory(np.frombuffer(rows).reshape(-1, 3 + 2 * len(pos)))
 
     record(0.0)
 
@@ -247,12 +251,12 @@ def integrate(
 
         if _min_separation(pos) < COLLISION_TOL:
             raise CollisionError(
-                f"separation fell below {COLLISION_TOL:g} at t = {t:.6f}", Trajectory(rows)
+                f"separation fell below {COLLISION_TOL:g} at t = {t:.6f}", trajectory()
             )
         if step % output_stride == 0 or last:
             record(t)
 
-    return Trajectory(rows)
+    return trajectory()
 
 
 def rigidity_metrics(trajectory: Trajectory) -> RigidityReport:

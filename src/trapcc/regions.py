@@ -17,6 +17,7 @@ expressions are real-valued and how well they track the exact zero sets.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable, NamedTuple, Sequence
 
 from ._numpy import np
@@ -372,6 +373,25 @@ def row_blocks(n_alpha: int, n_beta: int):
     return [slice(start, min(start + rows, n_beta)) for start in range(0, n_beta, rows)]
 
 
+def _evaluate(alphas, betas, rows, values):
+    """``a``, ``b`` and ``values(a, b, alpha)`` (:func:`sign_values`, or
+    :func:`mass_values` for the masses too) on the beta rows ``rows`` of
+    the grid of ``alphas`` and ``betas``, and last on its top row.
+
+    Alpha goes in as a row and beta as a column, so a cell gets the same
+    bits whichever rows are evaluated with it.  Raises OverflowError when
+    any of these overflow on any row of the grid: the top row, where they
+    are largest, is evaluated with every call.
+    """
+    column = np.append(betas[rows], betas[-1])[:, None]
+    try:
+        with np.errstate(over="raise"):
+            a, b = distance_cubes_values(alphas[None, :], column)
+            return a, b, values(a, b, alphas[None, :])
+    except FloatingPointError as err:
+        raise OverflowError(f"the sign functions overflow: {err}") from None
+
+
 def raster(
     alpha_range: tuple[float, float],
     beta_range: tuple[float, float],
@@ -383,30 +403,21 @@ def raster(
     default all) of a cell-centred grid of the parameter rectangle.
     Degenerate cells get ``nan`` masses and the DEGENERATE code.
 
-    Alpha goes in as a row and beta as a column, so a cell gets the same
-    bits whichever rows are evaluated with it.
-
+    A cell gets the same bits whichever rows are evaluated with it.
     Raises OverflowError when a distance cube or a mass of any row of the
     grid overflows, which only a beta range far outside the figures' can
-    do: the top row, where both are largest, is evaluated with every call.
+    do.
     """
     alphas, betas = _grid_axes(alpha_range, beta_range, n_alpha, n_beta)
-    block = betas[rows]
-    column = np.append(block, betas[-1])[:, None]
-    try:
-        with np.errstate(over="raise"):
-            a, b = distance_cubes_values(alphas[None, :], column)
-            m, M, f1, _, f3 = mass_values(a, b, alphas[None, :])
-            degenerate = is_degenerate(f3, a, b)[:-1]
-    except FloatingPointError as err:
-        raise OverflowError(f"the sign functions overflow: {err}") from None
+    a, b, (m, M, f1, _, f3) = _evaluate(alphas, betas, rows, mass_values)
+    degenerate = is_degenerate(f3, a, b)[:-1]
     m = np.where(degenerate, np.nan, m[:-1])
     M = np.where(degenerate, np.nan, M[:-1])
     labels = region_code(m, M)
     labels[degenerate] = REGION_LABELS.index(RegionLabel.DEGENERATE)
     return RasterGrid(
         alpha_axis=alphas,
-        beta_axis=block,
+        beta_axis=betas[rows],
         f1=f1[:-1],
         f3=f3[:-1],
         m=m,
@@ -415,22 +426,110 @@ def raster(
     )
 
 
-def top_indices(values, count: int):
-    """Flat indices of the ``count`` largest ``values``, largest first:
-    always ``np.argsort(values.ravel())[::-1][:count]``.
+def _largest(values, count: int):
+    """Indices of the ``count`` largest of the flat ``values``, largest
+    first, or None when ``np.argsort`` would have to decide them.
 
     ``np.argpartition`` keeps the count + 1 largest and only those are
-    sorted.  argsort orders equal values its own way, so when a NaN or a
-    tie is among those count + 1 the full argsort decides.
+    sorted.  argsort orders equal values its own way, so a NaN or a tie
+    among those count + 1, or fewer values than that, gives None.
     """
+    if values.size < count + 1:
+        return None
+    kth = values.size - count - 1
+    candidates = np.argpartition(values, kth)[kth:]
+    top = values[candidates]
+    if np.isnan(top).any() or np.unique(top).size < top.size:
+        return None
+    return candidates[np.argsort(top)[::-1][:count]]
+
+
+def top_indices(values, count: int):
+    """Flat indices of the ``count`` largest ``values``, largest first:
+    always ``np.argsort(values.ravel())[::-1][:count]``, which decides only
+    where :func:`_largest` cannot."""
     values = values.ravel()
-    if values.size > count + 1:
-        kth = values.size - count - 1
-        candidates = np.argpartition(values, kth)[kth:]
-        top = values[candidates]
-        if not np.isnan(top).any() and np.unique(top).size == top.size:
-            return candidates[np.argsort(top)[::-1][:count]]
-    return np.argsort(values)[::-1][:count]
+    top = _largest(values, count)
+    return np.argsort(values)[::-1][:count] if top is None else top
+
+
+class _BlockedStats:
+    """The maximum, the mean and the ``count`` largest values of a flat
+    float64 array that arrives in consecutive blocks, ending at ``ends``,
+    with the bits numpy gives the whole array; no array of the whole size
+    is held.
+
+    numpy sums float64 pairwise: a run of at most 128 values is summed
+    alone, and a longer one is split in two halves, the first ending at a
+    multiple of 8 values; ``np.add.reduce`` is ``0.0`` plus that sum, and
+    ``np.mean`` divides it by the size.  The tree depends only on the size
+    and the ends are known first, so each run of the tree that lies inside
+    one block is one ``np.add.reduce`` of it, a run of at most 128 values
+    that crosses an end waits for the blocks it needs, and the run sums
+    are added in tree order at the end.
+
+    Each block keeps its count + 1 largest values and their flat indices;
+    :meth:`top` picks the largest from those by :func:`_largest`'s rule.
+    """
+
+    def __init__(self, ends: Sequence[int], count: int):
+        self.size = ends[-1] if ends else 0
+        self.count = count
+        self.runs = []  # (start, stop) of each run, in order
+        self.tree = self._split(0, self.size, ends[:-1]) if self.size else None
+        self.sums = []
+        self.waiting = []  # the values of a run that crosses a block end
+        self.start = 0  # of the next block
+        self.maximum = -math.inf
+        self.values = [np.empty(0)]
+        self.indices = [np.empty(0, dtype=np.intp)]
+
+    def _split(self, start: int, stop: int, cuts: Sequence[int]):
+        """The pairwise-sum tree of [start, stop) down to the runs summed
+        whole: the index of a run, or a pair of subtrees."""
+        n = stop - start
+        cut = bisect_right(cuts, start)
+        if n <= 128 or cut == len(cuts) or cuts[cut] >= stop:
+            self.runs.append((start, stop))
+            return len(self.runs) - 1
+        half = n // 2 - n // 2 % 8
+        return self._split(start, start + half, cuts), self._split(start + half, stop, cuts)
+
+    def add(self, block) -> None:
+        """Take the next block of values, a flat float64 array."""
+        start, stop = self.start, self.start + block.size
+        self.start = stop
+        self.maximum = np.maximum(self.maximum, block.max())
+        kth = max(block.size - self.count - 1, 0)
+        keep = np.argpartition(block, kth)[kth:]
+        self.values.append(block[keep])
+        self.indices.append(keep + start)
+        runs, sums = self.runs, self.sums
+        while len(sums) < len(runs) and runs[len(sums)][1] <= stop:
+            first, last = runs[len(sums)]
+            if first >= start:
+                sums.append(float(np.add.reduce(block[first - start:last - start])))
+            else:
+                self.waiting.append(block[:last - start])
+                sums.append(float(np.add.reduce(np.concatenate(self.waiting))))
+                self.waiting = []
+        if len(sums) < len(runs) and runs[len(sums)][0] < stop:
+            self.waiting.append(block[max(runs[len(sums)][0] - start, 0):].copy())
+
+    def mean(self) -> float:
+        def total(node):
+            return self.sums[node] if isinstance(node, int) else total(node[0]) + total(node[1])
+
+        whole = total(self.tree) if self.size else 0.0
+        return float(np.float64(whole) / self.size)  # nan for no values, as np.mean
+
+    def top(self):
+        """Flat indices of the ``count`` largest values, largest first, or
+        None when a NaN or a tie among the count + 1 largest, or fewer
+        values than that, leaves their order to ``np.argsort``."""
+        values = np.concatenate(self.values)
+        top = _largest(values, self.count)
+        return None if top is None else np.concatenate(self.indices)[top]
 
 
 class ApproxReport(NamedTuple):
@@ -457,44 +556,53 @@ def compare_exact_vs_approx(
     :func:`raster` classifies, with its bits: one report each, under the
     keys ``"f1"`` and ``"f3"``.
 
-    The grid is evaluated by :func:`raster`, a block of beta rows at a
-    time; only the two ``|exact - approx|`` grids are kept whole, so the
-    mean keeps numpy's pairwise sum over the full grid and the worst cells
-    their order.  The exact and approximate values of the worst cells are
-    evaluated again on their rows.
+    The signs are evaluated a block of beta rows at a time, as
+    :func:`raster` evaluates them, and each block is reduced into the
+    statistics (see :class:`_BlockedStats`), which have the bits of
+    whole-grid numpy; only when ties, NaNs or too few cells leave the
+    worst cells' order to ``np.argsort`` is a whole ``|exact - approx|``
+    grid built again.
+    The exact and approximate values of the worst cells are evaluated
+    again on their rows.
     """
-    grid = (alpha_range, beta_range, n_alpha, n_beta)
-    alphas, betas = _grid_axes(*grid)
-    row = alphas[None, :]
-    surrogates = (f1_approx, f3_approx)
+    alphas, betas = _grid_axes(alpha_range, beta_range, n_alpha, n_beta)
+    blocks = row_blocks(n_alpha, n_beta)
+    ends = [rows.stop * n_alpha for rows in blocks]
+    stats = (_BlockedStats(ends, WORST_CELLS), _BlockedStats(ends, WORST_CELLS))
     agree = [0, 0]
     cells = ([], [])
-    dev = (np.empty((n_beta, n_alpha)), np.empty((n_beta, n_alpha)))
-    for rows in row_blocks(n_alpha, n_beta):
-        block = raster(*grid, rows)
-        column = block.beta_axis[:, None]
-        for k, exact in enumerate((block.f1, block.f3)):
-            approx = surrogates[k](row, column)
+
+    def pairs(rows):
+        """(exact, approx) of f1 and of f3 on the beta rows ``rows``."""
+        f1, _, f3 = _evaluate(alphas, betas, rows, sign_values)[2]
+        column = betas[rows, None]
+        return (f1[:-1], f1_approx(alphas, column)), (f3[:-1], f3_approx(alphas, column))
+
+    for rows in blocks:
+        for k, (exact, approx) in enumerate(pairs(rows)):
             same = np.sign(exact) == np.sign(approx)
             agree[k] += int(np.count_nonzero(same))
             block_rows, cols = np.nonzero(~same)
-            cells[k].extend(zip(alphas[cols].tolist(), column[block_rows, 0].tolist()))
-            np.abs(exact - approx, out=dev[k][rows])
+            cells[k].extend(zip(alphas[cols].tolist(), betas[rows][block_rows].tolist()))
+            stats[k].add(np.abs(exact - approx).ravel())
 
     def report(k):
-        i, j = np.unravel_index(top_indices(dev[k], WORST_CELLS), dev[k].shape)
+        top = stats[k].top()
+        if top is None:  # argsort orders them, over the whole grid
+            whole = [np.abs(np.subtract(*pairs(rows)[k])) for rows in blocks]
+            top = top_indices(np.concatenate(whole, axis=None), WORST_CELLS)
+        i, j = np.unravel_index(top, (n_beta, n_alpha))
+        exact, approx = pairs(i)[k]
         cell = np.arange(i.size), j
-        worst = raster(*grid, i)
-        exact = (worst.f1, worst.f3)[k][cell]
-        approx = surrogates[k](row, betas[i, None])[cell]
         return ApproxReport(
             # a count over the cell count: the same float as numpy's mean of a mask
             sign_agreement=agree[k] / (n_alpha * n_beta),
-            max_abs_deviation=float(dev[k].max()),
-            mean_abs_deviation=float(dev[k].mean()),
+            max_abs_deviation=float(stats[k].maximum),
+            mean_abs_deviation=stats[k].mean(),
             disagreements=tuple(cells[k]),
             worst_cells=tuple(
-                zip(alphas[j].tolist(), betas[i].tolist(), exact.tolist(), approx.tolist())
+                zip(alphas[j].tolist(), betas[i].tolist(), exact[cell].tolist(),
+                    approx[cell].tolist())
             ),
         )
 

@@ -829,27 +829,38 @@ class TestCompareApprox:
         "n_alpha, n_beta", [(37, 53), (1, 1), (1250, 800), (20000, 3), (3, 20000)]
     )
     def test_evaluates_raster_blocks_and_the_worst_rows(self, capsys, monkeypatch, n_alpha, n_beta):
-        # compare-approx evaluates the grid a block of rows at a time, then
-        # the rows of each sign function's worst cells
+        # compare-approx evaluates the signs of the grid with raster's
+        # evaluator, a block of rows at a time, then the rows of each sign
+        # function's worst cells, and never the masses; a grid of fewer
+        # cells than the worst cells and one more is evaluated again whole
+        # for each sign function, for argsort to order them
         evaluated = []
-        full_raster = regions.raster
+        evaluate = regions._evaluate
 
         def capture(*args):
             evaluated.append(args)
-            return full_raster(*args)
+            return evaluate(*args)
 
-        monkeypatch.setattr(regions, "raster", capture)
+        monkeypatch.setattr(regions, "_evaluate", capture)
         code, doc, _ = run_json(capsys, "compare-approx", "--resolution", f"{n_alpha}x{n_beta}")
         assert code == EX_OK
         blocks = regions.row_blocks(n_alpha, n_beta)
-        assert [args[:4] for args in evaluated] == [((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)] * (
-            len(blocks) + 2
-        )
-        assert [args[4] for args in evaluated[:-2]] == blocks
-        betas = cell_centers(0.0, 1.0, n_beta)
-        for which, args in zip(("f1", "f3"), evaluated[-2:]):
+        again = blocks if n_alpha * n_beta <= regions.WORST_CELLS else []
+        assert len(evaluated) == len(blocks) + 2 * (len(again) + 1)
+        alphas, betas = cell_centers(0.0, 1.0, n_alpha), cell_centers(0.0, 1.0, n_beta)
+        for args in evaluated:
+            assert args[0].tobytes() == alphas.tobytes() and args[1].tobytes() == betas.tobytes()
+            assert args[3] is regions.sign_values
+        rows = [args[2] for args in evaluated]
+        worst_rows = []  # each sign function's, in the places marked None
+        for got, expected in zip(rows, [*blocks, *again, None, *again, None]):
+            if expected is None:
+                worst_rows.append(got)
+            else:
+                assert got == expected
+        for which, i in zip(("f1", "f3"), worst_rows):
             worst = doc["payload"][which]["worst_cells"]
-            assert [cell["beta"] for cell in worst] == betas[args[4]].tolist()
+            assert [cell["beta"] for cell in worst] == betas[i].tolist()
 
     def test_zero_resolution(self, capsys):
         code, _, _ = run(capsys, "compare-approx", "--resolution", "0")
@@ -933,14 +944,46 @@ def test_top_indices_on_random_draws():
         assert np.array_equal(top_indices(values, 10), expected)
 
 
+# the cases whose 11 largest values hold a tie or a NaN, or that have fewer
+# than 11 values: only the full argsort orders their largest 10
+ARGSORT_CASES = {
+    "tie-inside", "tie-at-edge", "many-ties", "signed-zeros", "nans", "one-nan", "all-nan",
+    "short-0", "short-1", "short-5", "short-10",
+}
+
+
+@pytest.mark.parametrize("values", _top_cases())
+@pytest.mark.parametrize("block", [1, 7, 11, 12, 100, None])
+def test_merged_block_tops_equal_full_argsort(request, values, block):
+    # compare-approx keeps each block's 11 largest values and picks the 10
+    # largest from those, unless argsort's order of equal values decides
+    values = values.ravel()
+    size = block or max(values.size, 1)
+    ends = [*range(size, values.size, size), values.size] if values.size else []
+    stats = regions._BlockedStats(ends, 10)
+    for start, stop in zip([0, *ends], ends):
+        stats.add(values[start:stop])
+    top = stats.top()
+    expected = np.argsort(values)[::-1][:10]
+    if request.node.callspec.id.split("-", 1)[1] in ARGSORT_CASES:
+        assert top is None
+        top = top_indices(values, 10)  # compare-approx's whole-grid fallback
+    assert np.array_equal(top, expected)
+
+
 @pytest.mark.parametrize(
     "argv, limit_mib",
-    [(["compare-approx", "--resolution", "1000x1000"], 32), (["raster", "--resolution", "256x256"], 8)],
-    ids=["compare-approx-1000x1000", "raster-256x256"],
+    [
+        (["compare-approx", "--resolution", "1000x1000"], 12),
+        (["compare-approx", "--resolution", "2000x2000"], 12),
+        (["raster", "--resolution", "256x256"], 8),
+    ],
+    ids=["compare-approx-1000x1000", "compare-approx-2000x2000", "raster-256x256"],
 )
 def test_plane_command_traced_peak(capsys, tmp_path, argv, limit_mib):
     # numpy reports its buffers to tracemalloc; holding the whole grid
-    # several times over takes 48.6 and 21.4 MiB
+    # several times over took 21.4 MiB at 256x256, and compare-approx's two
+    # whole deviation grids took 26 and 98 MiB
     if argv[0] == "raster":
         argv = argv + ["--out", str(tmp_path / "r.csv")]
     tracemalloc.start()
@@ -952,6 +995,43 @@ def test_plane_command_traced_peak(capsys, tmp_path, argv, limit_mib):
     capsys.readouterr()
     assert code == EX_OK
     assert peak <= limit_mib * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_simulate_every_step_traced_peak(capsys, tmp_path):
+    # 3,143 samples: a sample is 19 floats in one buffer, and the CSV is
+    # formatted a block of rows at a time; a sample as a list of Python
+    # floats and the CSV text held whole took 2.9 MiB
+    argv = ["simulate", "--alpha", "1", "--beta", "1", "--periods", "0.5", "--stride", "1",
+            "--out", str(tmp_path / "t.csv")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EX_OK
+    assert json.loads(capsys.readouterr().out)["payload"]["samples"] == 3143
+    assert peak <= 2 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def fresh_peak_rss_mb(*argv) -> float:
+    """The peak resident set of a fresh ``trapcc`` process, in MB."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    child = subprocess.Popen([sys.executable, "-m", "trapcc.cli", *argv], env=env,
+                             stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == EX_OK
+    return usage.ru_maxrss / 1024  # kibibytes on Linux
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_compare_approx_peak_rss_barely_grows_with_the_grid():
+    # four times the cells adds only the disagreeing cells' tuples, about
+    # 7 MB; the whole deviation grids took 57 MB at 1000x1000 and 133 MB
+    # at 2000x2000
+    small = fresh_peak_rss_mb("compare-approx", "--resolution", "1000")
+    large = fresh_peak_rss_mb("compare-approx", "--resolution", "2000")
+    assert large - small <= 10.0, f"{small:.1f} MB at 1000x1000, {large:.1f} MB at 2000x2000"
 
 
 def test_internal_error_exits_70_with_one_line(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,9 +289,104 @@ class TestCompareExactVsApprox:
         assert report.sign_agreement == 1.0
         assert report.disagreements == ()
 
+    @pytest.mark.parametrize("fault", ["ties", "nan"])
+    def test_ties_and_nans_order_the_worst_cells_over_the_whole_grid(self, monkeypatch, fault):
+        # a surrogate one above the exact f1 leaves deviations that tie at
+        # 1.0, and a NaN at one cell is the largest: only the whole grid's
+        # argsort orders them, in compare-approx's one whole-grid path
+        grid = ((0.0, 1.0), (0.0, 1.0), 3, 20000)
+        full = raster(*grid)
+        alphas, betas = full.alpha_axis, full.beta_axis
+
+        def surrogate(alpha, beta):
+            approx = exact_f1(alpha, beta) + (1.0 if fault == "ties" else 0.5)
+            if fault == "nan":
+                approx = np.where((alpha == alphas[1]) & (beta == betas[7]), np.nan, approx)
+            return approx
+
+        evaluated = []
+        evaluate = regions._evaluate
+
+        def capture(*args):
+            evaluated.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(regions, "_evaluate", capture)
+        monkeypatch.setattr(regions, "f1_approx", surrogate)
+        report = compare_exact_vs_approx(*grid)["f1"]
+        blocks = row_blocks(3, 20000)
+        assert len(blocks) > 1
+        # the blocks, then all of them again for f1 only, then each worst row set
+        assert [args[2] for args in evaluated[:2 * len(blocks)]] == blocks * 2
+        assert len(evaluated) == 2 * len(blocks) + 2
+        approx = surrogate(alphas, betas[:, None])
+        dev = np.abs(full.f1 - approx)
+        i, j = np.unravel_index(np.argsort(dev.ravel())[::-1][:10], dev.shape)
+        assert repr(report.worst_cells) == repr(tuple(zip(  # repr: nan != nan
+            alphas[j].tolist(), betas[i].tolist(), full.f1[i, j].tolist(), approx[i, j].tolist()
+        )))
+        assert np.float64(report.mean_abs_deviation).tobytes() == dev.mean().tobytes()
+        assert np.float64(report.max_abs_deviation).tobytes() == dev.max().tobytes()
+
     def test_disagreement_cells_listed(self):
         for report in compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), 50, 50).values():
             assert len(report.disagreements) == int(round((1 - report.sign_agreement) * 2500))
+
+
+def feed(values, ends, count=regions.WORST_CELLS):
+    """A _BlockedStats given ``values`` in the blocks that end at ``ends``."""
+    stats = regions._BlockedStats(ends, count)
+    for start, stop in zip([0, *ends], ends):
+        stats.add(values[start:stop])
+    return stats
+
+
+# the cell counts of the golden compare-approx grids
+GOLDEN_SIZES = [1000 * 1000, 800 * 1250, 20000 * 3, 3 * 20000]
+
+
+@st.composite
+def blocked_values(draw):
+    """Values of numpy's pairwise-sum sizes and any block ends: runs
+    that cross an end, and blocks of one value."""
+    n = draw(st.one_of(st.integers(0, 3 * 128 + 50), st.sampled_from(GOLDEN_SIZES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    if n and draw(st.booleans()):
+        values = np.abs(values)  # deviations are never negative
+    cuts = set(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=40)))
+    for one in draw(st.lists(st.integers(0, max(n - 2, 0)), max_size=5)):
+        cuts |= {one, one + 1}  # a block of the one value at ``one``
+    ends = sorted(c for c in cuts if 0 < c < n) + [n] if n else []
+    return values, ends
+
+
+class TestBlockedStats:
+    @given(blocked_values())
+    @settings(max_examples=150, deadline=None)
+    def test_mean_and_max_have_the_bits_of_the_whole_array(self, drawn):
+        values, ends = drawn
+        stats = feed(values, ends)
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no values
+            expected = np.mean(values)
+            mean = stats.mean()
+        if values.size:
+            assert np.float64(mean).tobytes() == expected.tobytes()
+            assert np.float64(stats.maximum).tobytes() == np.max(values).tobytes()
+        else:
+            assert math.isnan(mean) and math.isnan(expected)
+
+    def test_mean_of_negative_zeros_is_a_positive_zero(self):
+        values = np.full(300, -0.0)
+        mean = feed(values, [100, 101, 300]).mean()
+        assert np.float64(mean).tobytes() == np.mean(values).tobytes() == np.float64(0.0).tobytes()
+
+    @pytest.mark.parametrize("block", [127, 128, 129, _BLOCK_CELLS])
+    def test_mean_of_regular_blocks_of_a_golden_size(self, block):
+        values = np.abs(np.random.default_rng(block).standard_normal(GOLDEN_SIZES[0]))
+        ends = [*range(block, values.size, block), values.size]
+        assert feed(values, ends).mean() == np.mean(values)
 
 
 class TestTraceBoundary:
