@@ -17,20 +17,25 @@ from typing import NamedTuple
 
 from ._numpy import np
 from .geometry import TrapezoidParams, build_configuration
-# classify and attraction_field are not called here, but perfbench/spans.py
-# wraps dynamics.classify and dynamics.attraction_field
+# classify is not called here, but perfbench/spans.py wraps dynamics.classify
 from .masses import RegionLabel, classify, region_label, solve_masses  # noqa: F401
-from .oracle import (  # noqa: F401
+from .oracle import (
     CoincidentBodiesError,
     _check_bodies,
-    _field,
+    _half_mass_squares,
     _min_separation,
     _pair_distances,
     _pairs,
     _potential,
     _read_only,
+    _sum,
     attraction_field,
 )
+
+# integrate takes its forces from _field, a name perfbench/spans.py does not
+# wrap: it times dynamics.attraction_field, and a span per RK4 stage would
+# swamp a traced run
+_field = attraction_field
 
 COLLISION_TOL = 1e-6
 DEFAULT_DT = 1e-3
@@ -64,8 +69,7 @@ class SystemState(NamedTuple("SystemState", [
 
     def __new__(cls, masses, positions, velocities):
         masses, positions, velocities = map(_read_only, (masses, positions, velocities))
-        _check_bodies(masses, positions, velocities)
-        coords = positions.ravel().tolist()
+        _, coords, _ = _check_bodies(masses, positions, velocities)
         for (i, j), d in zip(_pairs(len(masses)), _pair_distances(coords).tolist()):
             if d < COLLISION_TOL:
                 raise CoincidentBodiesError(
@@ -131,15 +135,19 @@ class RigidityReport(NamedTuple):
     max_angular_momentum_drift: float
 
 
-def total_energy(masses: np.ndarray, positions: np.ndarray, velocities: np.ndarray) -> float:
-    kinetic = 0.5 * float((masses * (velocities**2).sum(axis=1)).sum())
-    return kinetic - _potential(masses.tolist(), positions.ravel().tolist())
+def total_energy(masses: list[float], positions: list[float], velocities: list[float]) -> float:
+    """Kinetic minus potential energy, from masses and flat positions and
+    velocities ``[x_0, y_0, x_1, y_1, ...]``, summed as numpy would."""
+    return _half_mass_squares(masses, velocities) - _potential(masses, positions)
 
 
-def total_angular_momentum(masses: np.ndarray, positions: np.ndarray, velocities: np.ndarray) -> float:
-    return float(
-        (masses * (positions[:, 0] * velocities[:, 1] - positions[:, 1] * velocities[:, 0])).sum()
-    )
+def total_angular_momentum(
+    masses: list[float], positions: list[float], velocities: list[float]
+) -> float:
+    """``sum m_k (x_k vy_k - y_k vx_k)`` of flat positions and velocities,
+    summed as numpy would."""
+    bodies = zip(masses, positions[0::2], positions[1::2], velocities[0::2], velocities[1::2])
+    return _sum([m * (x * vy - y * vx) for m, x, y, vx, vy in bodies])
 
 
 def init_relative_equilibrium(params: TrapezoidParams, force: bool = False) -> SystemState:
@@ -212,9 +220,8 @@ def integrate(
     rows = array("d")
 
     def record(time):
-        p, v = np.reshape(pos, (-1, 2)), np.reshape(vel, (-1, 2))
-        energy = total_energy(initial.masses, p, v)
-        angular_momentum = total_angular_momentum(initial.masses, p, v)
+        energy = total_energy(masses, pos, vel)
+        angular_momentum = total_angular_momentum(masses, pos, vel)
         rows.extend((time, *pos, *vel, energy, angular_momentum))
 
     def trajectory():

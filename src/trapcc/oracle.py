@@ -13,6 +13,10 @@ read-only float arrays, with G = 1.  Negative masses are allowed (sign
 analysis of the mass formulas needs them); only non-finite values, a total
 mass that vanishes to rounding or coincident bodies are rejected.  Points
 such as the centre of mass are ``(x, y)`` float tuples.
+
+The checks run on Python floats, through pair code generated once per body
+count (:func:`_kernels`), and return the bits of the numpy array code kept
+in ``tests/array_reference.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from ._numpy import np
 from .geometry import TrapezoidParams, build_configuration
@@ -50,8 +54,7 @@ class PlanarSystem(
 
     def __new__(cls, masses, positions):
         masses, positions = _read_only(masses), _read_only(positions)
-        _check_bodies(masses, positions)
-        mass_list, coords = masses.tolist(), positions.ravel().tolist()
+        mass_list, coords = _check_bodies(masses, positions)
         # the centre of mass divides by a plain float sum of the masses,
         # which is only known to about n * eps * sum |m|: a total inside
         # that error vanishes as far as the centre can tell
@@ -74,9 +77,10 @@ def _read_only(values) -> np.ndarray:
     return array
 
 
-def _check_bodies(masses: np.ndarray, positions: np.ndarray, velocities=None) -> None:
+def _check_bodies(masses: np.ndarray, positions: np.ndarray, velocities=None) -> list[list[float]]:
     """Raise ValueError unless ``masses`` is ``(N,)`` with N >= 2, and
-    ``positions`` and, when given, ``velocities`` are ``(N, 2)``, all finite."""
+    ``positions`` and, when given, ``velocities`` are ``(N, 2)``, all finite;
+    return the given arrays as flat float lists."""
     if masses.ndim != 1 or positions.shape != (len(masses), 2):
         raise ValueError(
             f"one (x, y) position per mass required: masses {masses.shape}, "
@@ -86,9 +90,13 @@ def _check_bodies(masses: np.ndarray, positions: np.ndarray, velocities=None) ->
         raise ValueError(f"velocities {velocities.shape} must match positions {positions.shape}")
     if len(masses) < 2:
         raise ValueError("at least 2 bodies required")
+    lists = []
     for name, values in (("masses", masses), ("positions", positions), ("velocities", velocities)):
-        if values is not None and not np.isfinite(values).all():
-            raise ValueError(f"{name} must be finite")
+        if values is not None:
+            lists.append(values.ravel().tolist())
+            if not all(map(math.isfinite, lists[-1])):
+                raise ValueError(f"{name} must be finite")
+    return lists
 
 
 class ResidualReport(NamedTuple):
@@ -111,15 +119,53 @@ class ResidualReport(NamedTuple):
     com: tuple[float, float]
 
 
-def _centre(masses: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mass-weighted centre and the positions relative to it."""
-    com = (masses[:, None] * pos).sum(axis=0) / masses.sum()
-    return com, pos - com
+def _sum(values: list[float]) -> float:
+    """The sum numpy gives a 1-D float64 array of ``values``, bit for bit:
+    left to right from 0.0 for fewer than 8 values, else ``0.0`` plus the
+    pairwise sum of :func:`_pairwise_sum`.  Python's own ``sum`` is
+    neither."""
+    if len(values) < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    return 0.0 + _pairwise_sum(values)
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's pairwise float64 sum of 8 or more values: a run of at most
+    128 values in eight interleaved partial sums, combined as a tree, then
+    the values past the last multiple of 8; a longer run as two halves, the
+    first ending at a multiple of 8."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    whole = n - n % 8
+    r = values[:8]
+    for start in range(8, whole, 8):
+        r = [a + b for a, b in zip(r, values[start:start + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for value in values[whole:]:
+        total += value
+    return total
+
+
+def _centre(masses: list[float], coords: list[float]) -> tuple[tuple[float, float], list[float]]:
+    """The mass-weighted centre and the flat coordinates relative to it."""
+    xs, ys = coords[0::2], coords[1::2]
+    cx = cy = 0.0
+    for m, x, y in zip(masses, xs, ys):
+        cx += m * x
+        cy += m * y
+    total = _sum(masses)
+    cx, cy = cx / total, cy / total
+    return (cx, cy), [c for x, y in zip(xs, ys) for c in (x - cx, y - cy)]
 
 
 def center_of_mass(system: PlanarSystem) -> tuple[float, float]:
-    com, _ = _centre(system.masses, system.positions)
-    return tuple(com.tolist())
+    com, _ = _centre(system.masses.tolist(), system.positions.ravel().tolist())
+    return com
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,117 +174,156 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-def _pair_offsets(coords: list[float]) -> tuple[list[float], list[float]]:
-    """The offsets ``x_j - x_i`` and ``y_j - y_i`` of every pair of
-    :func:`_pairs`, from flat coordinates ``[x_0, y_0, x_1, y_1, ...]``.
-    The coordinates may be array rows, one column per system, and each
-    offset is then that row difference."""
-    xs, ys = coords[0::2], coords[1::2]
-    pairs = _pairs(len(xs))
-    return [xs[j] - xs[i] for i, j in pairs], [ys[j] - ys[i] for i, j in pairs]
+@functools.lru_cache(maxsize=None)
+def _kernels(n: int) -> dict[str, Callable]:
+    """The pair code of n bodies, generated and compiled on first use: the
+    functions ``field``, ``min_separation``, ``distances`` and ``potential``
+    by name.
+
+    Each function unpacks the masses and the flat coordinates
+    ``[x_0, y_0, x_1, y_1, ...]`` into locals and spells out every pair of
+    :func:`_pairs` in order, so a force evaluation pays for its arithmetic
+    and one numpy call, not for a loop over index pairs.  Only the integers
+    of ``_pairs(n)`` enter the source.
+    """
+    pairs = _pairs(n)
+
+    def listed(items):  # a trailing comma keeps a single pair a tuple
+        return "".join(f"{item}, " for item in items)
+
+    masses = listed(f"m{k}" for k in range(n))
+    coords = listed(f"x{k}, y{k}" for k in range(n))
+    offsets = "".join(
+        f"    dx{i}_{j} = x{j} - x{i}\n    dy{i}_{j} = y{j} - y{i}\n" for i, j in pairs
+    )
+    squares = [f"dx{i}_{j} * dx{i}_{j} + dy{i}_{j} * dy{i}_{j}" for i, j in pairs]
+    # body k's acceleration adds its pairs' terms in pair order, as a loop
+    # over the pairs would: + m_j (r_j - r_k) w for (k, j), - m_i (r_k - r_i) w
+    # for (i, k), from 0.0
+    field = [
+        "0.0" + "".join(
+            f" + m{j} * d{axis}{i}_{j} * w{i}_{j}" if i == k
+            else f" - m{i} * d{axis}{i}_{j} * w{i}_{j}"
+            for i, j in pairs if k in (i, j)
+        )
+        for k in range(n) for axis in "xy"
+    ]
+    weights = listed(f"w{i}_{j}" for i, j in pairs)
+    nearest = f"min({', '.join(squares)})" if n > 2 else squares[0]
+    potential = "".join(f" + m{i} * m{j} / d{i}_{j}" for i, j in pairs)
+    source = (
+        "def field(masses, coords):\n"
+        f"    {masses}= masses\n"
+        f"    {coords}= coords\n"
+        f"{offsets}"
+        # numpy's vectorised power differs from libm's pow (Python's **) on
+        # about one input in twenty; its result for a value does not depend
+        # on the array's length
+        f"    {weights}= np.power(({listed(squares)}), -1.5).tolist()\n"
+        f"    return [{', '.join(field)}]\n"
+        "def min_separation(coords):\n"
+        f"    {coords}= coords\n"
+        f"{offsets}"
+        f"    return sqrt({nearest})\n"
+        "def distances(coords):\n"
+        f"    {coords}= coords\n"
+        f"    return np.hypot(({listed(f'x{j} - x{i}' for i, j in pairs)}),"
+        f" ({listed(f'y{j} - y{i}' for i, j in pairs)}))\n"
+        "def potential(masses, coords):\n"
+        f"    {masses}= masses\n"
+        f"    {listed(f'd{i}_{j}' for i, j in pairs)}= distances(coords).tolist()\n"
+        f"    return 0.0{potential}\n"
+    )
+    namespace = {"np": np, "sqrt": math.sqrt}
+    exec(compile(source, f"<trapcc pair kernels, {n} bodies>", "exec"), namespace)
+    return namespace
 
 
 def _min_separation(coords: list[float]) -> float:
     """The smallest pair distance, from flat coordinates."""
-    dx, dy = _pair_offsets(coords)
-    return math.sqrt(min(x * x + y * y for x, y in zip(dx, dy)))
+    return _kernels(len(coords) // 2)["min_separation"](coords)
 
 
-def _pair_distances(coords: list[float]) -> np.ndarray:
-    """The distance of every pair of :func:`_pairs`.
+def _pair_distances(coords) -> np.ndarray:
+    """The distance of every pair of :func:`_pairs`, from flat coordinates.
+    The coordinates may be array rows, one column per system: the result
+    is then ``(P, S)``.
 
     ``np.hypot``, not ``math.hypot``: the two round differently on a few
     inputs in a thousand, and every output keeps numpy's bits.
     """
-    return np.hypot(*_pair_offsets(coords))
+    return _kernels(len(coords) // 2)["distances"](coords)
 
 
 def _potential(masses: list[float], coords: list[float]) -> float:
     """Self-potential ``sum m_i m_j / |r_i - r_j|`` over the pairs, summed
     in pair order."""
-    potential = 0.0
-    for (i, j), d in zip(_pairs(len(masses)), _pair_distances(coords).tolist()):
-        potential += masses[i] * masses[j] / d
-    return potential
+    return _kernels(len(masses))["potential"](masses, coords)
 
 
-def _field(masses: list[float], coords: list[float]) -> list[float]:
+def attraction_field(masses: list[float], coords: list[float]) -> list[float]:
     """Gravitational acceleration of every body, G = 1, on Python floats.
 
-    The one force coding of the package.  Takes and returns flat
-    coordinates ``[x_0, y_0, x_1, y_1, ...]``.  Body k's acceleration is
-    ``sum_j (m_j * (r_j - r_k)) * d_kj^-1.5`` summed over j in increasing
-    order, term by term as a numpy sum over the body axis would, so the bits
-    equal those of the ``(N, N, 2)`` array coding kept in
-    ``tests/array_reference.py``.
+    The one force coding of the package.  Takes masses and flat coordinates
+    ``[x_0, y_0, x_1, y_1, ...]`` and returns the accelerations in the same
+    layout.  Body k's acceleration is ``sum_j (m_j * (r_j - r_k)) * d_kj^-1.5``
+    summed over j in increasing order, term by term as a numpy sum over the
+    body axis would, so the bits equal those of the ``(N, N, 2)`` array
+    coding kept in ``tests/array_reference.py``; the trapezoid-specialised
+    formulas there are the independent second coding of the same law.
     """
-    dxs, dys = _pair_offsets(coords)
-    # numpy's vectorised power differs from libm's pow (Python's ``**``) on
-    # about one input in twenty; its result for a value does not depend on
-    # the array's length, so one call on the pairs keeps numpy's bits
-    inv_d3 = np.power([dx * dx + dy * dy for dx, dy in zip(dxs, dys)], -1.5).tolist()
-    n = len(masses)
-    ax, ay = [0.0] * n, [0.0] * n
-    for (i, j), dx, dy, w in zip(_pairs(n), dxs, dys, inv_d3):
-        mi, mj = masses[i], masses[j]
-        ax[i] += mj * dx * w
-        ay[i] += mj * dy * w
-        ax[j] -= mi * dx * w
-        ay[j] -= mi * dy * w
-    return [c for xy in zip(ax, ay) for c in xy]
+    return _kernels(len(masses))["field"](masses, coords)
 
 
-def attraction_field(masses: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Gravitational acceleration of every body, G = 1, as an ``(N, 2)``
-    array.
-
-    The oracle and the integrator share :func:`_field`; the
-    trapezoid-specialised formulas in ``tests/array_reference.py`` are the
-    independent second coding of the same force law.
-    """
-    return np.array(_field(masses.tolist(), positions.ravel().tolist())).reshape(-1, 2)
+def _half_mass_squares(masses: list[float], coords: list[float]) -> float:
+    """``0.5 * sum m_k |v_k|^2`` of flat vectors, summed as numpy would:
+    the half moment of positions, the kinetic energy of velocities."""
+    return 0.5 * _sum([m * (x * x + y * y) for m, x, y in zip(masses, coords[0::2], coords[1::2])])
 
 
-def _potential_and_moment(masses: np.ndarray, pos: np.ndarray) -> tuple[float, float]:
-    potential = _potential(masses.tolist(), pos.ravel().tolist())
-    moment = 0.5 * float((masses * (pos**2).sum(axis=1)).sum())
-    return potential, moment
+def _potential_and_moment(masses: list[float], coords: list[float]) -> tuple[float, float]:
+    return _potential(masses, coords), _half_mass_squares(masses, coords)
 
 
 def potential_and_moment(system: PlanarSystem) -> tuple[float, float]:
     """Self-potential over all unordered pairs and the half moment
     ``0.5 * sum m_i |r_i|^2`` about the origin (translate the system first
     when the centre of mass matters)."""
-    return _potential_and_moment(system.masses, system.positions)
+    return _potential_and_moment(system.masses.tolist(), system.positions.ravel().tolist())
 
 
-def _residual(masses: np.ndarray, pos: np.ndarray, lam: float) -> ResidualReport:
-    com, rel = _centre(masses, pos)
-    attractions = attraction_field(masses, pos)
-    defect = attractions + lam * rel
-    defect_norms = np.sqrt((defect**2).sum(axis=1))
-    attraction_norms = np.sqrt((attractions**2).sum(axis=1))
-
+def _residual(masses: list[float], coords: list[float], lam: float) -> ResidualReport:
+    n = len(masses)
+    com, rel = _centre(masses, coords)
+    attractions = attraction_field(masses, coords)
     # one batched ``attractions[k] @ rel[k]``: numpy's dot may fuse the
     # multiply-add, so a dot of two floats is not ``a0 * r0 + a1 * r1``
-    dots = (attractions[:, None, :] @ rel[:, :, None]).ravel().tolist()
-    lam_body = tuple(
-        math.nan if u2 < MIN_SEPARATION**2 else -dot / u2
-        for dot, u2 in zip(dots, (rel**2).sum(axis=1).tolist())
-    )
+    both = np.array((attractions, rel))
+    dots = (both[0].reshape(n, 1, 2) @ both[1].reshape(n, 2, 1)).ravel().tolist()
+    defect_norms, attraction_norms, lam_body = [], [], []
+    bodies = zip(attractions[0::2], attractions[1::2], rel[0::2], rel[1::2], dots)
+    for ax, ay, ux, uy, dot in bodies:
+        dx, dy = ax + lam * ux, ay + lam * uy
+        defect_norms.append(math.sqrt(dx * dx + dy * dy))
+        attraction_norms.append(math.sqrt(ax * ax + ay * ay))
+        u2 = ux * ux + uy * uy
+        lam_body.append(math.nan if u2 < MIN_SEPARATION**2 else -dot / u2)
 
     # rel is the system translated to its centre of mass
     potential, moment = _potential_and_moment(masses, rel)
     lambda_energy = potential / (2.0 * moment) if moment != 0.0 else math.inf
+    # numpy's max is the first NaN when there is one; Python's skips a NaN
+    # that is not first
+    nans = [norm for norm in defect_norms if norm != norm]
 
     return ResidualReport(
-        lambda_per_body=lam_body,
+        lambda_per_body=tuple(lam_body),
         lambda_energy=lambda_energy,
         potential=potential,
         moment=moment,
-        max_residual=float(defect_norms.max()),
-        attraction_scale=float(attraction_norms.mean()),
-        com=tuple(com.tolist()),
+        max_residual=nans[0] if nans else max(defect_norms),
+        attraction_scale=_sum(attraction_norms) / n,
+        com=com,
     )
 
 
@@ -254,7 +339,7 @@ def cc_residual(system: PlanarSystem, lam: float) -> ResidualReport:
     multipliers, and the energy-ratio multiplier potential/(2*moment) with
     the moment taken about c.
     """
-    return _residual(system.masses, system.positions, lam)
+    return _residual(system.masses.tolist(), system.positions.ravel().tolist(), lam)
 
 
 def is_central_configuration(
@@ -266,8 +351,8 @@ def is_central_configuration(
     the verdict is ``max_residual <= tol * attraction_scale``, making the
     tolerance dimensionless.  The full report is returned either way.
     """
-    masses = system.masses
-    _, centred = _centre(masses, system.positions)
+    masses = system.masses.tolist()
+    _, centred = _centre(masses, system.positions.ravel().tolist())
     potential, moment = _potential_and_moment(masses, centred)
     if moment == 0.0:
         return False, _residual(masses, centred, 0.0)

@@ -30,11 +30,19 @@ from trapcc.geometry import (
     distance_cubes_values,
 )
 from trapcc.oracle import PlanarSystem
+from trapcc.oracle import attraction_field as package_field
 
 
 def translated(system: PlanarSystem, dx: float, dy: float) -> PlanarSystem:
     """``system`` with every position moved by ``(dx, dy)``."""
     return PlanarSystem(system.masses, system.positions + np.array([dx, dy]))
+
+
+def field_array(masses: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The package's float kernel, :func:`trapcc.oracle.attraction_field`,
+    on arrays: ``(N,)`` masses and ``(N, 2)`` positions in, ``(N, 2)``
+    accelerations out, with its bits."""
+    return np.reshape(package_field(masses.tolist(), positions.ravel().tolist()), (-1, 2))
 
 
 def attraction_field(masses: np.ndarray, positions: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from trapcc.masses import (
     solve_masses,
     solve_masses_linear,
 )
-from trapcc.oracle import attraction_field, cc_residual, trapezoid_system
+from trapcc.oracle import cc_residual, trapezoid_system
 from trapcc.regions import (
     NegativeRadicandError,
     audit_published_domains,
@@ -54,6 +54,7 @@ from trapcc.regions import (
     raster,
 )
 
+from array_reference import field_array
 from locus_oracle import inner_pair_defect, locus_beta
 
 GRID_N = 100
@@ -166,7 +167,7 @@ def test_criterion_02_central_configuration_identity_on_grid():
         inner = inner_pair_defect(params.alpha, params.beta, solution.m, solution.M)
         identity = abs(result.max_residual - abs(inner)) / scale
         pos = system.positions
-        defect = attraction_field(system.masses, pos) + (pos - result.com)
+        defect = field_array(system.masses, pos) + (pos - result.com)
         balance = max(np.abs(defect[:, 1]).max(), np.abs(defect[[0, 3], 0]).max()) / scale
         at = (params.alpha, params.beta)
         total += 1

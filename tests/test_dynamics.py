@@ -20,9 +20,10 @@ from trapcc.dynamics import (
 )
 from trapcc.geometry import TrapezoidParams, build_configuration
 from trapcc.masses import DegenerateConfigurationError, solve_masses
-from trapcc.oracle import PlanarSystem, attraction_field
+from trapcc.oracle import PlanarSystem
 
 import array_reference
+from array_reference import field_array
 
 params_st = st.builds(
     TrapezoidParams,
@@ -41,14 +42,14 @@ def state_from(masses, positions, velocities=None):
 class TestAccelerations:
     def test_two_body_unit_distance(self):
         state = state_from([1.0, 1.0], [[-0.5, 0.0], [0.5, 0.0]])
-        acc = attraction_field(state.masses, state.positions)
+        acc = field_array(state.masses, state.positions)
         assert np.allclose(acc, [[1.0, 0.0], [-1.0, 0.0]], atol=1e-15)
 
     def test_mirror_symmetry(self):
         params = TrapezoidParams(0.6, 0.9)
         solution = solve_masses(params)
         state = init_relative_equilibrium(params)
-        acc = attraction_field(state.masses, state.positions)
+        acc = field_array(state.masses, state.positions)
         assert acc[0, 0] == pytest.approx(-acc[3, 0], abs=1e-15)
         assert acc[1, 0] == pytest.approx(-acc[2, 0], abs=1e-15)
         assert acc[0, 1] == pytest.approx(acc[3, 1], abs=1e-15)
@@ -57,7 +58,7 @@ class TestAccelerations:
 
     def test_square_acceleration_is_centripetal(self):
         state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
-        acc = attraction_field(state.masses, state.positions)
+        acc = field_array(state.masses, state.positions)
         assert np.max(np.abs(acc + state.positions)) <= 1e-10
 
     @given(params=params_st, m=st.floats(0.05, 5.0), M=st.floats(0.05, 5.0))
@@ -66,7 +67,7 @@ class TestAccelerations:
         config = build_configuration(params, m, M)
         positions = np.array(config.positions)
         state = state_from([M, m, m, M], positions)
-        generic = attraction_field(state.masses, state.positions)
+        generic = field_array(state.masses, state.positions)
         specialised = array_reference.trapezoid_accelerations(params, m, M)
         scale = max(1.0, float(np.abs(generic).max()))
         assert np.max(np.abs(generic - specialised)) <= 1e-13 * scale
@@ -78,7 +79,7 @@ class TestAccelerations:
         positions = np.array(config.positions)
         masses = np.array([M, m, m, M])
         state = state_from(masses, positions)
-        acc = attraction_field(state.masses, state.positions)
+        acc = field_array(state.masses, state.positions)
         net = (masses[:, None] * acc).sum(axis=0)
         scale = max(1.0, float(np.abs(masses[:, None] * acc).max()))
         assert np.max(np.abs(net)) <= 1e-13 * scale
@@ -192,18 +193,49 @@ class TestIntegrate:
         assert partial.times[-1] < 1e-6
 
 
+def trapezoid_state(alpha, beta, force=False):
+    return init_relative_equilibrium(TrapezoidParams(alpha, beta), force=force)
+
+
+def lagrange_state():
+    """Three unit masses on a unit triangle, turning about their centre
+    with omega^2 = 3: a rigid rotation of three bodies."""
+    height = math.sqrt(3.0) / 2.0
+    positions = np.array([(-0.5, -height / 3.0), (0.5, -height / 3.0), (0.0, 2.0 * height / 3.0)])
+    velocities = math.sqrt(3.0) * np.stack([-positions[:, 1], positions[:, 0]], axis=1)
+    return SystemState([1.0, 1.0, 1.0], positions, velocities)
+
+
+def five_body_state():
+    """A heavy body at the origin and four light ones on nearly circular
+    orbits of different radii, each perturbing the others."""
+    masses, radii, angles = [10.0, 0.1, 0.2, 0.3, 0.4], [1.0, 1.5, 2.0, 2.5], [0.3, 2.1, 3.9, 5.4]
+    positions = [(0.0, 0.0)] + [(r * math.cos(a), r * math.sin(a)) for r, a in zip(radii, angles)]
+    velocities = [(0.0, 0.0)] + [
+        (-math.sqrt(10.0 / r) * math.sin(a), math.sqrt(10.0 / r) * math.cos(a))
+        for r, a in zip(radii, angles)
+    ]
+    return SystemState(masses, positions, velocities)
+
+
 @pytest.mark.parametrize(
-    "alpha, beta, force, stride",
+    "build, stride",
     [
-        (1.0, 1.0, False, 100),
-        (0.5, 0.8771966348583974, False, 100),  # on the central-configuration locus
-        (0.5, 1.0, False, 7),
-        (0.37, 0.9, False, 1),
-        (0.5, 0.5, True, 13),  # negative mass
+        pytest.param(lambda: trapezoid_state(1.0, 1.0), 100, id="1.0-1.0-False-100"),
+        # on the central-configuration locus
+        pytest.param(lambda: trapezoid_state(0.5, 0.8771966348583974), 100,
+                     id="0.5-0.8771966348583974-False-100"),
+        pytest.param(lambda: trapezoid_state(0.5, 1.0), 7, id="0.5-1.0-False-7"),
+        pytest.param(lambda: trapezoid_state(0.37, 0.9), 1, id="0.37-0.9-False-1"),
+        # negative mass
+        pytest.param(lambda: trapezoid_state(0.5, 0.5, force=True), 13, id="0.5-0.5-True-13"),
+        # the pair kernels of other body counts
+        pytest.param(lagrange_state, 7, id="lagrange-triangle-7"),
+        pytest.param(five_body_state, 1, id="five-bodies-1"),
     ],
 )
-def test_integrate_matches_array_reference_bits(alpha, beta, force, stride):
-    state = init_relative_equilibrium(TrapezoidParams(alpha, beta), force=force)
+def test_integrate_matches_array_reference_bits(build, stride):
+    state = build()
     t_end = 0.3 * 2.0 * math.pi  # not a whole number of steps: the last one is partial
     trajectory = integrate(state, dt=1e-3, t_end=t_end, output_stride=stride)
     samples, energies, ang_momenta = array_reference.integrate(
@@ -254,9 +286,11 @@ class TestRigidityMetrics:
         trajectory = integrate(state, dt=1e-3, t_end=0.3, output_stride=50)
         assert len(trajectory.energy) == len(trajectory.samples)
         assert len(trajectory.angular_momentum) == len(trajectory.samples)
-        expected = total_energy(state.masses, state.positions, state.velocities)
+        flat = (state.masses.tolist(), state.positions.ravel().tolist(),
+                state.velocities.ravel().tolist())
+        expected = total_energy(*flat)
         assert trajectory.energy[0] == pytest.approx(expected, rel=1e-14)
-        expected_l = total_angular_momentum(state.masses, state.positions, state.velocities)
+        expected_l = total_angular_momentum(*flat)
         assert trajectory.angular_momentum[0] == pytest.approx(expected_l, rel=1e-14)
 
 
@@ -393,6 +427,21 @@ def test_integrate_refuses_more_steps_than_the_cap_before_a_step(monkeypatch):
     # at the cap the run starts, and the first step is the stub's
     with pytest.raises(RuntimeError, match="took a step"):
         integrate(state, dt=1.0, t_end=float(MAX_STEPS))
+
+
+def test_integrate_checks_the_separation_once_per_step(monkeypatch):
+    # perfbench/spans.py counts RK4 steps through this name
+    calls = []
+    separation = dynamics._min_separation
+
+    def counted(coords):
+        calls.append(1)
+        return separation(coords)
+
+    monkeypatch.setattr(dynamics, "_min_separation", counted)
+    trajectory = integrate(trapezoid_state(1.0, 1.0), dt=1e-3)
+    assert len(calls) == math.ceil(2.0 * math.pi / 1e-3) == 6284
+    assert len(trajectory.samples) == 6284 // 100 + 2
 
 
 def test_system_state_rejects_near_collision():

@@ -152,7 +152,8 @@ SIMULATE = ["simulate", "--alpha", "1", "--beta", "1", "--periods", "0.01", "--o
         ("main(['--version'])", LAYERS),
         (f"main({BOUNDARY!r})", {"oracle", "dynamics", "numpy"}),
         (f"main({SIMULATE!r})", {"regions"}),
-        ("from trapcc import masses, oracle", {"regions", "dynamics"}),
+        # building the pair kernels waits for their first call
+        ("from trapcc import masses, oracle", {"regions", "dynamics", "numpy"}),
         ("main(['masses', '--alpha', '0.5', '--beta', '1'])",
          {"numpy", "oracle", "dynamics", "regions"}),
         ("main(['verify', '--alpha', '0.5', '--beta', '1'])", {"regions", "dynamics"}),
