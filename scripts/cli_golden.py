@@ -154,6 +154,8 @@ COMMANDS = [
     ("compare-3x20000", ["compare-approx", "--resolution", "3x20000", "--out", "@c4.json"]),
     ("compare-zero", ["compare-approx", "--resolution", "0"]),
     ("compare-over-cell-cap", ["compare-approx", "--resolution", "100000"]),
+    # the last compare shape of the plane benchmark workload
+    ("compare-1250x800", ["compare-approx", "--resolution", "1250x800", "--out", "@c5.json"]),
 ]
 
 

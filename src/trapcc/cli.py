@@ -421,12 +421,7 @@ def cmd_simulate(args) -> int:
     }
     if args.periods == 0:
         write_text(args.out, TRAJECTORY_CSV_HEADER + "\n")
-        payload = {
-            "max_distance_deviation": 0.0,
-            "max_energy_drift": 0.0,
-            "max_angular_momentum_drift": 0.0,
-            "samples": 0,
-        }
+        payload = {**RigidityReport(0.0, 0.0, 0.0)._asdict(), "samples": 0}
         emit_json(envelope("simulate", parameters, payload, []))
         return EX_OK
 
@@ -439,12 +434,7 @@ def cmd_simulate(args) -> int:
 
     write_trajectory(trajectory)
     report = rigidity_metrics(trajectory)
-    payload = {
-        "max_distance_deviation": report.max_distance_deviation,
-        "max_energy_drift": report.max_energy_drift,
-        "max_angular_momentum_drift": report.max_angular_momentum_drift,
-        "samples": len(trajectory.samples),
-    }
+    payload = {**report._asdict(), "samples": len(trajectory.samples)}
     emit_json(envelope("simulate", parameters, payload, []))
     return EX_OK if report.max_distance_deviation <= 1e-5 else EX_VERIFY_FAILED
 

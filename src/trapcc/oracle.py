@@ -121,34 +121,14 @@ class ResidualReport(NamedTuple):
 
 def _sum(values: list[float]) -> float:
     """The sum numpy gives a 1-D float64 array of ``values``, bit for bit:
-    left to right from 0.0 for fewer than 8 values, else ``0.0`` plus the
-    pairwise sum of :func:`_pairwise_sum`.  Python's own ``sum`` is
-    neither."""
+    left to right from 0.0 for fewer than 8 values, else numpy's own
+    pairwise sum.  Python's own ``sum`` is neither."""
     if len(values) < 8:
         total = 0.0
         for value in values:
             total += value
         return total
-    return 0.0 + _pairwise_sum(values)
-
-
-def _pairwise_sum(values: list[float]) -> float:
-    """numpy's pairwise float64 sum of 8 or more values: a run of at most
-    128 values in eight interleaved partial sums, combined as a tree, then
-    the values past the last multiple of 8; a longer run as two halves, the
-    first ending at a multiple of 8."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    whole = n - n % 8
-    r = values[:8]
-    for start in range(8, whole, 8):
-        r = [a + b for a, b in zip(r, values[start:start + 8])]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for value in values[whole:]:
-        total += value
-    return total
+    return float(np.add.reduce(np.array(values, dtype=float)))
 
 
 def _centre(masses: list[float], coords: list[float]) -> tuple[tuple[float, float], list[float]]:
@@ -349,7 +329,9 @@ def is_central_configuration(
 
     The system is recentred, lambda is taken as potential/(2*moment), and
     the verdict is ``max_residual <= tol * attraction_scale``, making the
-    tolerance dimensionless.  The full report is returned either way.
+    tolerance dimensionless, and False unless both are finite (an
+    overflowing system has ``inf <= tol * inf``).  The full report is
+    returned either way.
     """
     masses = system.masses.tolist()
     _, centred = _centre(masses, system.positions.ravel().tolist())
@@ -359,7 +341,8 @@ def is_central_configuration(
     # _residual centres once more; the reported potential, moment and
     # lambda_energy come from those twice-centred positions, lam from these
     report = _residual(masses, centred, potential / (2.0 * moment))
-    verdict = report.max_residual <= tol * report.attraction_scale
+    residual, scale = report.max_residual, report.attraction_scale
+    verdict = math.isfinite(residual) and math.isfinite(scale) and residual <= tol * scale
     return verdict, report
 
 

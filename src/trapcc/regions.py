@@ -16,8 +16,8 @@ expressions are real-valued and how well they track the exact zero sets.
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_right
 from typing import Callable, NamedTuple, Sequence
 
 from ._numpy import np
@@ -27,7 +27,7 @@ from .masses import REGION_LABELS, RegionLabel, is_degenerate, mass_values, regi
 BISECTION_XTOL = 1e-12
 AUDIT_SAMPLES = 1999
 WORST_CELLS = 10
-_BLOCK_CELLS = 2**14  # cells per block of rows evaluated together
+_BLOCK_CELLS = 2**14  # cells evaluated together: a block of rows, a node of compare-approx
 
 
 class ApproxDomainError(ValueError):
@@ -278,10 +278,11 @@ class DomainAudit(NamedTuple):
 
 
 def _scan_domain(formula: Callable[[float], float], betas: np.ndarray):
+    betas = betas.tolist()
     status = []
     for beta in betas:
         try:
-            formula(float(beta))
+            formula(beta)
         except ApproxDomainError as err:
             which = getattr(err, "which", None)
             status.append(type(err).__name__ + (f":{which}" if which else ""))
@@ -289,15 +290,12 @@ def _scan_domain(formula: Callable[[float], float], betas: np.ndarray):
             status.append("ok")
     intervals = []
     failures = []
-    run_start = 0
-    for i in range(1, len(betas) + 1):
-        if i == len(betas) or status[i] != status[run_start]:
-            lo, hi = float(betas[run_start]), float(betas[i - 1])
-            if status[run_start] == "ok":
-                intervals.append((lo, hi))
-            else:
-                failures.append((lo, hi, status[run_start]))
-            run_start = i
+    for state, run in itertools.groupby(zip(betas, status), key=lambda pair: pair[1]):
+        run = [beta for beta, _ in run]
+        if state == "ok":
+            intervals.append((run[0], run[-1]))
+        else:
+            failures.append((run[0], run[-1], state))
     return tuple(intervals), tuple(failures)
 
 
@@ -444,92 +442,22 @@ def _largest(values, count: int):
     return candidates[np.argsort(top)[::-1][:count]]
 
 
-def top_indices(values, count: int):
-    """Flat indices of the ``count`` largest ``values``, largest first:
-    always ``np.argsort(values.ravel())[::-1][:count]``, which decides only
-    where :func:`_largest` cannot."""
-    values = values.ravel()
-    top = _largest(values, count)
-    return np.argsort(values)[::-1][:count] if top is None else top
+def _pairwise(start: int, stop: int, leaf):
+    """numpy's pairwise sum of the flat cells ``[start, stop)``, with
+    ``leaf(first, last)`` the sum of each node of at most _BLOCK_CELLS
+    cells, called on the nodes in order.
 
-
-class _BlockedStats:
-    """The maximum, the mean and the ``count`` largest values of a flat
-    float64 array that arrives in consecutive blocks, ending at ``ends``,
-    with the bits numpy gives the whole array; no array of the whole size
-    is held.
-
-    numpy sums float64 pairwise: a run of at most 128 values is summed
-    alone, and a longer one is split in two halves, the first ending at a
-    multiple of 8 values; ``np.add.reduce`` is ``0.0`` plus that sum, and
-    ``np.mean`` divides it by the size.  The tree depends only on the size
-    and the ends are known first, so each run of the tree that lies inside
-    one block is one ``np.add.reduce`` of it, a run of at most 128 values
-    that crosses an end waits for the blocks it needs, and the run sums
-    are added in tree order at the end.
-
-    Each block keeps its count + 1 largest values and their flat indices;
-    :meth:`top` picks the largest from those by :func:`_largest`'s rule.
+    numpy sums a run of at most 128 float64 values alone, so no such node
+    is split, and splits a longer one in two halves, the first ending at a
+    multiple of 8 values; the node sums are added in that tree's order, so
+    a leaf that is ``np.add.reduce`` of its node gives ``np.add.reduce`` of
+    the whole.
     """
-
-    def __init__(self, ends: Sequence[int], count: int):
-        self.size = ends[-1] if ends else 0
-        self.count = count
-        self.runs = []  # (start, stop) of each run, in order
-        self.tree = self._split(0, self.size, ends[:-1]) if self.size else None
-        self.sums = []
-        self.waiting = []  # the values of a run that crosses a block end
-        self.start = 0  # of the next block
-        self.maximum = -math.inf
-        self.values = [np.empty(0)]
-        self.indices = [np.empty(0, dtype=np.intp)]
-
-    def _split(self, start: int, stop: int, cuts: Sequence[int]):
-        """The pairwise-sum tree of [start, stop) down to the runs summed
-        whole: the index of a run, or a pair of subtrees."""
-        n = stop - start
-        cut = bisect_right(cuts, start)
-        if n <= 128 or cut == len(cuts) or cuts[cut] >= stop:
-            self.runs.append((start, stop))
-            return len(self.runs) - 1
-        half = n // 2 - n // 2 % 8
-        return self._split(start, start + half, cuts), self._split(start + half, stop, cuts)
-
-    def add(self, block) -> None:
-        """Take the next block of values, a flat float64 array."""
-        start, stop = self.start, self.start + block.size
-        self.start = stop
-        self.maximum = np.maximum(self.maximum, block.max())
-        kth = max(block.size - self.count - 1, 0)
-        keep = np.argpartition(block, kth)[kth:]
-        self.values.append(block[keep])
-        self.indices.append(keep + start)
-        runs, sums = self.runs, self.sums
-        while len(sums) < len(runs) and runs[len(sums)][1] <= stop:
-            first, last = runs[len(sums)]
-            if first >= start:
-                sums.append(float(np.add.reduce(block[first - start:last - start])))
-            else:
-                self.waiting.append(block[:last - start])
-                sums.append(float(np.add.reduce(np.concatenate(self.waiting))))
-                self.waiting = []
-        if len(sums) < len(runs) and runs[len(sums)][0] < stop:
-            self.waiting.append(block[max(runs[len(sums)][0] - start, 0):].copy())
-
-    def mean(self) -> float:
-        def total(node):
-            return self.sums[node] if isinstance(node, int) else total(node[0]) + total(node[1])
-
-        whole = total(self.tree) if self.size else 0.0
-        return float(np.float64(whole) / self.size)  # nan for no values, as np.mean
-
-    def top(self):
-        """Flat indices of the ``count`` largest values, largest first, or
-        None when a NaN or a tie among the count + 1 largest, or fewer
-        values than that, leaves their order to ``np.argsort``."""
-        values = np.concatenate(self.values)
-        top = _largest(values, self.count)
-        return None if top is None else np.concatenate(self.indices)[top]
+    n = stop - start
+    if n <= max(_BLOCK_CELLS, 128):
+        return leaf(start, stop)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(start, start + half, leaf) + _pairwise(start + half, stop, leaf)
 
 
 class ApproxReport(NamedTuple):
@@ -556,21 +484,23 @@ def compare_exact_vs_approx(
     :func:`raster` classifies, with its bits: one report each, under the
     keys ``"f1"`` and ``"f3"``.
 
-    The signs are evaluated a block of beta rows at a time, as
-    :func:`raster` evaluates them, and each block is reduced into the
-    statistics (see :class:`_BlockedStats`), which have the bits of
-    whole-grid numpy; only when ties, NaNs or too few cells leave the
-    worst cells' order to ``np.argsort`` is a whole ``|exact - approx|``
-    grid built again.
+    The flat grid is walked as numpy's pairwise sum walks it (see
+    :func:`_pairwise`): the signs are evaluated on the beta rows each node
+    touches, with :func:`raster`'s evaluator, and the node's cells are
+    reduced into the statistics, which have the bits of whole-grid numpy.
+    Each node keeps its WORST_CELLS + 1 largest deviations, which
+    :func:`_largest` orders; only when ties, NaNs or too few cells leave
+    the worst cells' order to ``np.argsort`` is a whole ``|exact - approx|``
+    grid built again, a block of rows (:func:`row_blocks`) at a time.
     The exact and approximate values of the worst cells are evaluated
     again on their rows.
     """
     alphas, betas = _grid_axes(alpha_range, beta_range, n_alpha, n_beta)
-    blocks = row_blocks(n_alpha, n_beta)
-    ends = [rows.stop * n_alpha for rows in blocks]
-    stats = (_BlockedStats(ends, WORST_CELLS), _BlockedStats(ends, WORST_CELLS))
+    size = n_alpha * n_beta
     agree = [0, 0]
+    maximum = [-math.inf, -math.inf]
     cells = ([], [])
+    tops = ([], [])  # (values, flat indices) of each node's largest deviations
 
     def pairs(rows):
         """(exact, approx) of f1 and of f3 on the beta rows ``rows``."""
@@ -578,27 +508,42 @@ def compare_exact_vs_approx(
         column = betas[rows, None]
         return (f1[:-1], f1_approx(alphas, column)), (f3[:-1], f3_approx(alphas, column))
 
-    for rows in blocks:
+    def leaf(first, last):
+        rows = slice(first // n_alpha, (last - 1) // n_alpha + 1)
+        node = slice(first - rows.start * n_alpha, last - rows.start * n_alpha)
+        sums = []
         for k, (exact, approx) in enumerate(pairs(rows)):
+            exact, approx = exact.ravel()[node], approx.ravel()[node]
             same = np.sign(exact) == np.sign(approx)
             agree[k] += int(np.count_nonzero(same))
-            block_rows, cols = np.nonzero(~same)
-            cells[k].extend(zip(alphas[cols].tolist(), betas[rows][block_rows].tolist()))
-            stats[k].add(np.abs(exact - approx).ravel())
+            i, j = np.divmod(np.flatnonzero(~same) + first, n_alpha)
+            cells[k].extend(zip(alphas[j].tolist(), betas[i].tolist()))
+            dev = np.abs(exact - approx)
+            maximum[k] = np.maximum(maximum[k], dev.max())
+            kth = max(dev.size - WORST_CELLS - 1, 0)
+            keep = np.argpartition(dev, kth)[kth:]
+            tops[k].append((dev[keep], keep + first))
+            sums.append(np.add.reduce(dev))
+        return np.array(sums)
+
+    sums = _pairwise(0, size, leaf)
 
     def report(k):
-        top = stats[k].top()
+        values, indices = (np.concatenate(column) for column in zip(*tops[k]))
+        top = _largest(values, WORST_CELLS)
         if top is None:  # argsort orders them, over the whole grid
-            whole = [np.abs(np.subtract(*pairs(rows)[k])) for rows in blocks]
-            top = top_indices(np.concatenate(whole, axis=None), WORST_CELLS)
+            whole = [np.abs(np.subtract(*pairs(rows)[k])) for rows in row_blocks(n_alpha, n_beta)]
+            top = np.argsort(np.concatenate(whole, axis=None))[::-1][:WORST_CELLS]
+        else:
+            top = indices[top]
         i, j = np.unravel_index(top, (n_beta, n_alpha))
         exact, approx = pairs(i)[k]
         cell = np.arange(i.size), j
         return ApproxReport(
             # a count over the cell count: the same float as numpy's mean of a mask
-            sign_agreement=agree[k] / (n_alpha * n_beta),
-            max_abs_deviation=float(stats[k].maximum),
-            mean_abs_deviation=stats[k].mean(),
+            sign_agreement=agree[k] / size,
+            max_abs_deviation=float(maximum[k]),
+            mean_abs_deviation=float(sums[k] / size),
             disagreements=tuple(cells[k]),
             worst_cells=tuple(
                 zip(alphas[j].tolist(), betas[i].tolist(), exact[cell].tolist(),

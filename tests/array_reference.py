@@ -108,7 +108,8 @@ def is_central_configuration(system, tol: float = 1e-10) -> tuple[bool, dict]:
     if moment == 0.0:
         return False, cc_residual(centred, 0.0)
     report = cc_residual(centred, potential / (2.0 * moment))
-    return report["max_residual"] <= tol * report["attraction_scale"], report
+    residual, scale = report["max_residual"], report["attraction_scale"]
+    return math.isfinite(residual) and math.isfinite(scale) and residual <= tol * scale, report
 
 
 def total_energy(masses, positions, velocities) -> float:

@@ -39,7 +39,6 @@ from trapcc.regions import (
     f1_approx,
     f3_approx,
     raster,
-    top_indices,
 )
 
 SRC = str(Path(trapcc.__file__).resolve().parents[1])
@@ -830,10 +829,11 @@ class TestCompareApprox:
     )
     def test_evaluates_raster_blocks_and_the_worst_rows(self, capsys, monkeypatch, n_alpha, n_beta):
         # compare-approx evaluates the signs of the grid with raster's
-        # evaluator, a block of rows at a time, then the rows of each sign
-        # function's worst cells, and never the masses; a grid of fewer
-        # cells than the worst cells and one more is evaluated again whole
-        # for each sign function, for argsort to order them
+        # evaluator on the rows each node of numpy's pairwise sum touches,
+        # then the rows of each sign function's worst cells, and never the
+        # masses; a grid of fewer cells than the worst cells and one more
+        # is evaluated again for each sign function, a block of rows at a
+        # time, for argsort to order them
         evaluated = []
         evaluate = regions._evaluate
 
@@ -844,16 +844,23 @@ class TestCompareApprox:
         monkeypatch.setattr(regions, "_evaluate", capture)
         code, doc, _ = run_json(capsys, "compare-approx", "--resolution", f"{n_alpha}x{n_beta}")
         assert code == EX_OK
+        nodes = []
+        regions._pairwise(0, n_alpha * n_beta, lambda first, last: nodes.append((first, last)) or 0)
+        # the nodes cover the flat grid once, in order, each at most a block
+        assert [first for first, _ in nodes] == [0, *(last for _, last in nodes[:-1])]
+        assert nodes[-1][1] == n_alpha * n_beta
+        assert all(last - first <= regions._BLOCK_CELLS for first, last in nodes)
+        touched = [slice(first // n_alpha, (last - 1) // n_alpha + 1) for first, last in nodes]
         blocks = regions.row_blocks(n_alpha, n_beta)
         again = blocks if n_alpha * n_beta <= regions.WORST_CELLS else []
-        assert len(evaluated) == len(blocks) + 2 * (len(again) + 1)
+        assert len(evaluated) == len(nodes) + 2 * (len(again) + 1)
         alphas, betas = cell_centers(0.0, 1.0, n_alpha), cell_centers(0.0, 1.0, n_beta)
         for args in evaluated:
             assert args[0].tobytes() == alphas.tobytes() and args[1].tobytes() == betas.tobytes()
             assert args[3] is regions.sign_values
         rows = [args[2] for args in evaluated]
         worst_rows = []  # each sign function's, in the places marked None
-        for got, expected in zip(rows, [*blocks, *again, None, *again, None]):
+        for got, expected in zip(rows, [*touched, *again, None, *again, None]):
             if expected is None:
                 worst_rows.append(got)
             else:
@@ -924,26 +931,6 @@ def _top_cases():
     return [pytest.param(values, id=name) for name, values in cases]
 
 
-@pytest.mark.parametrize("values", _top_cases())
-def test_top_indices_equal_full_argsort(values):
-    expected = np.argsort(values.ravel())[::-1][:10]
-    assert np.array_equal(top_indices(values, 10), expected)
-
-
-def test_top_indices_on_random_draws():
-    # few distinct values, so ties are common, and up to three NaNs: on
-    # about a quarter of these draws sorting only the partitioned top
-    # differs from the full argsort
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        n = int(rng.integers(0, 400))
-        values = rng.integers(0, int(rng.integers(2, 40)), n).astype(float)
-        if n and rng.random() < 0.3:
-            values[rng.integers(0, n, int(rng.integers(1, 4)))] = np.nan
-        expected = np.argsort(values)[::-1][:10]
-        assert np.array_equal(top_indices(values, 10), expected)
-
-
 # the cases whose 11 largest values hold a tie or a NaN, or that have fewer
 # than 11 values: only the full argsort orders their largest 10
 ARGSORT_CASES = {
@@ -953,22 +940,56 @@ ARGSORT_CASES = {
 
 
 @pytest.mark.parametrize("values", _top_cases())
+def test_top_indices_equal_full_argsort(request, values):
+    # _largest gives the top indices of argsort, or None where argsort's
+    # order of equal values or NaNs decides them
+    top = regions._largest(values.ravel(), 10)
+    if request.node.callspec.id in ARGSORT_CASES:
+        assert top is None
+    else:
+        assert np.array_equal(top, np.argsort(values.ravel())[::-1][:10])
+
+
+def test_top_indices_on_random_draws():
+    # half the draws of few distinct values, so ties are common, and up to
+    # three NaNs: on many of these sorting only the partitioned top differs
+    # from the full argsort, and _largest leaves those to argsort
+    rng = np.random.default_rng(7)
+    answers = Counter()
+    for _ in range(300):
+        n = int(rng.integers(0, 400))
+        distinct = int(rng.integers(2, 40)) if rng.random() < 0.5 else 2**53
+        values = rng.integers(0, distinct, n).astype(float)
+        if n and rng.random() < 0.3:
+            values[rng.integers(0, n, int(rng.integers(1, 4)))] = np.nan
+        top = regions._largest(values, 10)
+        answers[top is None] += 1
+        if top is not None:
+            assert np.array_equal(top, np.argsort(values)[::-1][:10])
+    assert answers[True] and answers[False]
+
+
+@pytest.mark.parametrize("values", _top_cases())
 @pytest.mark.parametrize("block", [1, 7, 11, 12, 100, None])
 def test_merged_block_tops_equal_full_argsort(request, values, block):
-    # compare-approx keeps each block's 11 largest values and picks the 10
-    # largest from those, unless argsort's order of equal values decides
+    # compare-approx keeps the 11 largest values of each node of numpy's
+    # pairwise tree, a block of the flat grid, and picks the 10 largest
+    # from those, unless argsort's order of equal values decides
     values = values.ravel()
     size = block or max(values.size, 1)
-    ends = [*range(size, values.size, size), values.size] if values.size else []
-    stats = regions._BlockedStats(ends, 10)
-    for start, stop in zip([0, *ends], ends):
-        stats.add(values[start:stop])
-    top = stats.top()
+    kept, indices = [np.empty(0)], [np.empty(0, dtype=np.intp)]
+    for first in range(0, values.size, size):
+        part = values[first:first + size]
+        kth = max(part.size - 11, 0)
+        keep = np.argpartition(part, kth)[kth:]
+        kept.append(part[keep])
+        indices.append(keep + first)
+    top = regions._largest(np.concatenate(kept), 10)
     expected = np.argsort(values)[::-1][:10]
     if request.node.callspec.id.split("-", 1)[1] in ARGSORT_CASES:
         assert top is None
-        top = top_indices(values, 10)  # compare-approx's whole-grid fallback
-    assert np.array_equal(top, expected)
+    else:
+        assert np.array_equal(np.concatenate(indices)[top], expected)
 
 
 @pytest.mark.parametrize(

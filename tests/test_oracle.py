@@ -164,6 +164,19 @@ class TestIsCentralConfiguration:
             verdict, _ = is_central_configuration(system)
             assert not verdict
 
+    # the array coding warns on the overflow; the float kernel does not
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_system_is_not_central(self):
+        # the potential and every attraction overflow, and inf <= tol * inf
+        # holds: a verdict on a non-finite residual or scale is False
+        system = PlanarSystem([1.0, 1e200, 1e200], [(0.5, 0.5), (-1.0, 0.0), (1.0, 0.0)])
+        verdict, report = is_central_configuration(system)
+        assert verdict is False
+        assert report.max_residual == report.attraction_scale == math.inf
+        expected_verdict, expected = array_reference.is_central_configuration(system)
+        assert expected_verdict is False
+        assert report_bits(report) == report_bits(expected)
+
     @given(
         dx=st.floats(min_value=-5.0, max_value=5.0),
         dy=st.floats(min_value=-5.0, max_value=5.0),

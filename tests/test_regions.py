@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -314,11 +313,15 @@ class TestCompareExactVsApprox:
         monkeypatch.setattr(regions, "_evaluate", capture)
         monkeypatch.setattr(regions, "f1_approx", surrogate)
         report = compare_exact_vs_approx(*grid)["f1"]
+        _, nodes = tree_sum(np.zeros(3 * 20000))
         blocks = row_blocks(3, 20000)
-        assert len(blocks) > 1
-        # the blocks, then all of them again for f1 only, then each worst row set
-        assert [args[2] for args in evaluated[:2 * len(blocks)]] == blocks * 2
-        assert len(evaluated) == 2 * len(blocks) + 2
+        assert len(nodes) > 1 and len(blocks) > 1
+        # the rows of each node, then the blocks of rows for f1 only, then
+        # each worst row set
+        rows = [args[2] for args in evaluated]
+        assert rows[:len(nodes)] == [slice(first // 3, (last - 1) // 3 + 1) for first, last in nodes]
+        assert rows[len(nodes):len(nodes) + len(blocks)] == blocks
+        assert len(evaluated) == len(nodes) + len(blocks) + 2
         approx = surrogate(alphas, betas[:, None])
         dev = np.abs(full.f1 - approx)
         i, j = np.unravel_index(np.argsort(dev.ravel())[::-1][:10], dev.shape)
@@ -333,12 +336,16 @@ class TestCompareExactVsApprox:
             assert len(report.disagreements) == int(round((1 - report.sign_agreement) * 2500))
 
 
-def feed(values, ends, count=regions.WORST_CELLS):
-    """A _BlockedStats given ``values`` in the blocks that end at ``ends``."""
-    stats = regions._BlockedStats(ends, count)
-    for start, stop in zip([0, *ends], ends):
-        stats.add(values[start:stop])
-    return stats
+def tree_sum(values):
+    """``values`` summed by :func:`regions._pairwise` with ``np.add.reduce``
+    leaves, and the nodes it summed."""
+    nodes = []
+
+    def leaf(first, last):
+        nodes.append((first, last))
+        return np.add.reduce(values[first:last])
+
+    return regions._pairwise(0, values.size, leaf), nodes
 
 
 # the cell counts of the golden compare-approx grids
@@ -346,47 +353,64 @@ GOLDEN_SIZES = [1000 * 1000, 800 * 1250, 20000 * 3, 3 * 20000]
 
 
 @st.composite
-def blocked_values(draw):
-    """Values of numpy's pairwise-sum sizes and any block ends: runs
-    that cross an end, and blocks of one value."""
+def summed_values(draw):
+    """Values of numpy's pairwise-sum sizes: every size up to three runs of
+    128 and some, and the golden sizes."""
     n = draw(st.one_of(st.integers(0, 3 * 128 + 50), st.sampled_from(GOLDEN_SIZES)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
     if n and draw(st.booleans()):
         values = np.abs(values)  # deviations are never negative
-    cuts = set(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=40)))
-    for one in draw(st.lists(st.integers(0, max(n - 2, 0)), max_size=5)):
-        cuts |= {one, one + 1}  # a block of the one value at ``one``
-    ends = sorted(c for c in cuts if 0 < c < n) + [n] if n else []
-    return values, ends
+    return values
 
 
 class TestBlockedStats:
-    @given(blocked_values())
+    """The sum, mean and maximum compare-approx takes a node of numpy's
+    pairwise tree at a time, a block of the flat grid."""
+
+    @given(summed_values(), st.sampled_from([128, 129, 136, 1000, 2**14]))
     @settings(max_examples=150, deadline=None)
-    def test_mean_and_max_have_the_bits_of_the_whole_array(self, drawn):
-        values, ends = drawn
-        stats = feed(values, ends)
-        with np.errstate(invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no values
-            expected = np.mean(values)
-            mean = stats.mean()
+    def test_mean_and_max_have_the_bits_of_the_whole_array(self, values, limit):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regions, "_BLOCK_CELLS", limit)
+            total, nodes = tree_sum(values)
+        assert np.float64(total).tobytes() == np.add.reduce(values).tobytes()
+        # the nodes cover the values once, in order, each at most the limit
+        assert [first for first, _ in nodes] == [0, *(last for _, last in nodes[:-1])]
+        assert nodes[-1][1] == values.size
+        assert all(last - first <= limit for first, last in nodes)
         if values.size:
-            assert np.float64(mean).tobytes() == expected.tobytes()
-            assert np.float64(stats.maximum).tobytes() == np.max(values).tobytes()
-        else:
-            assert math.isnan(mean) and math.isnan(expected)
+            assert (total / values.size).tobytes() == np.mean(values).tobytes()
+            # compare-approx's running maximum over the nodes
+            maximum = -math.inf
+            for first, last in nodes:
+                maximum = np.maximum(maximum, values[first:last].max())
+            assert maximum.tobytes() == np.max(values).tobytes()
 
-    def test_mean_of_negative_zeros_is_a_positive_zero(self):
+    @pytest.mark.parametrize("limit", [1, 8, 127])
+    def test_never_splits_a_run_numpy_sums_whole(self, monkeypatch, limit):
+        # a limit under 128 still leaves each run of at most 128 values whole
+        monkeypatch.setattr(regions, "_BLOCK_CELLS", limit)
+        values = np.random.default_rng(limit).standard_normal(1000)
+        total, nodes = tree_sum(values)
+        assert total == np.add.reduce(values)
+        assert [last - first for first, last in nodes] == [120, 128, 120, 128, 120, 128, 128, 128]
+
+    def test_mean_of_negative_zeros_is_a_positive_zero(self, monkeypatch):
+        monkeypatch.setattr(regions, "_BLOCK_CELLS", 128)
         values = np.full(300, -0.0)
-        mean = feed(values, [100, 101, 300]).mean()
-        assert np.float64(mean).tobytes() == np.mean(values).tobytes() == np.float64(0.0).tobytes()
+        total, nodes = tree_sum(values)
+        assert len(nodes) > 1
+        mean = total / values.size
+        assert mean.tobytes() == np.mean(values).tobytes() == np.float64(0.0).tobytes()
 
-    @pytest.mark.parametrize("block", [127, 128, 129, _BLOCK_CELLS])
-    def test_mean_of_regular_blocks_of_a_golden_size(self, block):
-        values = np.abs(np.random.default_rng(block).standard_normal(GOLDEN_SIZES[0]))
-        ends = [*range(block, values.size, block), values.size]
-        assert feed(values, ends).mean() == np.mean(values)
+    @pytest.mark.parametrize("limit", [127, 128, 129, _BLOCK_CELLS])
+    def test_mean_of_regular_blocks_of_a_golden_size(self, monkeypatch, limit):
+        monkeypatch.setattr(regions, "_BLOCK_CELLS", limit)
+        values = np.abs(np.random.default_rng(limit).standard_normal(GOLDEN_SIZES[0]))
+        total, nodes = tree_sum(values)
+        assert len(nodes) > 1
+        assert total / values.size == np.mean(values)
 
 
 class TestTraceBoundary:
