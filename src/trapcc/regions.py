@@ -488,6 +488,8 @@ def compare_exact_vs_approx(
     :func:`_pairwise`): the signs are evaluated on the beta rows each node
     touches, with :func:`raster`'s evaluator, and the node's cells are
     reduced into the statistics, which have the bits of whole-grid numpy.
+    A node inside the rows evaluated last reuses them, so on rows wider
+    than a node each row is evaluated at most twice.
     Each node keeps its WORST_CELLS + 1 largest deviations, which
     :func:`_largest` orders; only when ties, NaNs or too few cells leave
     the worst cells' order to ``np.argsort`` is a whole ``|exact - approx|``
@@ -508,11 +510,16 @@ def compare_exact_vs_approx(
         column = betas[rows, None]
         return (f1[:-1], f1_approx(alphas, column)), (f3[:-1], f3_approx(alphas, column))
 
+    held = [slice(0, 0), None]  # the rows evaluated last and their pairs
+
     def leaf(first, last):
-        rows = slice(first // n_alpha, (last - 1) // n_alpha + 1)
-        node = slice(first - rows.start * n_alpha, last - rows.start * n_alpha)
+        start, stop = first // n_alpha, (last - 1) // n_alpha + 1
+        if not held[0].start <= start < stop <= held[0].stop:  # else the nodes share rows
+            held[:] = slice(start, stop), None
+            held[1] = pairs(held[0])
+        node = slice(first - held[0].start * n_alpha, last - held[0].start * n_alpha)
         sums = []
-        for k, (exact, approx) in enumerate(pairs(rows)):
+        for k, (exact, approx) in enumerate(held[1]):
             exact, approx = exact.ravel()[node], approx.ravel()[node]
             same = np.sign(exact) == np.sign(approx)
             agree[k] += int(np.count_nonzero(same))
@@ -527,6 +534,7 @@ def compare_exact_vs_approx(
         return np.array(sums)
 
     sums = _pairwise(0, size, leaf)
+    held.clear()
 
     def report(k):
         values, indices = (np.concatenate(column) for column in zip(*tops[k]))

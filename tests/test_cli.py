@@ -830,6 +830,7 @@ class TestCompareApprox:
     def test_evaluates_raster_blocks_and_the_worst_rows(self, capsys, monkeypatch, n_alpha, n_beta):
         # compare-approx evaluates the signs of the grid with raster's
         # evaluator on the rows each node of numpy's pairwise sum touches,
+        # unless they lie inside the rows evaluated for the node before,
         # then the rows of each sign function's worst cells, and never the
         # masses; a grid of fewer cells than the worst cells and one more
         # is evaluated again for each sign function, a block of rows at a
@@ -850,10 +851,14 @@ class TestCompareApprox:
         assert [first for first, _ in nodes] == [0, *(last for _, last in nodes[:-1])]
         assert nodes[-1][1] == n_alpha * n_beta
         assert all(last - first <= regions._BLOCK_CELLS for first, last in nodes)
-        touched = [slice(first // n_alpha, (last - 1) // n_alpha + 1) for first, last in nodes]
+        touched = []
+        for first, last in nodes:
+            rows = slice(first // n_alpha, (last - 1) // n_alpha + 1)
+            if not touched or not touched[-1].start <= rows.start < rows.stop <= touched[-1].stop:
+                touched.append(rows)
         blocks = regions.row_blocks(n_alpha, n_beta)
         again = blocks if n_alpha * n_beta <= regions.WORST_CELLS else []
-        assert len(evaluated) == len(nodes) + 2 * (len(again) + 1)
+        assert len(evaluated) == len(touched) + 2 * (len(again) + 1)
         alphas, betas = cell_centers(0.0, 1.0, n_alpha), cell_centers(0.0, 1.0, n_beta)
         for args in evaluated:
             assert args[0].tobytes() == alphas.tobytes() and args[1].tobytes() == betas.tobytes()
@@ -868,6 +873,25 @@ class TestCompareApprox:
         for which, i in zip(("f1", "f3"), worst_rows):
             worst = doc["payload"][which]["worst_cells"]
             assert [cell["beta"] for cell in worst] == betas[i].tolist()
+
+    @pytest.mark.parametrize("n_alpha, n_beta", [(2000, 3), (37, 53), (128, 9), (300, 1)])
+    def test_evaluates_each_row_a_bounded_number_of_times(self, monkeypatch, n_alpha, n_beta):
+        # nodes far smaller than a row share that row's evaluation, so the
+        # cells evaluated stay within twice those of one pass over
+        # row_blocks, each block with the top row
+        monkeypatch.setattr(regions, "_BLOCK_CELLS", 128)
+        evaluated = []
+        evaluate = regions._evaluate
+
+        def capture(alphas, betas, rows, values):
+            evaluated.append(alphas.size * (betas[rows].size + 1))
+            return evaluate(alphas, betas, rows, values)
+
+        monkeypatch.setattr(regions, "_evaluate", capture)
+        regions.compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
+        walk = sum(evaluated[:-2])  # the last two evaluate the worst rows
+        blocks = sum(n_alpha * (len(range(n_beta)[rows]) + 1) for rows in regions.row_blocks(n_alpha, n_beta))
+        assert walk <= 2 * blocks
 
     def test_zero_resolution(self, capsys):
         code, _, _ = run(capsys, "compare-approx", "--resolution", "0")

@@ -316,8 +316,9 @@ class TestCompareExactVsApprox:
         _, nodes = tree_sum(np.zeros(3 * 20000))
         blocks = row_blocks(3, 20000)
         assert len(nodes) > 1 and len(blocks) > 1
-        # the rows of each node, then the blocks of rows for f1 only, then
-        # each worst row set
+        # the rows of each node (no node lies inside the rows of the one
+        # before: a row is narrower than a node), then the blocks of rows
+        # for f1 only, then each worst row set
         rows = [args[2] for args in evaluated]
         assert rows[:len(nodes)] == [slice(first // 3, (last - 1) // 3 + 1) for first, last in nodes]
         assert rows[len(nodes):len(nodes) + len(blocks)] == blocks
