@@ -17,25 +17,22 @@ from typing import NamedTuple
 
 from ._numpy import np
 from .geometry import TrapezoidParams, build_configuration
-# classify is not called here, but perfbench/spans.py wraps dynamics.classify
+# classify and attraction_field are not called here, but perfbench/spans.py
+# wraps dynamics.classify and dynamics.attraction_field
 from .masses import RegionLabel, classify, region_label, solve_masses  # noqa: F401
+from .oracle import attraction_field  # noqa: F401
 from .oracle import (
     CoincidentBodiesError,
     _check_bodies,
     _half_mass_squares,
+    _kernels,
     _min_separation,
     _pair_distances,
     _pairs,
     _potential,
     _read_only,
     _sum,
-    attraction_field,
 )
-
-# integrate takes its forces from _field, a name perfbench/spans.py does not
-# wrap: it times dynamics.attraction_field, and a span per RK4 stage would
-# swamp a traced run
-_field = attraction_field
 
 COLLISION_TOL = 1e-6
 DEFAULT_DT = 1e-3
@@ -208,10 +205,11 @@ def integrate(
 
     # the state is flat coordinates [x_0, y_0, x_1, y_1, ...] of Python
     # floats: for a few bodies numpy's per-call cost outweighs the
-    # arithmetic.  Each update is elementwise in the order of the (N, 2)
-    # array expression, so the bits match the array form of RK4 kept in
+    # arithmetic.  The step is straight-line code generated for the body
+    # count, with the bits of the array form of RK4 kept in
     # tests/array_reference.py
     masses = initial.masses.tolist()
+    rk4_step = _kernels(len(masses))["step"]
     pos = initial.positions.ravel().tolist()
     vel = initial.velocities.ravel().tolist()
     t = 0.0
@@ -237,24 +235,8 @@ def integrate(
     while not last:
         step += 1
         last = t + dt * (1.0 + 1e-9) >= t_end
-        h = t_end - t if last else dt
-        half, sixth = 0.5 * h, h / 6.0
-        k1v = _field(masses, pos)
-        k2p = [v + half * a for v, a in zip(vel, k1v)]
-        k2v = _field(masses, [p + half * v for p, v in zip(pos, vel)])
-        k3p = [v + half * a for v, a in zip(vel, k2v)]
-        k3v = _field(masses, [p + half * v for p, v in zip(pos, k2p)])
-        k4p = [v + h * a for v, a in zip(vel, k3v)]
-        k4v = _field(masses, [p + h * v for p, v in zip(pos, k3p)])
-        pos = [
-            p + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for p, a, b, c, d in zip(pos, vel, k2p, k3p, k4p)
-        ]
-        vel = [
-            v + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for v, a, b, c, d in zip(vel, k1v, k2v, k3v, k4v)
-        ]
-        t = t_end if last else t + h
+        pos, vel = rk4_step(masses, pos, vel, t_end - t if last else dt)
+        t = t_end if last else t + dt
 
         if _min_separation(pos) < COLLISION_TOL:
             raise CollisionError(

@@ -14,9 +14,10 @@ analysis of the mass formulas needs them); only non-finite values, a total
 mass that vanishes to rounding or coincident bodies are rejected.  Points
 such as the centre of mass are ``(x, y)`` float tuples.
 
-The checks run on Python floats, through pair code generated once per body
-count (:func:`_kernels`), and return the bits of the numpy array code kept
-in ``tests/array_reference.py``.
+The checks, and the RK4 step of :mod:`trapcc.dynamics`, run on Python
+floats in straight-line code generated per body count (:func:`_kernels`),
+and return the bits of the numpy array code kept in
+``tests/array_reference.py``.
 """
 
 from __future__ import annotations
@@ -131,92 +132,239 @@ def _sum(values: list[float]) -> float:
     return float(np.add.reduce(np.array(values, dtype=float)))
 
 
-def _centre(masses: list[float], coords: list[float]) -> tuple[tuple[float, float], list[float]]:
-    """The mass-weighted centre and the flat coordinates relative to it."""
-    xs, ys = coords[0::2], coords[1::2]
-    cx = cy = 0.0
-    for m, x, y in zip(masses, xs, ys):
-        cx += m * x
-        cy += m * y
-    total = _sum(masses)
-    cx, cy = cx / total, cy / total
-    return (cx, cy), [c for x, y in zip(xs, ys) for c in (x - cx, y - cy)]
-
-
-def center_of_mass(system: PlanarSystem) -> tuple[float, float]:
-    com, _ = _centre(system.masses.tolist(), system.positions.ravel().tolist())
-    return com
-
-
 @functools.lru_cache(maxsize=None)
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Every pair ``(i, j)`` of n bodies with i < j, in lexicographic order."""
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
+def _listed(items) -> str:
+    """Source of a comma list whose trailing comma keeps a single item a tuple."""
+    return "".join(f"{item}, " for item in items)
+
+
+def _source(n: int, name: str) -> str:
+    """The source of the kernel ``name`` of n bodies (see :func:`_kernels`).
+
+    A point set ``p`` is held in the locals ``{p}x0, {p}y0, {p}x1, ...``,
+    the masses in ``m0, m1, ...``.  Each sum is written once, below, as a
+    fragment of source that the kernels are assembled from.
+    """
+    pairs, bodies = _pairs(n), range(n)
+    suffixes = [f"{axis}{k}" for k in bodies for axis in "xy"]
+
+    def flat(p):
+        return [p + suffix for suffix in suffixes]
+
+    def each(q, term):  # q = term(suffix) for every flat coordinate
+        return "".join(f"    {q}{suffix} = {term(suffix)}\n" for suffix in suffixes)
+
+    def unpack(p, argument):
+        return f"    {_listed(flat(p))}= {argument}\n"
+
+    def body_sum(terms):  # numpy's sum of one term per body, as _sum adds
+        terms = list(terms)
+        return f"(0.0 + {' + '.join(terms)})" if n < 8 else f"_sum(({_listed(terms)}))"
+
+    def offsets(p):
+        return "".join(
+            f"    dx{i}_{j} = {p}x{j} - {p}x{i}\n    dy{i}_{j} = {p}y{j} - {p}y{i}\n"
+            for i, j in pairs
+        )
+
+    squares = [f"dx{i}_{j} * dx{i}_{j} + dy{i}_{j} * dy{i}_{j}" for i, j in pairs]
+    nearest = f"min({', '.join(squares)})" if n > 2 else squares[0]
+
+    def hypot(p):
+        return (f"np.hypot(({_listed(f'{p}x{j} - {p}x{i}' for i, j in pairs)}),"
+                f" ({_listed(f'{p}y{j} - {p}y{i}' for i, j in pairs)}))")
+
+    # the fragments: the centre, the potential, the half moment and the force
+
+    def centre(p, q):  # (comx, comy) of point set p, and q = p - com
+        return f"    total = {body_sum(f'm{k}' for k in bodies)}\n" + "".join(
+            f"    com{axis} = (0.0{''.join(f' + m{k} * {p}{axis}{k}' for k in bodies)}) / total\n"
+            for axis in "xy"
+        ) + each(q, lambda suffix: f"{p}{suffix} - com{suffix[0]}")
+
+    def potential(p):
+        # sum m_i m_j / d_ij from 0.0 in pair order, one statement per pair:
+        # an expression of N(N-1)/2 terms overflows the compiler's recursion
+        # from 78 bodies on
+        return (
+            f"    {_listed(f'd{i}_{j}' for i, j in pairs)}= {hypot(p)}.tolist()\n"
+            "    potential = 0.0\n"
+            + "".join(f"    potential += m{i} * m{j} / d{i}_{j}\n" for i, j in pairs)
+        )
+
+    def half_moment(p):  # 0.5 * sum m_k |p_k|^2
+        return "0.5 * " + body_sum(
+            f"m{k} * ({p}x{k} * {p}x{k} + {p}y{k} * {p}y{k})" for k in bodies
+        )
+
+    def force(p, a):
+        # body k's acceleration adds its pairs' terms in pair order, as a loop
+        # over the pairs would: + m_j (r_j - r_k) w for (k, j), - m_i (r_k - r_i)
+        # w for (i, k), from 0.0.  numpy's vectorised power differs from
+        # libm's pow (Python's **) on about one input in twenty; its result
+        # for a value does not depend on the array's length
+        terms = {suffix: "" for suffix in suffixes}
+        for i, j in pairs:
+            for axis in "xy":
+                terms[f"{axis}{i}"] += f" + m{j} * d{axis}{i}_{j} * w{i}_{j}"
+                terms[f"{axis}{j}"] += f" - m{i} * d{axis}{i}_{j} * w{i}_{j}"
+        weights = _listed(f"w{i}_{j}" for i, j in pairs)
+        return (
+            offsets(p)
+            + f"    {weights}= np.power(({_listed(squares)}), -1.5).tolist()\n"
+            + each(a, lambda suffix: f"0.0{terms[suffix]}")
+        )
+
+    def residual(p, coords):
+        # the report of point set p (the list coords) at the multiplier lam,
+        # with its forces from the function field
+        per_body = "".join(
+            f"    ex = ax{k} + lam * ux{k}\n    ey = ay{k} + lam * uy{k}\n"
+            f"    defect{k} = sqrt(ex * ex + ey * ey)\n"
+            f"    norm{k} = sqrt(ax{k} * ax{k} + ay{k} * ay{k})\n"
+            f"    u2 = ux{k} * ux{k} + uy{k} * uy{k}\n"
+            f"    lam{k} = nan if u2 < TINY else -dot{k} / u2\n"
+            for k in bodies
+        )
+        defects = [f"defect{k}" for k in bodies]
+        # numpy's max is the first NaN when there is one; Python's skips a
+        # NaN that is not first
+        first_nan = "".join(f"{d} if {d} != {d} else " for d in defects)
+        return (
+            centre(p, "u")
+            + f"    forces = field(masses, {coords})\n"
+            + unpack("a", "forces")
+            # one batched ``forces[k] @ u[k]``: numpy's dot may fuse the
+            # multiply-add, so a dot of two floats is not ``a0 * u0 + a1 * u1``
+            + f"    both = np.array((forces, ({_listed(flat('u'))})))\n"
+            f"    {_listed(f'dot{k}' for k in bodies)}="
+            f" (both[0].reshape({n}, 1, 2) @ both[1].reshape({n}, 2, 1)).ravel().tolist()\n"
+            + per_body
+            + potential("u")
+            + f"    moment = {half_moment('u')}\n"
+            "    report = ResidualReport(\n"
+            f"        ({_listed(f'lam{k}' for k in bodies)}),\n"
+            "        potential / (2.0 * moment) if moment != 0.0 else inf,\n"
+            "        potential,\n"
+            "        moment,\n"
+            f"        {first_nan}max({', '.join(defects)}),\n"
+            f"        {body_sum(f'norm{k}' for k in bodies)} / {n},\n"
+            "        (comx, comy),\n"
+            "    )\n"
+        )
+
+    def stage(v, scale, a):  # the stage positions s = p + scale * v, and their forces a
+        return each("s", lambda suffix: f"{suffix} + {scale} * {v}{suffix}") + force("s", a)
+
+    head = f"    {_listed(f'm{k}' for k in bodies)}= masses\n"
+    kernels = {
+        "field": lambda: (
+            "def field(masses, coords):\n" + head + unpack("", "coords") + force("", "a")
+            + f"    return [{', '.join(flat('a'))}]\n"
+        ),
+        "min_separation": lambda: (
+            "def min_separation(coords):\n" + unpack("", "coords") + offsets("")
+            + f"    return sqrt({nearest})\n"
+        ),
+        "distances": lambda: (
+            "def distances(coords):\n" + unpack("", "coords") + f"    return {hypot('')}\n"
+        ),
+        "potential": lambda: (
+            "def potential(masses, coords):\n" + head + unpack("", "coords") + potential("")
+            + "    return potential\n"
+        ),
+        "half_moment": lambda: (
+            f"def half_moment(masses, coords):\n{head}{unpack('', 'coords')}"
+            f"    return {half_moment('')}\n"
+        ),
+        "residual": lambda: (
+            "def residual(masses, coords, lam, field):\n" + head + unpack("", "coords")
+            + residual("", "coords") + "    return report\n"
+        ),
+        # is_central_configuration: lam from the centred system, then the
+        # report of that system, which centres it once more
+        "central": lambda: (
+            "def central(masses, coords, field):\n" + head + unpack("", "coords")
+            + centre("", "c") + potential("c") + f"    moment = {half_moment('c')}\n"
+            "    checked = moment != 0.0\n"
+            "    lam = potential / (2.0 * moment) if checked else 0.0\n"
+            + residual("c", f"[{', '.join(flat('c'))}]") + "    return checked, report\n"
+        ),
+        # one classical RK4 step of size h: k1..k4 of the velocities are the
+        # forces a, b, c, e, those of the positions are v, k, l, q; each
+        # update is elementwise in the order of the (N, 2) array expression
+        "step": lambda: (
+            "def step(masses, pos, vel, h):\n" + head + unpack("", "pos") + unpack("v", "vel")
+            + "    half = 0.5 * h\n    sixth = h / 6.0\n"
+            + force("", "a")
+            + each("k", lambda suffix: f"v{suffix} + half * a{suffix}")
+            + stage("v", "half", "b")
+            + each("l", lambda suffix: f"v{suffix} + half * b{suffix}")
+            + stage("k", "half", "c")
+            + each("q", lambda suffix: f"v{suffix} + h * c{suffix}")
+            + stage("l", "h", "e")
+            + "    return ["
+            + ", ".join(f"{s} + sixth * (v{s} + 2.0 * k{s} + 2.0 * l{s} + q{s})" for s in suffixes)
+            + "], ["
+            + ", ".join(f"v{s} + sixth * (a{s} + 2.0 * b{s} + 2.0 * c{s} + e{s})" for s in suffixes)
+            + "]\n"
+        ),
+    }
+    return kernels[name]()
+
+
+class _Kernels(dict):
+    """The kernels of n bodies by name, each compiled on its first lookup."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, name: str) -> Callable:
+        namespace = {
+            "np": np, "sqrt": math.sqrt, "nan": math.nan, "inf": math.inf,
+            "TINY": MIN_SEPARATION**2, "_sum": _sum, "ResidualReport": ResidualReport,
+        }
+        code = compile(_source(self.n, name), f"<trapcc {name} kernel, {self.n} bodies>", "exec")
+        exec(code, namespace)
+        self[name] = namespace[name]
+        return self[name]
+
+
 @functools.lru_cache(maxsize=None)
-def _kernels(n: int) -> dict[str, Callable]:
-    """The pair code of n bodies, generated and compiled on first use: the
-    functions ``field``, ``min_separation``, ``distances`` and ``potential``
-    by name.
+def _kernels(n: int) -> _Kernels:
+    """The straight-line code of n bodies, by name, each function generated
+    and compiled on its first lookup:
+
+    * ``field(masses, coords)``: the accelerations, one ``np.power`` call;
+    * ``min_separation(coords)`` and ``distances(coords)``, which also
+      takes array rows, one system per column;
+    * ``potential(masses, coords)`` and ``half_moment(masses, coords)``;
+    * ``residual(masses, coords, lam, field)``, the :class:`ResidualReport`
+      at ``lam``, and ``central(masses, coords, field)``, which infers lam
+      from the centred system as :func:`is_central_configuration` does and
+      returns ``(moment != 0, report)``; both take their forces from one
+      call of ``field``;
+    * ``step(masses, pos, vel, h)``, one RK4 step of size h: the new flat
+      positions and velocities, one ``np.power`` call per stage.
 
     Each function unpacks the masses and the flat coordinates
     ``[x_0, y_0, x_1, y_1, ...]`` into locals and spells out every pair of
-    :func:`_pairs` in order, so a force evaluation pays for its arithmetic
-    and one numpy call, not for a loop over index pairs.  Only the integers
-    of ``_pairs(n)`` enter the source.
+    :func:`_pairs` in order, so it pays for its arithmetic and a few numpy
+    calls, not for loops over bodies and pairs.  Only fixed literals and
+    the integers of ``_pairs(n)`` enter the source.
     """
-    pairs = _pairs(n)
+    return _Kernels(n)
 
-    def listed(items):  # a trailing comma keeps a single pair a tuple
-        return "".join(f"{item}, " for item in items)
 
-    masses = listed(f"m{k}" for k in range(n))
-    coords = listed(f"x{k}, y{k}" for k in range(n))
-    offsets = "".join(
-        f"    dx{i}_{j} = x{j} - x{i}\n    dy{i}_{j} = y{j} - y{i}\n" for i, j in pairs
-    )
-    squares = [f"dx{i}_{j} * dx{i}_{j} + dy{i}_{j} * dy{i}_{j}" for i, j in pairs]
-    # body k's acceleration adds its pairs' terms in pair order, as a loop
-    # over the pairs would: + m_j (r_j - r_k) w for (k, j), - m_i (r_k - r_i) w
-    # for (i, k), from 0.0
-    field = [
-        "0.0" + "".join(
-            f" + m{j} * d{axis}{i}_{j} * w{i}_{j}" if i == k
-            else f" - m{i} * d{axis}{i}_{j} * w{i}_{j}"
-            for i, j in pairs if k in (i, j)
-        )
-        for k in range(n) for axis in "xy"
-    ]
-    weights = listed(f"w{i}_{j}" for i, j in pairs)
-    nearest = f"min({', '.join(squares)})" if n > 2 else squares[0]
-    potential = "".join(f" + m{i} * m{j} / d{i}_{j}" for i, j in pairs)
-    source = (
-        "def field(masses, coords):\n"
-        f"    {masses}= masses\n"
-        f"    {coords}= coords\n"
-        f"{offsets}"
-        # numpy's vectorised power differs from libm's pow (Python's **) on
-        # about one input in twenty; its result for a value does not depend
-        # on the array's length
-        f"    {weights}= np.power(({listed(squares)}), -1.5).tolist()\n"
-        f"    return [{', '.join(field)}]\n"
-        "def min_separation(coords):\n"
-        f"    {coords}= coords\n"
-        f"{offsets}"
-        f"    return sqrt({nearest})\n"
-        "def distances(coords):\n"
-        f"    {coords}= coords\n"
-        f"    return np.hypot(({listed(f'x{j} - x{i}' for i, j in pairs)}),"
-        f" ({listed(f'y{j} - y{i}' for i, j in pairs)}))\n"
-        "def potential(masses, coords):\n"
-        f"    {masses}= masses\n"
-        f"    {listed(f'd{i}_{j}' for i, j in pairs)}= distances(coords).tolist()\n"
-        f"    return 0.0{potential}\n"
-    )
-    namespace = {"np": np, "sqrt": math.sqrt}
-    exec(compile(source, f"<trapcc pair kernels, {n} bodies>", "exec"), namespace)
-    return namespace
+def center_of_mass(system: PlanarSystem) -> tuple[float, float]:
+    """The mass-weighted centre, as the residual report takes it."""
+    return cc_residual(system, 0.0).com
 
 
 def _min_separation(coords: list[float]) -> float:
@@ -258,53 +406,15 @@ def attraction_field(masses: list[float], coords: list[float]) -> list[float]:
 def _half_mass_squares(masses: list[float], coords: list[float]) -> float:
     """``0.5 * sum m_k |v_k|^2`` of flat vectors, summed as numpy would:
     the half moment of positions, the kinetic energy of velocities."""
-    return 0.5 * _sum([m * (x * x + y * y) for m, x, y in zip(masses, coords[0::2], coords[1::2])])
-
-
-def _potential_and_moment(masses: list[float], coords: list[float]) -> tuple[float, float]:
-    return _potential(masses, coords), _half_mass_squares(masses, coords)
+    return _kernels(len(masses))["half_moment"](masses, coords)
 
 
 def potential_and_moment(system: PlanarSystem) -> tuple[float, float]:
     """Self-potential over all unordered pairs and the half moment
     ``0.5 * sum m_i |r_i|^2`` about the origin (translate the system first
     when the centre of mass matters)."""
-    return _potential_and_moment(system.masses.tolist(), system.positions.ravel().tolist())
-
-
-def _residual(masses: list[float], coords: list[float], lam: float) -> ResidualReport:
-    n = len(masses)
-    com, rel = _centre(masses, coords)
-    attractions = attraction_field(masses, coords)
-    # one batched ``attractions[k] @ rel[k]``: numpy's dot may fuse the
-    # multiply-add, so a dot of two floats is not ``a0 * r0 + a1 * r1``
-    both = np.array((attractions, rel))
-    dots = (both[0].reshape(n, 1, 2) @ both[1].reshape(n, 2, 1)).ravel().tolist()
-    defect_norms, attraction_norms, lam_body = [], [], []
-    bodies = zip(attractions[0::2], attractions[1::2], rel[0::2], rel[1::2], dots)
-    for ax, ay, ux, uy, dot in bodies:
-        dx, dy = ax + lam * ux, ay + lam * uy
-        defect_norms.append(math.sqrt(dx * dx + dy * dy))
-        attraction_norms.append(math.sqrt(ax * ax + ay * ay))
-        u2 = ux * ux + uy * uy
-        lam_body.append(math.nan if u2 < MIN_SEPARATION**2 else -dot / u2)
-
-    # rel is the system translated to its centre of mass
-    potential, moment = _potential_and_moment(masses, rel)
-    lambda_energy = potential / (2.0 * moment) if moment != 0.0 else math.inf
-    # numpy's max is the first NaN when there is one; Python's skips a NaN
-    # that is not first
-    nans = [norm for norm in defect_norms if norm != norm]
-
-    return ResidualReport(
-        lambda_per_body=tuple(lam_body),
-        lambda_energy=lambda_energy,
-        potential=potential,
-        moment=moment,
-        max_residual=nans[0] if nans else max(defect_norms),
-        attraction_scale=_sum(attraction_norms) / n,
-        com=com,
-    )
+    masses, coords = system.masses.tolist(), system.positions.ravel().tolist()
+    return _potential(masses, coords), _half_mass_squares(masses, coords)
 
 
 def cc_residual(system: PlanarSystem, lam: float) -> ResidualReport:
@@ -319,7 +429,9 @@ def cc_residual(system: PlanarSystem, lam: float) -> ResidualReport:
     multipliers, and the energy-ratio multiplier potential/(2*moment) with
     the moment taken about c.
     """
-    return _residual(system.masses.tolist(), system.positions.ravel().tolist(), lam)
+    masses = system.masses.tolist()
+    residual = _kernels(len(masses))["residual"]
+    return residual(masses, system.positions.ravel().tolist(), lam, attraction_field)
 
 
 def is_central_configuration(
@@ -330,20 +442,18 @@ def is_central_configuration(
     The system is recentred, lambda is taken as potential/(2*moment), and
     the verdict is ``max_residual <= tol * attraction_scale``, making the
     tolerance dimensionless, and False unless both are finite (an
-    overflowing system has ``inf <= tol * inf``).  The full report is
-    returned either way.
+    overflowing system has ``inf <= tol * inf``) and the moment is not 0
+    (the report is then taken at lambda 0).  The report is that of the
+    centred system, which is centred once more: its potential, moment and
+    lambda_energy come from the twice-centred positions.  The full report
+    is returned either way.
     """
     masses = system.masses.tolist()
-    _, centred = _centre(masses, system.positions.ravel().tolist())
-    potential, moment = _potential_and_moment(masses, centred)
-    if moment == 0.0:
-        return False, _residual(masses, centred, 0.0)
-    # _residual centres once more; the reported potential, moment and
-    # lambda_energy come from those twice-centred positions, lam from these
-    report = _residual(masses, centred, potential / (2.0 * moment))
+    central = _kernels(len(masses))["central"]
+    checked, report = central(masses, system.positions.ravel().tolist(), attraction_field)
     residual, scale = report.max_residual, report.attraction_scale
-    verdict = math.isfinite(residual) and math.isfinite(scale) and residual <= tol * scale
-    return verdict, report
+    finite = math.isfinite(residual) and math.isfinite(scale)
+    return checked and finite and residual <= tol * scale, report
 
 
 def trapezoid_system(params: TrapezoidParams, m: float, M: float) -> PlanarSystem:

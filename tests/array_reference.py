@@ -1,13 +1,14 @@
 """The numpy array codings that the float kernel replaced, kept as references.
 
-``trapcc.oracle`` computes the force law, the potential and the centrality
-report on Python floats through one pair kernel, and ``trapcc.dynamics``
-runs RK4 on float lists.  Both must return the same bits as the array code
-below, which is what the package ran before: an ``(N, N, 2)`` difference
-array for the attraction, a Python double loop of ``np.hypot`` for the
-potential, RK4 on ``(N, 2)`` arrays, a centrality check that builds a
-translated system twice, and rigidity metrics that loop over the samples.
-The tests compare with ``tobytes()`` or ``==``, never with a tolerance.
+``trapcc.oracle`` computes the force law, the potential, the centrality
+report and each RK4 step of ``trapcc.dynamics`` on Python floats, in
+straight-line code generated per body count (``oracle._kernels``).  It
+must return the same bits as the array code below, which is what the
+package ran before: an ``(N, N, 2)`` difference array for the attraction,
+a Python double loop of ``np.hypot`` for the potential, RK4 on ``(N, 2)``
+arrays, a centrality check that builds a translated system twice, and
+rigidity metrics that loop over the samples.  The tests compare with
+``tobytes()`` or ``==``, never with a tolerance.
 
 It also keeps two independent second codings that the tests check the
 package against within rounding: the specialised trapezoid force law

@@ -206,10 +206,32 @@ def lagrange_state():
     return SystemState([1.0, 1.0, 1.0], positions, velocities)
 
 
+def two_body_state():
+    """Unequal masses on an eccentric orbit about their resting centre of
+    mass: the separation falls from 1 to about 0.22 at t = 0.75."""
+    return SystemState([3.0, 1.0], [(-0.25, 0.0), (0.75, 0.0)], [(0.0, -0.3), (0.0, 0.9)])
+
+
 def five_body_state():
     """A heavy body at the origin and four light ones on nearly circular
     orbits of different radii, each perturbing the others."""
-    masses, radii, angles = [10.0, 0.1, 0.2, 0.3, 0.4], [1.0, 1.5, 2.0, 2.5], [0.3, 2.1, 3.9, 5.4]
+    return orbiting_state([0.1, 0.2, 0.3, 0.4], [1.0, 1.5, 2.0, 2.5], [0.3, 2.1, 3.9, 5.4])
+
+
+def nine_body_state():
+    """As :func:`five_body_state` with eight light bodies: from 8 values on
+    numpy sums pairwise, so the energies take the other order of _sum."""
+    return orbiting_state(
+        [0.05 * k for k in range(1, 9)],
+        [1.0 + 0.25 * k for k in range(8)],
+        [0.3 + 0.8 * k for k in range(8)],
+    )
+
+
+def orbiting_state(light_masses, radii, angles):
+    """A body of mass 10 at the origin and the light ones on circular
+    velocities about it."""
+    masses = [10.0, *light_masses]
     positions = [(0.0, 0.0)] + [(r * math.cos(a), r * math.sin(a)) for r, a in zip(radii, angles)]
     velocities = [(0.0, 0.0)] + [
         (-math.sqrt(10.0 / r) * math.sin(a), math.sqrt(10.0 / r) * math.cos(a))
@@ -232,11 +254,26 @@ def five_body_state():
         # the pair kernels of other body counts
         pytest.param(lagrange_state, 7, id="lagrange-triangle-7"),
         pytest.param(five_body_state, 1, id="five-bodies-1"),
+        pytest.param(two_body_state, 3, id="two-bodies-3"),
+        pytest.param(nine_body_state, 10, id="nine-bodies-10"),
     ],
 )
 def test_integrate_matches_array_reference_bits(build, stride):
-    state = build()
     t_end = 0.3 * 2.0 * math.pi  # not a whole number of steps: the last one is partial
+    assert_array_reference_bits(build(), t_end, stride)
+
+
+def test_integrate_matches_array_reference_bits_at_78_bodies():
+    # 78 bodies have 3,003 pairs, too many terms for one compiled sum
+    rng = np.random.default_rng(78)
+    masses, positions = rng.uniform(0.5, 2.0, 78), rng.uniform(-10.0, 10.0, (78, 2))
+    state = SystemState(masses, positions, rng.uniform(-1.0, 1.0, (78, 2)))
+    assert_array_reference_bits(state, 5.5e-3, 2)
+
+
+def assert_array_reference_bits(state, t_end, stride):
+    """integrate and rigidity_metrics against the array RK4 and the
+    per-sample loop they replaced, bit for bit."""
     trajectory = integrate(state, dt=1e-3, t_end=t_end, output_stride=stride)
     samples, energies, ang_momenta = array_reference.integrate(
         state.masses, state.positions, state.velocities,
@@ -418,7 +455,8 @@ def test_integrate_refuses_more_steps_than_the_cap_before_a_step(monkeypatch):
     def no_step(*args):
         raise RuntimeError("took a step")
 
-    monkeypatch.setattr(dynamics, "_field", no_step)
+    # integrate looks its step kernel up once, before the first step
+    monkeypatch.setitem(dynamics._kernels(4), "step", no_step)
     assert MAX_STEPS == 10**8
     with pytest.raises(ValueError, match=r"1e\+08 RK4 steps, more than 100000000"):
         integrate(state, dt=1.0, t_end=float(MAX_STEPS + 1))

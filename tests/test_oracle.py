@@ -402,6 +402,22 @@ class TestFloatKernelBits:
         assert verdict == expected_verdict
         assert report_bits(report) == report_bits(expected)
 
+    def test_bits_at_78_bodies(self):
+        # 78 bodies have 3,003 pairs, too many terms for one compiled sum
+        rng = np.random.default_rng(78)
+        masses, positions = rng.uniform(0.5, 2.0, 78), rng.uniform(-10.0, 10.0, (78, 2))
+        system = PlanarSystem(masses, positions)
+        field = attraction_field(masses.tolist(), positions.ravel().tolist())
+        expected = array_reference.attraction_field(masses, positions)
+        assert np.array(field).tobytes() == expected.tobytes()
+        assert potential_and_moment(system) == array_reference.potential_and_moment(system)
+        verdict, report = is_central_configuration(system)
+        expected_verdict, expected = array_reference.is_central_configuration(system)
+        assert verdict is expected_verdict is False
+        assert report_bits(report) == report_bits(expected)
+        expected = array_reference.cc_residual(system, 0.5)
+        assert report_bits(cc_residual(system, 0.5)) == report_bits(expected)
+
     def test_report_carries_python_floats(self):
         _, report = is_central_configuration(lagrange_triangle())
         assert type(report.potential) is float

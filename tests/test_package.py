@@ -243,7 +243,8 @@ def test_the_tracer_patches_and_counts_through_every_hook(tmp_path):
 def test_the_tracer_records_one_span_per_call_of_a_wrapped_function(tmp_path):
     # spans.py wraps masses.solve_masses before cli.solve_masses, and
     # oracle.trapezoid_system before cli.trapezoid_system: the cli row must
-    # wrap the layer's own function, not the module row's wrapper
+    # wrap the layer's own function, not the module row's wrapper.  The
+    # check takes its forces through oracle.attraction_field, once
     script = (
         "import importlib.util\n"
         "import trapcc.cli as cli\n"
@@ -255,9 +256,10 @@ def test_the_tracer_records_one_span_per_call_of_a_wrapped_function(tmp_path):
         "assert cli.main(['verify', '--alpha', '0.5', '--beta', '1']) == 1\n"
         "recorded = tracer.summary()['spans']\n"
         "print([recorded[name][0] for name in\n"
-        "       ('masses.solve_masses', 'oracle.system_build', 'oracle.check')])\n"
+        "       ('masses.solve_masses', 'oracle.system_build', 'oracle.check',\n"
+        "        'oracle.attraction_field')])\n"
     )
-    assert fresh(tmp_path, script) == "[1, 1, 1]"
+    assert fresh(tmp_path, script) == "[1, 1, 1, 1]"
 
 
 def test_a_wrapper_on_the_cli_is_the_function_the_command_calls(tmp_path):
