@@ -356,8 +356,8 @@ def _kernels(n: int) -> _Kernels:
     Each function unpacks the masses and the flat coordinates
     ``[x_0, y_0, x_1, y_1, ...]`` into locals and spells out every pair of
     :func:`_pairs` in order, so it pays for its arithmetic and a few numpy
-    calls, not for loops over bodies and pairs.  Only fixed literals and
-    the integers of ``_pairs(n)`` enter the source.
+    calls, not for loops over bodies and pairs.  Only fixed literals, n
+    and the integers of ``_pairs(n)`` enter the source.
     """
     return _Kernels(n)
 
