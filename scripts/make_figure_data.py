@@ -71,7 +71,8 @@ def main():
     m_positive = both | (grid.labels == code(RegionLabel.ONLY_M_UPPER_POSITIVE))
     write_cells(grid, "member", m_positive, outdir / "region_m.csv")
     write_cells(grid, "member", both, outdir / "region_both.csv")
-    (outdir / "raster_full.csv").write_text(raster_csv(grid))
+    with open(outdir / "raster_full.csv", "w") as fh:
+        fh.writelines(raster_csv(grid))
 
     write_boundary("f1", outdir / "boundary_f1.csv")
     write_boundary("f3", outdir / "boundary_f3.csv")

@@ -24,7 +24,7 @@ _NAMES = {
         "classify", "region_label", "solve_masses", "solve_masses_linear",
     ),
     "oracle": (
-        "CoincidentBodiesError", "DEFAULT_CC_TOL", "PlanarSystem", "ResidualReport",
+        "CoincidentBodiesError", "DEFAULT_CC_TOL", "MAX_BODIES", "PlanarSystem", "ResidualReport",
         "cc_residual", "center_of_mass", "is_central_configuration",
         "potential_and_moment", "trapezoid_system",
     ),

@@ -14,6 +14,7 @@ error (a bug: one ``internal error: ...`` line on stderr), 74 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import math
@@ -95,12 +96,25 @@ def emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def write_text(path: str, text: str, append: bool = False) -> None:
+@contextlib.contextmanager
+def _opened(path: str):
+    """``path`` opened for writing UTF-8 text with LF line ends.  An OSError
+    on opening, writing or closing it (a buffered write fails there too)
+    becomes one ``cannot write`` IOError, which exits 74."""
     try:
-        with open(path, "a" if append else "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
     except OSError as err:
         raise IOError(f"cannot write {path}: {err}") from err
+
+
+def write_text(out, text: str) -> None:
+    """Write ``text`` to the file :func:`_opened` gave, or to the path ``out``."""
+    if isinstance(out, str):
+        with _opened(out) as fh:
+            fh.write(text)
+    else:
+        out.write(text)
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:
@@ -247,9 +261,9 @@ def cmd_verify(args) -> int:
     return EX_OK if verdict else EX_VERIFY_FAILED
 
 
-def raster_csv(grid, header: bool = True) -> str:
-    """The raster CSV text of ``grid``'s cells, a beta row at a time, after
-    the header line when ``header`` is set.
+def raster_csv(grid, header: bool = True):
+    """The raster CSV text of ``grid``'s cells, one string per beta row,
+    after the header line when ``header`` is set.
 
     The alphas are formatted once, and each row's values become Python
     floats in one ``.tolist()``; ``repr`` of a Python float is what
@@ -258,7 +272,8 @@ def raster_csv(grid, header: bool = True) -> str:
     _load("masses")
     values = [label.value for label in REGION_LABELS]
     alphas = [repr(alpha) for alpha in grid.alpha_axis.tolist()]
-    lines = [f"{RASTER_CSV_HEADER}\n"] if header else []
+    if header:
+        yield f"{RASTER_CSV_HEADER}\n"
     for i, beta in enumerate(map(repr, grid.beta_axis.tolist())):
         row = zip(
             alphas,
@@ -268,11 +283,10 @@ def raster_csv(grid, header: bool = True) -> str:
             grid.M[i].tolist(),
             grid.labels[i].tolist(),
         )
-        lines.append("".join(
+        yield "".join(
             f"{alpha},{beta},{f1!r},{f3!r},{m!r},{M!r},{values[code]}\n"
             for alpha, f1, f3, m, M, code in row
-        ))
-    return "".join(lines)
+        )
 
 
 def cmd_raster(args) -> int:
@@ -280,17 +294,28 @@ def cmd_raster(args) -> int:
     alpha_range = _parse_range(args.alpha_range, "--alpha-range")
     beta_range = _parse_range(args.beta_range, "--beta-range")
     n_alpha, n_beta = _parse_resolution(args.resolution)
-    counts = 0  # an array from the first block on: numpy loads in raster, not here
-    # one block of rows is held at a time: evaluated, written, counted, dropped
-    for rows in row_blocks(n_alpha, n_beta):
+
+    def evaluate(rows):
         try:
-            block = raster(alpha_range, beta_range, n_alpha, n_beta, rows)
+            return raster(alpha_range, beta_range, n_alpha, n_beta, rows)
         except ValueError as err:
             raise UsageError(str(err))
         except OverflowError:
             raise UsageError("the sign functions overflow: --beta-range too large")
-        write_text(args.out, raster_csv(block, header=rows.start == 0), append=rows.start > 0)
-        counts += np.bincount(block.labels.ravel(), minlength=len(REGION_LABELS))
+
+    blocks = map(evaluate, row_blocks(n_alpha, n_beta))
+    block = next(blocks)  # each block checks the whole grid: a refused one writes no file
+    header = True
+    counts = 0  # an array from the first block on: numpy loads in raster, not here
+    # one block of rows is held at a time, and the text of one of its rows:
+    # evaluated, written a row at a time, counted, dropped
+    with _opened(args.out) as fh:
+        while block is not None:
+            for text in raster_csv(block, header):
+                write_text(fh, text)
+            counts += np.bincount(block.labels.ravel(), minlength=len(REGION_LABELS))
+            block, header = None, False  # dropped before the next block is evaluated
+            block = next(blocks, None)
     label_counts = {
         label.value: count for label, count in zip(REGION_LABELS, counts.tolist()) if count
     }
@@ -401,14 +426,16 @@ def cmd_simulate(args) -> int:
         # and written at a time, so the text is never held whole
         n = len(traj.times)
         positions = traj.positions.reshape(n, -1)
-        for start in range(0, n, 1024):
-            rows = slice(start, start + 1024)
-            columns = np.column_stack(
-                [traj.times[rows], positions[rows], traj.energy[rows], traj.angular_momentum[rows]]
-            )
-            lines = [TRAJECTORY_CSV_HEADER] if start == 0 else []
-            lines.extend(",".join(map(fnum, row)) for row in columns.tolist())
-            write_text(args.out, "\n".join(lines) + "\n", append=start > 0)
+        with _opened(args.out) as fh:
+            for start in range(0, n, 1024):
+                rows = slice(start, start + 1024)
+                columns = np.column_stack(
+                    [traj.times[rows], positions[rows], traj.energy[rows],
+                     traj.angular_momentum[rows]]
+                )
+                lines = [TRAJECTORY_CSV_HEADER] if start == 0 else []
+                lines.extend(",".join(map(fnum, row)) for row in columns.tolist())
+                write_text(fh, "\n".join(lines) + "\n")
 
     parameters = {
         "alpha": params.alpha,
@@ -453,7 +480,7 @@ def cmd_compare_approx(args) -> int:
             "max_abs_deviation": report.max_abs_deviation,
             "mean_abs_deviation": report.mean_abs_deviation,
             "disagreement_count": len(report.disagreements),
-            "disagreement_cells": [list(c) for c in report.disagreements[:50]],
+            "disagreement_cells": report.disagreements[:50].tolist(),
             "worst_cells": [
                 dict(zip(("alpha", "beta", "exact", "approx"), cell))
                 for cell in report.worst_cells

@@ -32,6 +32,7 @@ from .geometry import TrapezoidParams, build_configuration
 
 MIN_SEPARATION = 1e-9
 DEFAULT_CC_TOL = 1e-10
+MAX_BODIES = 90  # the most bodies of a system: its kernels' compile peaks at about 250 MB
 
 
 class CoincidentBodiesError(ValueError):
@@ -79,9 +80,10 @@ def _read_only(values) -> np.ndarray:
 
 
 def _check_bodies(masses: np.ndarray, positions: np.ndarray, velocities=None) -> list[list[float]]:
-    """Raise ValueError unless ``masses`` is ``(N,)`` with N >= 2, and
-    ``positions`` and, when given, ``velocities`` are ``(N, 2)``, all finite;
-    return the given arrays as flat float lists."""
+    """Raise ValueError unless ``masses`` is ``(N,)`` with 2 <= N <=
+    MAX_BODIES, and ``positions`` and, when given, ``velocities`` are
+    ``(N, 2)``, all finite; return the given arrays as flat float lists.
+    Nothing is compiled before these checks."""
     if masses.ndim != 1 or positions.shape != (len(masses), 2):
         raise ValueError(
             f"one (x, y) position per mass required: masses {masses.shape}, "
@@ -91,6 +93,8 @@ def _check_bodies(masses: np.ndarray, positions: np.ndarray, velocities=None) ->
         raise ValueError(f"velocities {velocities.shape} must match positions {positions.shape}")
     if len(masses) < 2:
         raise ValueError("at least 2 bodies required")
+    if len(masses) > MAX_BODIES:
+        raise ValueError(f"at most {MAX_BODIES} bodies allowed, got {len(masses)}")
     lists = []
     for name, values in (("masses", masses), ("positions", positions), ("velocities", velocities)):
         if values is not None:

@@ -192,6 +192,45 @@ def bisect(
 _EXACT_FUNCTIONS = {"f1": exact_f1, "f3": exact_f3}
 
 
+def _exact_line(which: str, fixed_axis: str, fixed) -> Callable[[float], float]:
+    """``float(exact_f1(alpha, beta))`` (``which`` "f1") or that of
+    ``exact_f3`` as a function of the free coordinate, with ``fixed_axis``
+    held at ``fixed``, bit for bit.
+
+    :func:`distance_cubes_values` and :func:`sign_values` are written out
+    in their order of operations, the fixed coordinate's square is taken
+    once, and an f1 line skips f2 and f3.
+    """
+    if fixed_axis == "alpha":
+        alpha = fixed
+        near, far = (0.5 - 0.5 * alpha) ** 2, (0.5 + 0.5 * alpha) ** 2
+
+        def f1(beta):
+            square = beta**2
+            a, b = (near + square) ** 1.5, (far + square) ** 1.5
+            return float(a + b - 2.0 * a * b)
+
+        def f3(beta):
+            square = beta**2
+            a, b = (near + square) ** 1.5, (far + square) ** 1.5
+            return float(a + b - 2.0 * a * b + alpha * (a - b))
+
+    else:
+        square = fixed**2
+
+        def f1(alpha):
+            a = ((0.5 - 0.5 * alpha) ** 2 + square) ** 1.5
+            b = ((0.5 + 0.5 * alpha) ** 2 + square) ** 1.5
+            return float(a + b - 2.0 * a * b)
+
+        def f3(alpha):
+            a = ((0.5 - 0.5 * alpha) ** 2 + square) ** 1.5
+            b = ((0.5 + 0.5 * alpha) ** 2 + square) ** 1.5
+            return float(a + b - 2.0 * a * b + alpha * (a - b))
+
+    return f1 if which == "f1" else f3
+
+
 class BoundarySample(NamedTuple):
     """One row of a traced boundary: the fixed coordinate, the located
     crossing (or None), the exact sign-function value at the crossing, and
@@ -239,10 +278,7 @@ def trace_boundary(
         ends = (lo, hi)
         _check_plane(*((fixed_values, ends) if fixed_axis == "alpha" else (ends, fixed_values)))
         for fixed in fixed_values:
-            if fixed_axis == "alpha":
-                line = lambda beta: float(exact(fixed, beta))
-            else:
-                line = lambda alpha: float(exact(alpha, fixed))
+            line = _exact_line(which, fixed_axis, fixed)
             root = bisect(line, lo, hi)
             samples.append(
                 BoundarySample(fixed, None, None, "no_sign_change") if root is None
@@ -463,14 +499,15 @@ def _pairwise(start: int, stop: int, leaf):
 class ApproxReport(NamedTuple):
     """Exact-versus-published comparison of one sign function over a raster
     grid: the fraction of cells where the signs agree, absolute deviation
-    statistics, the (alpha, beta) of the disagreeing cells, and the
+    statistics, the (alpha, beta) of the disagreeing cells as the rows of
+    a read-only ``(n, 2)`` float array in flat grid order, and the
     (alpha, beta, exact, approx) of the WORST_CELLS cells of largest
     absolute deviation, largest first."""
 
     sign_agreement: float
     max_abs_deviation: float
     mean_abs_deviation: float
-    disagreements: tuple[tuple[float, float], ...]
+    disagreements: np.ndarray
     worst_cells: tuple[tuple[float, float, float, float], ...]
 
 
@@ -501,7 +538,7 @@ def compare_exact_vs_approx(
     size = n_alpha * n_beta
     agree = [0, 0]
     maximum = [-math.inf, -math.inf]
-    cells = ([], [])
+    cells = ([], [])  # the flat indices of each node's disagreeing cells
     tops = ([], [])  # (values, flat indices) of each node's largest deviations
 
     def pairs(rows):
@@ -523,8 +560,7 @@ def compare_exact_vs_approx(
             exact, approx = exact.ravel()[node], approx.ravel()[node]
             same = np.sign(exact) == np.sign(approx)
             agree[k] += int(np.count_nonzero(same))
-            i, j = np.divmod(np.flatnonzero(~same) + first, n_alpha)
-            cells[k].extend(zip(alphas[j].tolist(), betas[i].tolist()))
+            cells[k].append(np.flatnonzero(~same) + first)
             dev = np.abs(exact - approx)
             maximum[k] = np.maximum(maximum[k], dev.max())
             kth = max(dev.size - WORST_CELLS - 1, 0)
@@ -547,12 +583,18 @@ def compare_exact_vs_approx(
         i, j = np.unravel_index(top, (n_beta, n_alpha))
         exact, approx = pairs(i)[k]
         cell = np.arange(i.size), j
+        flat = np.concatenate(cells[k])
+        cells[k].clear()
+        disagreements = np.empty((flat.size, 2))  # a column at a time: no stacked copies
+        disagreements[:, 0] = alphas[flat % n_alpha]
+        disagreements[:, 1] = betas[flat // n_alpha]
+        disagreements.flags.writeable = False
         return ApproxReport(
             # a count over the cell count: the same float as numpy's mean of a mask
             sign_agreement=agree[k] / size,
             max_abs_deviation=float(maximum[k]),
             mean_abs_deviation=float(sums[k] / size),
-            disagreements=tuple(cells[k]),
+            disagreements=disagreements,
             worst_cells=tuple(
                 zip(alphas[j].tolist(), betas[i].tolist(), exact[cell].tolist(),
                     approx[cell].tolist())

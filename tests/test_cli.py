@@ -13,6 +13,7 @@ import pytest
 
 import trapcc
 from locus_oracle import locus_beta
+from peak_rss import peak_rss_mb
 from trapcc import cli, regions
 from trapcc.cli import (
     BOUNDARY_CSV_HEADER,
@@ -322,6 +323,21 @@ class TestRaster:
         assert code == 74
         assert "x.csv" in err
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("resolution", ["4x4", "256x256"])
+    def test_a_failing_write_is_one_io_error_line(self, resolution):
+        # /dev/full opens and then refuses every write: at 4x4 the text
+        # fails when the file is closed, at 256x256 while it is written
+        proc = subprocess.run(
+            [sys.executable, "-m", "trapcc.cli", "raster", "--resolution", resolution,
+             "--out", "/dev/full"],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 74
+        assert proc.stdout == ""
+        assert proc.stderr == "io error: cannot write /dev/full: [Errno 28] No space left on device\n"
+        assert not Path("/dev/full.meta.json").exists()
+
     @staticmethod
     def reference_csv(grid):
         """The per-cell writer that the row-wise one replaced, kept as the
@@ -556,6 +572,20 @@ class TestSimulate:
         lines = out.read_text().splitlines()
         assert lines[0] == TRAJECTORY_CSV_HEADER
         assert len(lines) > 10
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("stride", ["100", "1"])
+    def test_a_failing_write_is_one_io_error_line(self, stride):
+        # the trajectory is written to one open file a block of rows at a
+        # time: 6 rows fail when the file is closed, 3,143 while written
+        proc = subprocess.run(
+            [sys.executable, "-m", "trapcc.cli", "simulate", "--alpha", "1", "--beta", "1",
+             "--periods", "0.5", "--stride", stride, "--out", "/dev/full"],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 74
+        assert proc.stdout == ""
+        assert proc.stderr == "io error: cannot write /dev/full: [Errno 28] No space left on device\n"
 
     def test_off_locus_point_warns_on_stderr(self, capsys, tmp_path):
         out = tmp_path / "off.csv"
@@ -1021,14 +1051,15 @@ def test_merged_block_tops_equal_full_argsort(request, values, block):
     [
         (["compare-approx", "--resolution", "1000x1000"], 12),
         (["compare-approx", "--resolution", "2000x2000"], 12),
-        (["raster", "--resolution", "256x256"], 8),
+        (["raster", "--resolution", "256x256"], 2),
     ],
     ids=["compare-approx-1000x1000", "compare-approx-2000x2000", "raster-256x256"],
 )
 def test_plane_command_traced_peak(capsys, tmp_path, argv, limit_mib):
     # numpy reports its buffers to tracemalloc; holding the whole grid
-    # several times over took 21.4 MiB at 256x256, and compare-approx's two
-    # whole deviation grids took 26 and 98 MiB
+    # several times over took 21.4 MiB at 256x256, a block's CSV text whole
+    # and the block before it 4.5 MiB (1.4 MiB a row at a time), and
+    # compare-approx's two whole deviation grids took 26 and 98 MiB
     if argv[0] == "raster":
         argv = argv + ["--out", str(tmp_path / "r.csv")]
     tracemalloc.start()
@@ -1061,22 +1092,37 @@ def test_simulate_every_step_traced_peak(capsys, tmp_path):
 
 def fresh_peak_rss_mb(*argv) -> float:
     """The peak resident set of a fresh ``trapcc`` process, in MB."""
-    env = {**os.environ, "PYTHONPATH": SRC}
-    child = subprocess.Popen([sys.executable, "-m", "trapcc.cli", *argv], env=env,
-                             stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == EX_OK
-    return usage.ru_maxrss / 1024  # kibibytes on Linux
+    return peak_rss_mb("-m", "trapcc.cli", *argv)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_a_fresh_peak_is_not_the_test_processs_own():
+    # started straight from this process, ``python -c pass`` reported the
+    # peak of this process, at least the 64 MiB held here
+    held = b"\1" * 2**26
+    assert peak_rss_mb("-c", "pass") < 40.0
+    del held
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_compare_approx_peak_rss_barely_grows_with_the_grid():
-    # four times the cells adds only the disagreeing cells' tuples, about
-    # 7 MB; the whole deviation grids took 57 MB at 1000x1000 and 133 MB
-    # at 2000x2000
+    # four times the cells took 2.6 MB more, the disagreeing cells held as
+    # 16 bytes each among them; as tuples of two floats they took 6.5 MB,
+    # and the whole deviation grids 57 MB at 1000x1000 and 133 MB at
+    # 2000x2000
     small = fresh_peak_rss_mb("compare-approx", "--resolution", "1000")
     large = fresh_peak_rss_mb("compare-approx", "--resolution", "2000")
-    assert large - small <= 10.0, f"{small:.1f} MB at 1000x1000, {large:.1f} MB at 2000x2000"
+    assert large - small <= 4.0, f"{small:.1f} MB at 1000x1000, {large:.1f} MB at 2000x2000"
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_raster_peak_rss_barely_grows_with_the_grid(tmp_path):
+    # 4,096 times the cells took 1.7 MB more, a block of rows and one row
+    # of its text held at a time; a block's text held whole took 6.5 MB
+    small = fresh_peak_rss_mb("raster", "--resolution", "4x4", "--out", str(tmp_path / "s.csv"))
+    large = fresh_peak_rss_mb("raster", "--resolution", "256x256",
+                              "--out", str(tmp_path / "l.csv"))
+    assert large - small <= 2.5, f"{small:.1f} MB at 4x4, {large:.1f} MB at 256x256"
 
 
 def test_internal_error_exits_70_with_one_line(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapcc import dynamics
+from trapcc import dynamics, oracle
 from trapcc.dynamics import (
     MAX_STEPS,
     CollisionError,
@@ -20,7 +20,7 @@ from trapcc.dynamics import (
 )
 from trapcc.geometry import TrapezoidParams, build_configuration
 from trapcc.masses import DegenerateConfigurationError, solve_masses
-from trapcc.oracle import PlanarSystem
+from trapcc.oracle import MAX_BODIES, PlanarSystem
 
 import array_reference
 from array_reference import field_array
@@ -447,6 +447,30 @@ def test_systems_reject_malformed_bodies_at_construction(
 ):
     with pytest.raises(ValueError, match=message):
         build(masses, positions, velocities)
+
+
+def bodies_on_a_circle(n):
+    """n unit masses spread over a circle, at rest: well apart for any n."""
+    angles = 2.0 * np.pi * np.arange(n) / n
+    return np.ones(n), 10.0 * np.column_stack((np.cos(angles), np.sin(angles))), np.zeros((n, 2))
+
+
+@pytest.mark.parametrize("build", [build_state, build_planar], ids=["SystemState", "PlanarSystem"])
+def test_systems_take_as_many_bodies_as_the_cap(build):
+    assert MAX_BODIES == 90
+    system = build(*bodies_on_a_circle(MAX_BODIES))
+    assert system.masses.shape == (MAX_BODIES,)
+
+
+@pytest.mark.parametrize("build", [build_state, build_planar], ids=["SystemState", "PlanarSystem"])
+def test_systems_refuse_more_bodies_than_the_cap_before_compiling(monkeypatch, build):
+    # every kernel is compiled from the source _source writes
+    def no_source(n, name):
+        raise AssertionError(f"compiled the {name} kernel of {n} bodies")
+
+    monkeypatch.setattr(oracle, "_source", no_source)
+    with pytest.raises(ValueError, match="at most 90 bodies allowed, got 91"):
+        build(*bodies_on_a_circle(MAX_BODIES + 1))
 
 
 def test_integrate_refuses_more_steps_than_the_cap_before_a_step(monkeypatch):

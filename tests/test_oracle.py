@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,7 +24,11 @@ from trapcc.regions import bisect
 import array_reference
 from array_reference import field_array
 from locus_oracle import inner_pair_consistency
+from peak_rss import peak_rss_mb
 
+# the kernels oracle._kernels generates, by name
+KERNELS = ("field", "min_separation", "distances", "potential", "half_moment", "residual",
+           "central", "step")
 SQUARE_MASS = 2.0**1.5 / (2.0 * (1.0 + 2.0**1.5))  # equal-mass square solution
 
 
@@ -401,6 +406,19 @@ class TestFloatKernelBits:
         expected_verdict, expected = array_reference.is_central_configuration(system)
         assert verdict == expected_verdict
         assert report_bits(report) == report_bits(expected)
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_every_kernel_at_the_body_cap_compiles_in_256_mb(self):
+        # 90 bodies took 246 MB and 1.4 s in a fresh process, 200 bodies 1,059 MB
+        script = (
+            "from trapcc import oracle\n"
+            "kernels = oracle._kernels(oracle.MAX_BODIES)\n"
+            f"for name in {KERNELS!r}:\n"
+            "    kernels[name]\n"
+            f"assert sorted(kernels) == {sorted(KERNELS)!r}\n"
+        )
+        peak = peak_rss_mb("-c", script)
+        assert peak <= 256.0, f"{peak:.0f} MB"
 
     def test_bits_at_78_bodies(self):
         # 78 bodies have 3,003 pairs, too many terms for one compiled sum

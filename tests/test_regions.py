@@ -286,7 +286,8 @@ class TestCompareExactVsApprox:
         report = compare_exact_vs_approx((0.0, 1.0), (0.5, 1.5), 1, 1)["f1"]
         # at (0.5, 1.0) both exact and published f1 are negative
         assert report.sign_agreement == 1.0
-        assert report.disagreements == ()
+        assert report.disagreements.shape == (0, 2)
+        assert report.disagreements.dtype == np.float64
 
     @pytest.mark.parametrize("fault", ["ties", "nan"])
     def test_ties_and_nans_order_the_worst_cells_over_the_whole_grid(self, monkeypatch, fault):
@@ -473,6 +474,37 @@ class TestTraceBoundary:
         assert [sample.status for sample in curve.samples] == ["ok"]
         curve = trace_boundary("f1", "beta", [5e-324, 3.0], search_interval=(5e-324, 1.0))
         assert len(curve.samples) == 2
+
+    @given(
+        which=st.sampled_from(["f1", "f3"]),
+        fixed_axis=st.sampled_from(["alpha", "beta"]),
+        alpha=st.one_of(st.floats(5e-324, 1.0), st.sampled_from([5e-324, 1e-6, 0.5, 1.0])),
+        beta=st.one_of(
+            st.floats(5e-324, 1e130), st.sampled_from([5e-324, 1e-6, 1.0, 2.0, 1e50, 1e200])
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_each_line_has_the_bits_of_the_exact_sign_function(
+        self, which, fixed_axis, alpha, beta
+    ):
+        # the written-out line of trace_boundary against exact_f1/exact_f3,
+        # on the plane and at the ends of the default brackets (1e-6 and 1
+        # or 2), past where the products overflow to inf and past where a
+        # cube raises OverflowError
+        exact = {"f1": exact_f1, "f3": exact_f3}[which]
+        fixed, free = (alpha, beta) if fixed_axis == "alpha" else (beta, alpha)
+
+        def outcome(f):
+            try:
+                value = f()
+            except OverflowError:  # trace_boundary's caller sees it either way
+                return "OverflowError"
+            assert type(value) is float
+            return value.hex()
+
+        point = (fixed, free) if fixed_axis == "alpha" else (free, fixed)
+        expected = outcome(lambda: float(exact(*point)))
+        assert outcome(lambda: regions._exact_line(which, fixed_axis, fixed)(free)) == expected
 
     @pytest.mark.parametrize(
         "which, fixed_axis, fixed_values, search_interval, statuses",
