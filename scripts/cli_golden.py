@@ -68,6 +68,8 @@ COMMANDS = [
     ("raster-degenerate", ["raster", "--alpha-range", CROSSING_ALPHA, "--beta-range",
                            CROSSING_BETA, "--resolution", "12x9", "--out", "@raster-deg.csv"]),
     ("raster-20000x2", ["raster", "--resolution", "20000x2", "--out", "@raster-20000x2.csv"]),
+    # one alpha column: each block is many beta rows of one cell
+    ("raster-1x20000", ["raster", "--resolution", "1x20000", "--out", "@raster-1x20000.csv"]),
     ("raster-overflow", ["raster", "--beta-range", "0,1e60", "--resolution", "2",
                          "--out", "@raster-overflow.csv"]),
     # the first block of rows is finite, the second overflows
@@ -152,6 +154,7 @@ COMMANDS = [
     ("compare-800x1250", ["compare-approx", "--resolution", "800x1250", "--out", "@c3.json"]),
     ("compare-20000x3", ["compare-approx", "--resolution", "20000x3"]),
     ("compare-3x20000", ["compare-approx", "--resolution", "3x20000", "--out", "@c4.json"]),
+    ("compare-1x20000", ["compare-approx", "--resolution", "1x20000", "--out", "@c6.json"]),
     ("compare-zero", ["compare-approx", "--resolution", "0"]),
     ("compare-over-cell-cap", ["compare-approx", "--resolution", "100000"]),
     # the last compare shape of the plane benchmark workload

@@ -90,7 +90,13 @@ class Trajectory(NamedTuple("Trajectory", [("samples", "np.ndarray")])):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, samples):
-        samples = _read_only(samples)
+        return cls._own(_read_only(samples))
+
+    @classmethod
+    def _own(cls, samples):
+        """The checked Trajectory of a fresh float buffer, held read-only
+        without the constructor's copy."""
+        samples.flags.writeable = False
         width = samples.shape[1] if samples.ndim == 2 else 0
         if samples.ndim != 2 or not len(samples) or width < 7 or (width - 3) % 4:
             raise ValueError(
@@ -223,7 +229,7 @@ def integrate(
         rows.extend((time, *pos, *vel, energy, angular_momentum))
 
     def trajectory():
-        return Trajectory(np.frombuffer(rows).reshape(-1, 3 + 2 * len(pos)))
+        return Trajectory._own(np.frombuffer(rows).reshape(-1, 3 + 2 * len(pos)))
 
     record(0.0)
 

@@ -373,12 +373,18 @@ class RasterGrid(NamedTuple):
 def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
     """n cell-centre coordinates of [lo, hi]: open intervals are sampled
     strictly inside, matching the raster convention used everywhere."""
+    return _centers(lo, hi, n, np.arange(n))
+
+
+def _centers(lo: float, hi: float, n: int, k) -> np.ndarray:
+    """The centres of the cells ``k`` (an index array) of the ``n`` cells
+    of [lo, hi], with the bits of ``cell_centers(lo, hi, n)[k]``."""
     if n < 1:
         raise ValueError("resolution must be at least 1")
     if not hi > lo:
         raise ValueError(f"empty range ({lo}, {hi})")
     step = (hi - lo) / n
-    return lo + (np.arange(n) + 0.5) * step
+    return lo + (k + 0.5) * step
 
 
 def _check_plane(alphas, betas) -> None:
@@ -392,12 +398,14 @@ def _check_plane(alphas, betas) -> None:
             raise ValueError(f"beta samples must be positive, not {beta!r}")
 
 
-def _grid_axes(alpha_range, beta_range, n_alpha: int, n_beta: int):
-    """The checked cell-centre axes of a grid."""
+def _grid_axes(alpha_range, beta_range, n_alpha: int, n_beta: int, rows=slice(0)):
+    """The checked cell-centre alphas of a grid, and the betas of its beta
+    rows ``rows`` (a slice or row indices; default none), then its top row's."""
     alphas = cell_centers(*alpha_range, n_alpha)
-    betas = cell_centers(*beta_range, n_beta)
-    _check_plane(alphas[[0, -1]].tolist(), betas[:1].tolist())  # the centres increase
-    return alphas, betas
+    ends = _centers(*beta_range, n_beta, np.array([0, n_beta - 1]))
+    _check_plane(alphas[[0, -1]].tolist(), ends[:1].tolist())  # the centres increase
+    k = np.arange(*rows.indices(n_beta)) if isinstance(rows, slice) else np.arange(n_beta)[rows]
+    return alphas, np.append(_centers(*beta_range, n_beta, k), ends[1])
 
 
 def row_blocks(n_alpha: int, n_beta: int):
@@ -407,20 +415,19 @@ def row_blocks(n_alpha: int, n_beta: int):
     return [slice(start, min(start + rows, n_beta)) for start in range(0, n_beta, rows)]
 
 
-def _evaluate(alphas, betas, rows, values):
+def _evaluate(alphas, betas, values):
     """``a``, ``b`` and ``values(a, b, alpha)`` (:func:`sign_values`, or
-    :func:`mass_values` for the masses too) on the beta rows ``rows`` of
-    the grid of ``alphas`` and ``betas``, and last on its top row.
+    :func:`mass_values` for the masses too) on the grid of ``alphas`` and
+    ``betas``, whose last is the grid's top row.
 
     Alpha goes in as a row and beta as a column, so a cell gets the same
     bits whichever rows are evaluated with it.  Raises OverflowError when
     any of these overflow on any row of the grid: the top row, where they
     are largest, is evaluated with every call.
     """
-    column = np.append(betas[rows], betas[-1])[:, None]
     try:
         with np.errstate(over="raise"):
-            a, b = distance_cubes_values(alphas[None, :], column)
+            a, b = distance_cubes_values(alphas[None, :], betas[:, None])
             return a, b, values(a, b, alphas[None, :])
     except FloatingPointError as err:
         raise OverflowError(f"the sign functions overflow: {err}") from None
@@ -442,8 +449,8 @@ def raster(
     grid overflows, which only a beta range far outside the figures' can
     do.
     """
-    alphas, betas = _grid_axes(alpha_range, beta_range, n_alpha, n_beta)
-    a, b, (m, M, f1, _, f3) = _evaluate(alphas, betas, rows, mass_values)
+    alphas, betas = _grid_axes(alpha_range, beta_range, n_alpha, n_beta, rows)
+    a, b, (m, M, f1, _, f3) = _evaluate(alphas, betas, mass_values)
     degenerate = is_degenerate(f3, a, b)[:-1]
     m = np.where(degenerate, np.nan, m[:-1])
     M = np.where(degenerate, np.nan, M[:-1])
@@ -451,7 +458,7 @@ def raster(
     labels[degenerate] = REGION_LABELS.index(RegionLabel.DEGENERATE)
     return RasterGrid(
         alpha_axis=alphas,
-        beta_axis=betas[rows],
+        beta_axis=betas[:-1],
         f1=f1[:-1],
         f3=f3[:-1],
         m=m,
@@ -460,22 +467,21 @@ def raster(
     )
 
 
-def _largest(values, count: int):
-    """Indices of the ``count`` largest of the flat ``values``, largest
-    first, or None when ``np.argsort`` would have to decide them.
-
-    ``np.argpartition`` keeps the count + 1 largest and only those are
-    sorted.  argsort orders equal values its own way, so a NaN or a tie
-    among those count + 1, or fewer values than that, gives None.
-    """
-    if values.size < count + 1:
-        return None
-    kth = values.size - count - 1
-    candidates = np.argpartition(values, kth)[kth:]
-    top = values[candidates]
-    if np.isnan(top).any() or np.unique(top).size < top.size:
-        return None
-    return candidates[np.argsort(top)[::-1][:count]]
+def _worst(dev):
+    """Positions of the WORST_CELLS worst deviations of the flat ``dev``
+    (all when fewer), worst first: NaN before every number, then the
+    largest, and equal ones by ascending position.  numpy's partition
+    sorts NaN last, so all above the WORST_CELLS-th worst are kept, and
+    those equal to it fill the rest in order."""
+    kth = dev.size - WORST_CELLS
+    threshold = np.partition(dev, kth)[kth] if kth > 0 else -math.inf  # else all are kept
+    if np.isnan(threshold):
+        keep = np.flatnonzero(np.isnan(dev))[:WORST_CELLS]
+    else:
+        above = np.flatnonzero(~(dev <= threshold))  # and the NaNs
+        keep = np.append(above, np.flatnonzero(dev == threshold)[: WORST_CELLS - above.size])
+    top = dev[keep]
+    return keep[np.lexsort((keep, -top, ~np.isnan(top)))]
 
 
 def _pairwise(start: int, stop: int, leaf):
@@ -502,7 +508,7 @@ class ApproxReport(NamedTuple):
     statistics, the (alpha, beta) of the disagreeing cells as the rows of
     a read-only ``(n, 2)`` float array in flat grid order, and the
     (alpha, beta, exact, approx) of the WORST_CELLS cells of largest
-    absolute deviation, largest first."""
+    absolute deviation, worst first: NaN first, equal ones in flat order."""
 
     sign_agreement: float
     max_abs_deviation: float
@@ -527,33 +533,27 @@ def compare_exact_vs_approx(
     reduced into the statistics, which have the bits of whole-grid numpy.
     A node inside the rows evaluated last reuses them, so on rows wider
     than a node each row is evaluated at most twice.
-    Each node keeps its WORST_CELLS + 1 largest deviations, which
-    :func:`_largest` orders; only when ties, NaNs or too few cells leave
-    the worst cells' order to ``np.argsort`` is a whole ``|exact - approx|``
-    grid built again, a block of rows (:func:`row_blocks`) at a time.
-    The exact and approximate values of the worst cells are evaluated
-    again on their rows.
+    The worst cells are ordered by ``|exact - approx|``, NaN first, then
+    largest first, and equal deviations by ascending flat cell index: each
+    node keeps its WORST_CELLS worst (:func:`_worst`) with their values,
+    and the worst of those, kept in node order, are the grid's.
     """
-    alphas, betas = _grid_axes(alpha_range, beta_range, n_alpha, n_beta)
+    alphas, top = _grid_axes(alpha_range, beta_range, n_alpha, n_beta)  # top: its row's beta
     size = n_alpha * n_beta
     agree = [0, 0]
     maximum = [-math.inf, -math.inf]
     cells = ([], [])  # the flat indices of each node's disagreeing cells
-    tops = ([], [])  # (values, flat indices) of each node's largest deviations
-
-    def pairs(rows):
-        """(exact, approx) of f1 and of f3 on the beta rows ``rows``."""
-        f1, _, f3 = _evaluate(alphas, betas, rows, sign_values)[2]
-        column = betas[rows, None]
-        return (f1[:-1], f1_approx(alphas, column)), (f3[:-1], f3_approx(alphas, column))
-
-    held = [slice(0, 0), None]  # the rows evaluated last and their pairs
+    worst = ([], [])  # (deviations, flat indices, exact, approx) of each node's worst cells
+    held = [slice(0, 0), None]  # the rows evaluated last and their (exact, approx) pairs
 
     def leaf(first, last):
         start, stop = first // n_alpha, (last - 1) // n_alpha + 1
         if not held[0].start <= start < stop <= held[0].stop:  # else the nodes share rows
-            held[:] = slice(start, stop), None
-            held[1] = pairs(held[0])
+            held[:] = slice(start, stop), None  # the rows held before are dropped first
+            betas = np.append(_centers(*beta_range, n_beta, np.arange(start, stop)), top)
+            f1, _, f3 = _evaluate(alphas, betas, sign_values)[2]
+            approx = f1_approx(alphas, betas[:-1, None]), f3_approx(alphas, betas[:-1, None])
+            held[1] = tuple(zip((f1[:-1], f3[:-1]), approx))
         node = slice(first - held[0].start * n_alpha, last - held[0].start * n_alpha)
         sums = []
         for k, (exact, approx) in enumerate(held[1]):
@@ -563,31 +563,27 @@ def compare_exact_vs_approx(
             cells[k].append(np.flatnonzero(~same) + first)
             dev = np.abs(exact - approx)
             maximum[k] = np.maximum(maximum[k], dev.max())
-            kth = max(dev.size - WORST_CELLS - 1, 0)
-            keep = np.argpartition(dev, kth)[kth:]
-            tops[k].append((dev[keep], keep + first))
+            keep = _worst(dev)
+            worst[k].append((dev[keep], keep + first, exact[keep], approx[keep]))
             sums.append(np.add.reduce(dev))
         return np.array(sums)
 
     sums = _pairwise(0, size, leaf)
     held.clear()
 
+    def coordinates(flat):
+        """The alphas and the betas of the flat cells ``flat``."""
+        return alphas[flat % n_alpha], _centers(*beta_range, n_beta, flat // n_alpha)
+
     def report(k):
-        values, indices = (np.concatenate(column) for column in zip(*tops[k]))
-        top = _largest(values, WORST_CELLS)
-        if top is None:  # argsort orders them, over the whole grid
-            whole = [np.abs(np.subtract(*pairs(rows)[k])) for rows in row_blocks(n_alpha, n_beta)]
-            top = np.argsort(np.concatenate(whole, axis=None))[::-1][:WORST_CELLS]
-        else:
-            top = indices[top]
-        i, j = np.unravel_index(top, (n_beta, n_alpha))
-        exact, approx = pairs(i)[k]
-        cell = np.arange(i.size), j
+        dev, flat, exact, approx = (np.concatenate(column) for column in zip(*worst[k]))
+        order = _worst(dev)  # equal deviations lie in flat order
+        columns = (*coordinates(flat[order]), exact[order], approx[order])
+        worst_cells = tuple(zip(*(column.tolist() for column in columns)))
         flat = np.concatenate(cells[k])
         cells[k].clear()
-        disagreements = np.empty((flat.size, 2))  # a column at a time: no stacked copies
-        disagreements[:, 0] = alphas[flat % n_alpha]
-        disagreements[:, 1] = betas[flat // n_alpha]
+        disagreements = np.empty((flat.size, 2))  # no stacked copy
+        disagreements[:, 0], disagreements[:, 1] = coordinates(flat)
         disagreements.flags.writeable = False
         return ApproxReport(
             # a count over the cell count: the same float as numpy's mean of a mask
@@ -595,10 +591,7 @@ def compare_exact_vs_approx(
             max_abs_deviation=float(maximum[k]),
             mean_abs_deviation=float(sums[k] / size),
             disagreements=disagreements,
-            worst_cells=tuple(
-                zip(alphas[j].tolist(), betas[i].tolist(), exact[cell].tolist(),
-                    approx[cell].tolist())
-            ),
+            worst_cells=worst_cells,
         )
 
     return {name: report(k) for k, name in enumerate(("f1", "f3"))}

@@ -13,7 +13,8 @@ rigidity metrics that loop over the samples.  The tests compare with
 It also keeps two independent second codings that the tests check the
 package against within rounding: the specialised trapezoid force law
 (:func:`trapezoid_accelerations`) and the body positions rebuilt from two
-generating vectors (:func:`reconstruct_positions`).
+generating vectors (:func:`reconstruct_positions`), and compare-approx's
+order of its worst cells written out in Python (:func:`worst_order`).
 
 Not a test module (no ``test_`` prefix); the tests import it.
 """
@@ -244,3 +245,14 @@ def reconstruct_positions(
         combine(w_in, -half_top),
         combine(w_out, -half),
     )
+
+
+def worst_order(values, count: int = 10) -> list[int]:
+    """The flat positions of the ``count`` worst of ``values``, worst
+    first: NaN before every number, then the largest, and equal values by
+    ascending position."""
+    values = np.ravel(values).tolist()
+    return sorted(
+        range(len(values)),
+        key=lambda i: (not math.isnan(values[i]), 0.0 if math.isnan(values[i]) else -values[i], i),
+    )[:count]

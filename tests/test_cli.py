@@ -13,6 +13,7 @@ import pytest
 
 import trapcc
 from locus_oracle import locus_beta
+from array_reference import worst_order
 from peak_rss import peak_rss_mb
 from trapcc import cli, regions
 from trapcc.cli import (
@@ -809,7 +810,8 @@ class TestCompareApprox:
     def assert_matches_meshgrid_reference(capsys, n_alpha, n_beta, disagreeing=("f1", "f3")):
         # the report as it was computed before the surrogates were evaluated
         # on broadcast axes: on a full meshgrid, once for the statistics and
-        # once for the worst cells
+        # once for the worst cells, which are ordered by the plain Python
+        # reference of compare-approx's rule
         code, doc, _ = run_json(capsys, "compare-approx", "--resolution", f"{n_alpha}x{n_beta}")
         assert code == EX_OK
         grid = raster((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
@@ -820,7 +822,7 @@ class TestCompareApprox:
             dev = np.abs(exact - approx)
             cells = [[float(grid_a[idx]), float(grid_b[idx])] for idx in zip(*np.nonzero(~agree))]
             worst = []
-            for idx in np.argsort(dev.ravel())[::-1][:10]:
+            for idx in worst_order(dev):
                 i, j = np.unravel_index(idx, dev.shape)
                 worst.append(
                     {
@@ -860,11 +862,10 @@ class TestCompareApprox:
     def test_evaluates_raster_blocks_and_the_worst_rows(self, capsys, monkeypatch, n_alpha, n_beta):
         # compare-approx evaluates the signs of the grid with raster's
         # evaluator on the rows each node of numpy's pairwise sum touches,
-        # unless they lie inside the rows evaluated for the node before,
-        # then the rows of each sign function's worst cells, and never the
-        # masses; a grid of fewer cells than the worst cells and one more
-        # is evaluated again for each sign function, a block of rows at a
-        # time, for argsort to order them
+        # unless they lie inside the rows evaluated for the node before, and
+        # nothing else: neither row_blocks nor the worst cells' rows again,
+        # and never the masses.  Each evaluation gets the betas of its rows
+        # and of the top row, with cell_centers' bits, and no other beta
         evaluated = []
         evaluate = regions._evaluate
 
@@ -886,23 +887,16 @@ class TestCompareApprox:
             rows = slice(first // n_alpha, (last - 1) // n_alpha + 1)
             if not touched or not touched[-1].start <= rows.start < rows.stop <= touched[-1].stop:
                 touched.append(rows)
-        blocks = regions.row_blocks(n_alpha, n_beta)
-        again = blocks if n_alpha * n_beta <= regions.WORST_CELLS else []
-        assert len(evaluated) == len(touched) + 2 * (len(again) + 1)
         alphas, betas = cell_centers(0.0, 1.0, n_alpha), cell_centers(0.0, 1.0, n_beta)
-        for args in evaluated:
-            assert args[0].tobytes() == alphas.tobytes() and args[1].tobytes() == betas.tobytes()
-            assert args[3] is regions.sign_values
-        rows = [args[2] for args in evaluated]
-        worst_rows = []  # each sign function's, in the places marked None
-        for got, expected in zip(rows, [*touched, *again, None, *again, None]):
-            if expected is None:
-                worst_rows.append(got)
-            else:
-                assert got == expected
-        for which, i in zip(("f1", "f3"), worst_rows):
-            worst = doc["payload"][which]["worst_cells"]
-            assert [cell["beta"] for cell in worst] == betas[i].tolist()
+        assert len(evaluated) == len(touched)
+        for (got_alphas, got_betas, values), rows in zip(evaluated, touched):
+            assert got_alphas.tobytes() == alphas.tobytes()
+            assert got_betas.tobytes() == np.append(betas[rows], betas[-1]).tobytes()
+            assert values is regions.sign_values
+        # the worst cells' coordinates are cell centres
+        for which in ("f1", "f3"):
+            for cell in doc["payload"][which]["worst_cells"]:
+                assert cell["alpha"] in alphas.tolist() and cell["beta"] in betas.tolist()
 
     @pytest.mark.parametrize("n_alpha, n_beta", [(2000, 3), (37, 53), (128, 9), (300, 1)])
     def test_evaluates_each_row_a_bounded_number_of_times(self, monkeypatch, n_alpha, n_beta):
@@ -913,13 +907,13 @@ class TestCompareApprox:
         evaluated = []
         evaluate = regions._evaluate
 
-        def capture(alphas, betas, rows, values):
-            evaluated.append(alphas.size * (betas[rows].size + 1))
-            return evaluate(alphas, betas, rows, values)
+        def capture(alphas, betas, values):
+            evaluated.append(alphas.size * betas.size)
+            return evaluate(alphas, betas, values)
 
         monkeypatch.setattr(regions, "_evaluate", capture)
         regions.compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)
-        walk = sum(evaluated[:-2])  # the last two evaluate the worst rows
+        walk = sum(evaluated)
         blocks = sum(n_alpha * (len(range(n_beta)[rows]) + 1) for rows in regions.row_blocks(n_alpha, n_beta))
         assert walk <= 2 * blocks
 
@@ -985,65 +979,46 @@ def _top_cases():
     return [pytest.param(values, id=name) for name, values in cases]
 
 
-# the cases whose 11 largest values hold a tie or a NaN, or that have fewer
-# than 11 values: only the full argsort orders their largest 10
-ARGSORT_CASES = {
-    "tie-inside", "tie-at-edge", "many-ties", "signed-zeros", "nans", "one-nan", "all-nan",
-    "short-0", "short-1", "short-5", "short-10",
-}
-
-
 @pytest.mark.parametrize("values", _top_cases())
-def test_top_indices_equal_full_argsort(request, values):
-    # _largest gives the top indices of argsort, or None where argsort's
-    # order of equal values or NaNs decides them
-    top = regions._largest(values.ravel(), 10)
-    if request.node.callspec.id in ARGSORT_CASES:
-        assert top is None
-    else:
-        assert np.array_equal(top, np.argsort(values.ravel())[::-1][:10])
+def test_top_indices_equal_full_argsort(values):
+    # _worst gives the ten worst positions of a full sort by the explicit
+    # rule, ties and NaNs included, in its order
+    assert regions._worst(values.ravel()).tolist() == worst_order(values)
 
 
 def test_top_indices_on_random_draws():
     # half the draws of few distinct values, so ties are common, and up to
-    # three NaNs: on many of these sorting only the partitioned top differs
-    # from the full argsort, and _largest leaves those to argsort
+    # three NaNs, some of them all NaN or shorter than ten
     rng = np.random.default_rng(7)
-    answers = Counter()
+    tied = 0
     for _ in range(300):
         n = int(rng.integers(0, 400))
         distinct = int(rng.integers(2, 40)) if rng.random() < 0.5 else 2**53
         values = rng.integers(0, distinct, n).astype(float)
         if n and rng.random() < 0.3:
             values[rng.integers(0, n, int(rng.integers(1, 4)))] = np.nan
-        top = regions._largest(values, 10)
-        answers[top is None] += 1
-        if top is not None:
-            assert np.array_equal(top, np.argsort(values)[::-1][:10])
-    assert answers[True] and answers[False]
+        expected = worst_order(values, 11)
+        tied += len(set(values[expected].tolist())) < len(expected)
+        assert regions._worst(values).tolist() == expected[:10]
+    assert tied > 100
 
 
 @pytest.mark.parametrize("values", _top_cases())
 @pytest.mark.parametrize("block", [1, 7, 11, 12, 100, None])
-def test_merged_block_tops_equal_full_argsort(request, values, block):
-    # compare-approx keeps the 11 largest values of each node of numpy's
-    # pairwise tree, a block of the flat grid, and picks the 10 largest
-    # from those, unless argsort's order of equal values decides
+def test_merged_block_tops_equal_full_argsort(values, block):
+    # compare-approx keeps the ten worst of each node of numpy's pairwise
+    # tree, a block of the flat grid, in order, and the ten worst of those
+    # are the whole's: equal values lie in flat order among the kept
     values = values.ravel()
     size = block or max(values.size, 1)
     kept, indices = [np.empty(0)], [np.empty(0, dtype=np.intp)]
     for first in range(0, values.size, size):
         part = values[first:first + size]
-        kth = max(part.size - 11, 0)
-        keep = np.argpartition(part, kth)[kth:]
+        keep = regions._worst(part)
         kept.append(part[keep])
         indices.append(keep + first)
-    top = regions._largest(np.concatenate(kept), 10)
-    expected = np.argsort(values)[::-1][:10]
-    if request.node.callspec.id.split("-", 1)[1] in ARGSORT_CASES:
-        assert top is None
-    else:
-        assert np.array_equal(np.concatenate(indices)[top], expected)
+    top = regions._worst(np.concatenate(kept))
+    assert np.concatenate(indices)[top].tolist() == worst_order(values)
 
 
 @pytest.mark.parametrize(
@@ -1123,6 +1098,28 @@ def test_raster_peak_rss_barely_grows_with_the_grid(tmp_path):
     large = fresh_peak_rss_mb("raster", "--resolution", "256x256",
                               "--out", str(tmp_path / "l.csv"))
     assert large - small <= 2.5, f"{small:.1f} MB at 4x4, {large:.1f} MB at 256x256"
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_a_tall_raster_peaks_like_a_square_one(tmp_path):
+    # each block computes the betas of its own rows and of the top row:
+    # rebuilding the whole beta axis for every block took 5.2 MB more at
+    # 1x400000 than at 640x625, and 29 MB more at 1x2000000
+    square = fresh_peak_rss_mb("raster", "--resolution", "640x625",
+                               "--out", str(tmp_path / "s.csv"))
+    tall = fresh_peak_rss_mb("raster", "--resolution", "1x400000",
+                             "--out", str(tmp_path / "t.csv"))
+    assert tall - square <= 2.0, f"{square:.1f} MB at 640x625, {tall:.1f} MB at 1x400000"
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_a_tall_compare_approx_peaks_like_a_square_one():
+    # each node evaluation computes the betas of its own rows, and the
+    # reports those of the cells they list: the whole beta axis took 12 MB
+    # more at 1x1000000 than at 1000x1000
+    square = fresh_peak_rss_mb("compare-approx", "--resolution", "1000x1000")
+    tall = fresh_peak_rss_mb("compare-approx", "--resolution", "1x1000000")
+    assert tall - square <= 2.0, f"{square:.1f} MB at 1000x1000, {tall:.1f} MB at 1x1000000"
 
 
 def test_internal_error_exits_70_with_one_line(capsys, monkeypatch):

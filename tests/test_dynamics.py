@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,24 @@ def test_trajectory_is_one_read_only_array():
     assert trajectory.positions[0].tobytes() == state.positions.tobytes()
     assert trajectory.velocities[0].tobytes() == state.velocities.tobytes()
     assert not state.positions.flags.writeable
+
+
+def test_integrate_holds_its_samples_once():
+    # integrate hands its fresh sample buffer to the Trajectory without a
+    # copy, so the traced peak at stride 1 is about one buffer: with a copy
+    # it was 0.94 MiB for 0.46 MiB of samples.  The constructor still copies
+    state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
+    integrate(state, t_end=0.01)  # the step kernel compiles outside the trace
+    tracemalloc.start()
+    try:
+        trajectory = integrate(state, t_end=math.pi, output_stride=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = trajectory.samples.nbytes
+    assert len(trajectory.samples) == 3143
+    assert peak <= 1.25 * size, f"traced peak {peak / size:.2f} sample buffers"
+    assert not np.shares_memory(Trajectory(trajectory.samples).samples, trajectory.samples)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from array_reference import worst_order
 from trapcc.geometry import TrapezoidParams, distance_cubes_values
 from trapcc.masses import RegionLabel, classify, mass_values
 from trapcc import regions
@@ -292,8 +297,9 @@ class TestCompareExactVsApprox:
     @pytest.mark.parametrize("fault", ["ties", "nan"])
     def test_ties_and_nans_order_the_worst_cells_over_the_whole_grid(self, monkeypatch, fault):
         # a surrogate one above the exact f1 leaves deviations that tie at
-        # 1.0, and a NaN at one cell is the largest: only the whole grid's
-        # argsort orders them, in compare-approx's one whole-grid path
+        # 1.0, and a NaN at one cell is the worst: the explicit order (NaN
+        # first, then the largest, equal ones by flat index) decides them
+        # over the whole grid, from the cells each node kept in one pass
         grid = ((0.0, 1.0), (0.0, 1.0), 3, 20000)
         full = raster(*grid)
         alphas, betas = full.alpha_axis, full.beta_axis
@@ -315,27 +321,76 @@ class TestCompareExactVsApprox:
         monkeypatch.setattr(regions, "f1_approx", surrogate)
         report = compare_exact_vs_approx(*grid)["f1"]
         _, nodes = tree_sum(np.zeros(3 * 20000))
-        blocks = row_blocks(3, 20000)
-        assert len(nodes) > 1 and len(blocks) > 1
-        # the rows of each node (no node lies inside the rows of the one
-        # before: a row is narrower than a node), then the blocks of rows
-        # for f1 only, then each worst row set
-        rows = [args[2] for args in evaluated]
-        assert rows[:len(nodes)] == [slice(first // 3, (last - 1) // 3 + 1) for first, last in nodes]
-        assert rows[len(nodes):len(nodes) + len(blocks)] == blocks
-        assert len(evaluated) == len(nodes) + len(blocks) + 2
+        assert len(nodes) > 1
+        # once on the rows of each node (no node lies inside the rows of the
+        # one before: a row is narrower than a node), and on nothing else
+        rows = [slice(first // 3, (last - 1) // 3 + 1) for first, last in nodes]
+        assert [args[1].tobytes() for args in evaluated] == [
+            np.append(betas[r], betas[-1]).tobytes() for r in rows
+        ]
         approx = surrogate(alphas, betas[:, None])
         dev = np.abs(full.f1 - approx)
-        i, j = np.unravel_index(np.argsort(dev.ravel())[::-1][:10], dev.shape)
+        i, j = np.unravel_index(worst_order(dev), dev.shape)
         assert repr(report.worst_cells) == repr(tuple(zip(  # repr: nan != nan
             alphas[j].tolist(), betas[i].tolist(), full.f1[i, j].tolist(), approx[i, j].tolist()
         )))
+        if fault == "ties":  # the lowest flat indices of a tie far wider than ten cells
+            tie = np.flatnonzero(dev == dev.max())
+            assert tie.size > 1000 and (i * 3 + j).tolist() == tie[:10].tolist()
+        else:
+            assert math.isnan(report.worst_cells[0][3]) and (i[0], j[0]) == (7, 1)
         assert np.float64(report.mean_abs_deviation).tobytes() == dev.mean().tobytes()
         assert np.float64(report.max_abs_deviation).tobytes() == dev.max().tobytes()
+
+    @pytest.mark.parametrize("fault", ["ties", "nan"])
+    def test_ties_and_nans_order_the_worst_cells_alike_on_every_dispatch(self, fault):
+        # the order depends on no CPU feature: with the dispatched SIMD
+        # targets this CPU has (numpy.show_runtime()'s "found") turned off,
+        # a fresh process gives the same worst cells, bit for bit; the
+        # whole-grid np.argsort that ordered ties and NaNs before gave others
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        found = [feature for feature in __cpu_dispatch__ if __cpu_features__[feature]]
+        env = {**os.environ, "PYTHONPATH": str(Path(regions.__file__).resolve().parents[1])}
+        outputs = []
+        for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(found)}):
+            proc = subprocess.run([sys.executable, "-c", FAULTY_COMPARE, fault],
+                                  env={**env, **disabled}, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 2 * 10 * 4 * 8
 
     def test_disagreement_cells_listed(self):
         for report in compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), 50, 50).values():
             assert len(report.disagreements) == int(round((1 - report.sign_agreement) * 2500))
+
+
+# the worst cells of f1 on the 3x20000 grid, as the hex of their float64
+# bytes, with the surrogate of the tie and NaN tests (the fault is argv[1]).
+# numpy's power takes other last bits on other SIMD targets, so the cubes
+# are x * sqrt(x) here, whose bits are the same on all: only the choice and
+# the order of the worst cells are left to differ
+FAULTY_COMPARE = """
+import sys
+import numpy as np
+from trapcc import regions
+
+def cubes(alpha, beta):
+    near, far = (0.5 - 0.5 * alpha) ** 2 + beta**2, (0.5 + 0.5 * alpha) ** 2 + beta**2
+    return near * np.sqrt(near), far * np.sqrt(far)
+
+alphas, betas = regions.cell_centers(0.0, 1.0, 3), regions.cell_centers(0.0, 1.0, 20000)
+
+def surrogate(alpha, beta):
+    approx = regions.exact_f1(alpha, beta) + (1.0 if sys.argv[1] == "ties" else 0.5)
+    if sys.argv[1] == "nan":
+        approx = np.where((alpha == alphas[1]) & (beta == betas[7]), np.nan, approx)
+    return approx
+
+regions.distance_cubes_values, regions.f1_approx = cubes, surrogate
+report = regions.compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), 3, 20000)["f1"]
+print(np.array(report.worst_cells).tobytes().hex(), end="")
+"""
 
 
 def tree_sum(values):
