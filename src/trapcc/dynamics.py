@@ -30,7 +30,6 @@ from .oracle import (
     _pair_distances,
     _pairs,
     _potential,
-    _read_only,
     _sum,
 )
 
@@ -54,19 +53,36 @@ class CollisionError(RuntimeError):
         self.trajectory = trajectory
 
 
+def _read_only(values) -> np.ndarray:
+    """A float64 copy of ``values`` that cannot be written to."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
 class SystemState(NamedTuple("SystemState", [
     ("masses", "np.ndarray"), ("positions", "np.ndarray"), ("velocities", "np.ndarray"),
 ])):
     """Initial data of an integration at t = 0: finite masses ``(N,)``,
     positions and velocities ``(N, 2)``, N >= 2, held as read-only float
-    copies of the values given, as :class:`PlanarSystem` holds its own."""
+    copies of the values given."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, masses, positions, velocities):
         masses, positions, velocities = map(_read_only, (masses, positions, velocities))
-        _, coords, _ = _check_bodies(masses, positions, velocities)
+        if masses.ndim != 1 or positions.shape != (len(masses), 2):
+            raise ValueError(
+                f"one (x, y) position per mass required: masses {masses.shape}, "
+                f"positions {positions.shape}"
+            )
+        if velocities.shape != positions.shape:
+            raise ValueError(
+                f"velocities {velocities.shape} must match positions {positions.shape}"
+            )
+        coords = positions.ravel().tolist()
+        _check_bodies(masses.tolist(), coords, velocities.ravel().tolist())
         for (i, j), d in zip(_pairs(len(masses)), _pair_distances(coords).tolist()):
             if d < COLLISION_TOL:
                 raise CoincidentBodiesError(
@@ -236,13 +252,14 @@ def integrate(
     # the time left decides the last step, not a count taken from t_end / dt:
     # that ratio can round just above a whole number when the steps already
     # reach t_end, and the extra step would be zero or negative.  Any
-    # t_end > 0 takes a step.
+    # t_end > 0 takes a step.  Step k ends at k * dt, not at a running sum
+    # of dt, which drifts: summed, t_end = 10000 * dt took 10,001 steps
     step, last = 0, t_end == 0.0
     while not last:
-        step += 1
         last = t + dt * (1.0 + 1e-9) >= t_end
         pos, vel = rk4_step(masses, pos, vel, t_end - t if last else dt)
-        t = t_end if last else t + dt
+        step += 1
+        t = t_end if last else step * dt
 
         if _min_separation(pos) < COLLISION_TOL:
             raise CollisionError(

@@ -8,16 +8,18 @@ proportionality constant lambda:
 
 This module is deliberately model independent: it knows nothing about the
 trapezoid family and simply measures the defect of that equation for any
-:class:`PlanarSystem`, masses ``(N,)`` and positions ``(N, 2)`` held as
-read-only float arrays, with G = 1.  Negative masses are allowed (sign
+:class:`PlanarSystem`, its masses a float tuple and its positions
+``(x, y)`` float tuples, with G = 1.  Negative masses are allowed (sign
 analysis of the mass formulas needs them); only non-finite values, a total
 mass that vanishes to rounding or coincident bodies are rejected.  Points
-such as the centre of mass are ``(x, y)`` float tuples.
+such as the centre of mass are ``(x, y)`` float tuples too.
 
 The checks, and the RK4 step of :mod:`trapcc.dynamics`, run on Python
 floats in straight-line code generated per body count (:func:`_kernels`),
-and return the bits of the numpy array code kept in
-``tests/array_reference.py``.
+with correctly rounded operations only (products, sums, quotients and
+square roots), so their bits are the same on every IEEE CPU and equal
+those of the numpy array code kept in ``tests/array_reference.py``.  A
+check of fewer than 8 bodies never executes numpy.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ class CoincidentBodiesError(ValueError):
 
 
 class PlanarSystem(
-    NamedTuple("PlanarSystem", [("masses", "np.ndarray"), ("positions", "np.ndarray")])
+    NamedTuple("PlanarSystem", [
+        ("masses", "tuple[float, ...]"), ("positions", "tuple[tuple[float, float], ...]"),
+    ])
 ):
-    """An ordered list of point masses in the plane, G = 1: masses ``(N,)``
-    and positions ``(N, 2)``, kept as read-only float copies of the
-    arguments.
+    """An ordered list of point masses in the plane, G = 1: the masses as
+    a float tuple and the positions as ``(x, y)`` float tuples, copied
+    from the arguments (lists, tuples or arrays).
 
     Masses and positions must be finite, positions pairwise distinct
     (separation above 1e-9) and the total mass must not vanish.  Masses may
@@ -55,13 +59,25 @@ class PlanarSystem(
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, masses, positions):
-        masses, positions = _read_only(masses), _read_only(positions)
-        mass_list, coords = _check_bodies(masses, positions)
+        # an array as nested lists, so that each item is a float or a list
+        masses, positions = (v.tolist() if hasattr(v, "tolist") else v for v in (masses, positions))
+        try:
+            masses = tuple(map(float, masses))
+            positions = tuple(tuple(map(float, position)) for position in positions)
+        except TypeError as err:  # a number where a sequence belongs, or the reverse
+            raise ValueError(f"one (x, y) position per mass required: {err}") from None
+        if len(positions) != len(masses) or any(len(p) != 2 for p in positions):
+            raise ValueError(
+                f"one (x, y) position per mass required: {len(masses)} masses, "
+                f"{len(positions)} positions of {sorted({len(p) for p in positions})} coordinates"
+            )
+        coords = _flat(positions)
+        _check_bodies(masses, coords)
         # the centre of mass divides by a plain float sum of the masses,
         # which is only known to about n * eps * sum |m|: a total inside
         # that error vanishes as far as the centre can tell
-        total = math.fsum(mass_list)
-        noise = len(mass_list) * sys.float_info.epsilon * math.fsum(map(abs, mass_list))
+        total = math.fsum(masses)
+        noise = len(masses) * sys.float_info.epsilon * math.fsum(map(abs, masses))
         if abs(total) <= noise:
             raise ValueError(f"total mass must not vanish: {total!r} is within rounding of 0")
         nearest = _min_separation(coords)
@@ -72,36 +88,23 @@ class PlanarSystem(
         return super().__new__(cls, masses, positions)
 
 
-def _read_only(values) -> np.ndarray:
-    """A float64 copy of ``values`` that cannot be written to."""
-    array = np.array(values, dtype=float)
-    array.flags.writeable = False
-    return array
+def _flat(positions) -> list[float]:
+    """The coordinates ``[x_0, y_0, x_1, y_1, ...]`` of ``(x, y)`` pairs."""
+    return [c for position in positions for c in position]
 
 
-def _check_bodies(masses: np.ndarray, positions: np.ndarray, velocities=None) -> list[list[float]]:
-    """Raise ValueError unless ``masses`` is ``(N,)`` with 2 <= N <=
-    MAX_BODIES, and ``positions`` and, when given, ``velocities`` are
-    ``(N, 2)``, all finite; return the given arrays as flat float lists.
-    Nothing is compiled before these checks."""
-    if masses.ndim != 1 or positions.shape != (len(masses), 2):
-        raise ValueError(
-            f"one (x, y) position per mass required: masses {masses.shape}, "
-            f"positions {positions.shape}"
-        )
-    if velocities is not None and velocities.shape != positions.shape:
-        raise ValueError(f"velocities {velocities.shape} must match positions {positions.shape}")
+def _check_bodies(masses, coords, velocities=None) -> None:
+    """Raise ValueError unless there are 2 <= N <= MAX_BODIES masses and
+    the masses, the flat coordinates and, when given, the flat velocities
+    are all finite.  The caller has checked that there are 2N coordinates
+    and velocities; nothing is compiled before these checks."""
     if len(masses) < 2:
         raise ValueError("at least 2 bodies required")
     if len(masses) > MAX_BODIES:
         raise ValueError(f"at most {MAX_BODIES} bodies allowed, got {len(masses)}")
-    lists = []
-    for name, values in (("masses", masses), ("positions", positions), ("velocities", velocities)):
-        if values is not None:
-            lists.append(values.ravel().tolist())
-            if not all(map(math.isfinite, lists[-1])):
-                raise ValueError(f"{name} must be finite")
-    return lists
+    for name, values in (("masses", masses), ("positions", coords), ("velocities", velocities)):
+        if values is not None and not all(map(math.isfinite, values)):
+            raise ValueError(f"{name} must be finite")
 
 
 class ResidualReport(NamedTuple):
@@ -176,12 +179,11 @@ def _source(n: int, name: str) -> str:
             for i, j in pairs
         )
 
+    # each pair's square s = dx * dx + dy * dy, its distance sqrt(s) and its
+    # force weight 1.0 / (s * sqrt(s)): correctly rounded operations, so the
+    # same bits on every IEEE CPU, which numpy's power and dot do not promise
     squares = [f"dx{i}_{j} * dx{i}_{j} + dy{i}_{j} * dy{i}_{j}" for i, j in pairs]
     nearest = f"min({', '.join(squares)})" if n > 2 else squares[0]
-
-    def hypot(p):
-        return (f"np.hypot(({_listed(f'{p}x{j} - {p}x{i}' for i, j in pairs)}),"
-                f" ({_listed(f'{p}y{j} - {p}y{i}' for i, j in pairs)}))")
 
     # the fragments: the centre, the potential, the half moment and the force
 
@@ -195,10 +197,9 @@ def _source(n: int, name: str) -> str:
         # sum m_i m_j / d_ij from 0.0 in pair order, one statement per pair:
         # an expression of N(N-1)/2 terms overflows the compiler's recursion
         # from 78 bodies on
-        return (
-            f"    {_listed(f'd{i}_{j}' for i, j in pairs)}= {hypot(p)}.tolist()\n"
-            "    potential = 0.0\n"
-            + "".join(f"    potential += m{i} * m{j} / d{i}_{j}\n" for i, j in pairs)
+        return offsets(p) + "    potential = 0.0\n" + "".join(
+            f"    potential += m{i} * m{j} / sqrt({square})\n"
+            for (i, j), square in zip(pairs, squares)
         )
 
     def half_moment(p):  # 0.5 * sum m_k |p_k|^2
@@ -209,18 +210,18 @@ def _source(n: int, name: str) -> str:
     def force(p, a):
         # body k's acceleration adds its pairs' terms in pair order, as a loop
         # over the pairs would: + m_j (r_j - r_k) w for (k, j), - m_i (r_k - r_i)
-        # w for (i, k), from 0.0.  numpy's vectorised power differs from
-        # libm's pow (Python's **) on about one input in twenty; its result
-        # for a value does not depend on the array's length
+        # w for (i, k), from 0.0
         terms = {suffix: "" for suffix in suffixes}
         for i, j in pairs:
             for axis in "xy":
                 terms[f"{axis}{i}"] += f" + m{j} * d{axis}{i}_{j} * w{i}_{j}"
                 terms[f"{axis}{j}"] += f" - m{i} * d{axis}{i}_{j} * w{i}_{j}"
-        weights = _listed(f"w{i}_{j}" for i, j in pairs)
         return (
             offsets(p)
-            + f"    {weights}= np.power(({_listed(squares)}), -1.5).tolist()\n"
+            # one statement of all the weights: with a statement per pair,
+            # the step kernel of MAX_BODIES bodies took 290 MB to compile
+            + f"    {_listed(f'w{i}_{j}' for i, j in pairs)}="
+            f" [1.0 / (r2 * sqrt(r2)) for r2 in ({_listed(squares)})]\n"
             + each(a, lambda suffix: f"0.0{terms[suffix]}")
         )
 
@@ -232,7 +233,7 @@ def _source(n: int, name: str) -> str:
             f"    defect{k} = sqrt(ex * ex + ey * ey)\n"
             f"    norm{k} = sqrt(ax{k} * ax{k} + ay{k} * ay{k})\n"
             f"    u2 = ux{k} * ux{k} + uy{k} * uy{k}\n"
-            f"    lam{k} = nan if u2 < TINY else -dot{k} / u2\n"
+            f"    lam{k} = nan if u2 < TINY else -(ax{k} * ux{k} + ay{k} * uy{k}) / u2\n"
             for k in bodies
         )
         defects = [f"defect{k}" for k in bodies]
@@ -243,11 +244,6 @@ def _source(n: int, name: str) -> str:
             centre(p, "u")
             + f"    forces = field(masses, {coords})\n"
             + unpack("a", "forces")
-            # one batched ``forces[k] @ u[k]``: numpy's dot may fuse the
-            # multiply-add, so a dot of two floats is not ``a0 * u0 + a1 * u1``
-            + f"    both = np.array((forces, ({_listed(flat('u'))})))\n"
-            f"    {_listed(f'dot{k}' for k in bodies)}="
-            f" (both[0].reshape({n}, 1, 2) @ both[1].reshape({n}, 2, 1)).ravel().tolist()\n"
             + per_body
             + potential("u")
             + f"    moment = {half_moment('u')}\n"
@@ -276,7 +272,8 @@ def _source(n: int, name: str) -> str:
             + f"    return sqrt({nearest})\n"
         ),
         "distances": lambda: (
-            "def distances(coords):\n" + unpack("", "coords") + f"    return {hypot('')}\n"
+            "def distances(coords):\n" + unpack("", "coords") + offsets("")
+            + f"    return np.sqrt(({_listed(squares)}))\n"
         ),
         "potential": lambda: (
             "def potential(masses, coords):\n" + head + unpack("", "coords") + potential("")
@@ -345,7 +342,7 @@ def _kernels(n: int) -> _Kernels:
     """The straight-line code of n bodies, by name, each function generated
     and compiled on its first lookup:
 
-    * ``field(masses, coords)``: the accelerations, one ``np.power`` call;
+    * ``field(masses, coords)``: the accelerations;
     * ``min_separation(coords)`` and ``distances(coords)``, which also
       takes array rows, one system per column;
     * ``potential(masses, coords)`` and ``half_moment(masses, coords)``;
@@ -355,12 +352,13 @@ def _kernels(n: int) -> _Kernels:
       returns ``(moment != 0, report)``; both take their forces from one
       call of ``field``;
     * ``step(masses, pos, vel, h)``, one RK4 step of size h: the new flat
-      positions and velocities, one ``np.power`` call per stage.
+      positions and velocities.
 
     Each function unpacks the masses and the flat coordinates
     ``[x_0, y_0, x_1, y_1, ...]`` into locals and spells out every pair of
-    :func:`_pairs` in order, so it pays for its arithmetic and a few numpy
-    calls, not for loops over bodies and pairs.  Only fixed literals, n
+    :func:`_pairs` in order, so it pays for its arithmetic, not for loops
+    over bodies and pairs, and calls numpy only to sum 8 or more bodies
+    (:func:`_sum`) and for ``distances``.  Only fixed literals, n
     and the integers of ``_pairs(n)`` enter the source.
     """
     return _Kernels(n)
@@ -379,10 +377,8 @@ def _min_separation(coords: list[float]) -> float:
 def _pair_distances(coords) -> np.ndarray:
     """The distance of every pair of :func:`_pairs`, from flat coordinates.
     The coordinates may be array rows, one column per system: the result
-    is then ``(P, S)``.
-
-    ``np.hypot``, not ``math.hypot``: the two round differently on a few
-    inputs in a thousand, and every output keeps numpy's bits.
+    is then ``(P, S)``.  Each is ``np.sqrt`` of the pair's square, so it
+    has the bits of the distance the kernels take with ``math.sqrt``.
     """
     return _kernels(len(coords) // 2)["distances"](coords)
 
@@ -398,8 +394,9 @@ def attraction_field(masses: list[float], coords: list[float]) -> list[float]:
 
     The one force coding of the package.  Takes masses and flat coordinates
     ``[x_0, y_0, x_1, y_1, ...]`` and returns the accelerations in the same
-    layout.  Body k's acceleration is ``sum_j (m_j * (r_j - r_k)) * d_kj^-1.5``
-    summed over j in increasing order, term by term as a numpy sum over the
+    layout.  Body k's acceleration is ``sum_j (m_j * (r_j - r_k)) * w_kj``,
+    with ``w = 1.0 / (s * sqrt(s))`` of the pair's square ``s``, summed
+    over j in increasing order, term by term as a numpy sum over the
     body axis would, so the bits equal those of the ``(N, N, 2)`` array
     coding kept in ``tests/array_reference.py``; the trapezoid-specialised
     formulas there are the independent second coding of the same law.
@@ -417,7 +414,7 @@ def potential_and_moment(system: PlanarSystem) -> tuple[float, float]:
     """Self-potential over all unordered pairs and the half moment
     ``0.5 * sum m_i |r_i|^2`` about the origin (translate the system first
     when the centre of mass matters)."""
-    masses, coords = system.masses.tolist(), system.positions.ravel().tolist()
+    masses, coords = system.masses, _flat(system.positions)
     return _potential(masses, coords), _half_mass_squares(masses, coords)
 
 
@@ -433,9 +430,8 @@ def cc_residual(system: PlanarSystem, lam: float) -> ResidualReport:
     multipliers, and the energy-ratio multiplier potential/(2*moment) with
     the moment taken about c.
     """
-    masses = system.masses.tolist()
-    residual = _kernels(len(masses))["residual"]
-    return residual(masses, system.positions.ravel().tolist(), lam, attraction_field)
+    residual = _kernels(len(system.masses))["residual"]
+    return residual(system.masses, _flat(system.positions), lam, attraction_field)
 
 
 def is_central_configuration(
@@ -452,9 +448,8 @@ def is_central_configuration(
     lambda_energy come from the twice-centred positions.  The full report
     is returned either way.
     """
-    masses = system.masses.tolist()
-    central = _kernels(len(masses))["central"]
-    checked, report = central(masses, system.positions.ravel().tolist(), attraction_field)
+    central = _kernels(len(system.masses))["central"]
+    checked, report = central(system.masses, _flat(system.positions), attraction_field)
     residual, scale = report.max_residual, report.attraction_scale
     finite = math.isfinite(residual) and math.isfinite(scale)
     return checked and finite and residual <= tol * scale, report

@@ -3,12 +3,16 @@
 ``trapcc.oracle`` computes the force law, the potential, the centrality
 report and each RK4 step of ``trapcc.dynamics`` on Python floats, in
 straight-line code generated per body count (``oracle._kernels``).  It
-must return the same bits as the array code below, which is what the
-package ran before: an ``(N, N, 2)`` difference array for the attraction,
-a Python double loop of ``np.hypot`` for the potential, RK4 on ``(N, 2)``
-arrays, a centrality check that builds a translated system twice, and
-rigidity metrics that loop over the samples.  The tests compare with
-``tobytes()`` or ``==``, never with a tolerance.
+must return the same bits as the array code below, which is the shape of
+what the package ran before: an ``(N, N, 2)`` difference array for the
+attraction, a Python double loop over the pair distances for the
+potential, RK4 on ``(N, 2)`` arrays, a centrality check that builds a
+translated system twice, and rigidity metrics that loop over the samples.
+Both take each pair's square ``s = dx * dx + dy * dy``, its distance
+``sqrt(s)``, its force weight ``1.0 / (s * sqrt(s))`` and each body's
+multiplier dot ``ax * ux + ay * uy``: correctly rounded operations, whose
+bits are the same on every CPU.  The tests compare with ``tobytes()`` or
+``==``, never with a tolerance.
 
 It also keeps two independent second codings that the tests check the
 package against within rounding: the specialised trapezoid force law
@@ -35,41 +39,57 @@ from trapcc.oracle import PlanarSystem
 from trapcc.oracle import attraction_field as package_field
 
 
+def arrays(system: PlanarSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The masses ``(N,)`` and positions ``(N, 2)`` of ``system`` as arrays."""
+    return np.array(system.masses), np.array(system.positions)
+
+
 def translated(system: PlanarSystem, dx: float, dy: float) -> PlanarSystem:
     """``system`` with every position moved by ``(dx, dy)``."""
-    return PlanarSystem(system.masses, system.positions + np.array([dx, dy]))
+    return PlanarSystem(system.masses, np.array(system.positions) + np.array([dx, dy]))
 
 
-def field_array(masses: np.ndarray, positions: np.ndarray) -> np.ndarray:
+def field_array(masses, positions) -> np.ndarray:
     """The package's float kernel, :func:`trapcc.oracle.attraction_field`,
-    on arrays: ``(N,)`` masses and ``(N, 2)`` positions in, ``(N, 2)``
-    accelerations out, with its bits."""
-    return np.reshape(package_field(masses.tolist(), positions.ravel().tolist()), (-1, 2))
+    on arrays: ``(N,)`` masses and ``(N, 2)`` positions in (arrays or
+    tuples), ``(N, 2)`` accelerations out, with its bits."""
+    return np.reshape(package_field(list(masses), np.ravel(positions).tolist()), (-1, 2))
+
+
+def squares(positions: np.ndarray) -> np.ndarray:
+    """``(N, N)`` squared distances: ``dx * dx + dy * dy`` of each pair."""
+    diff = positions[None, :, :] - positions[:, None, :]
+    return diff[:, :, 0] * diff[:, :, 0] + diff[:, :, 1] * diff[:, :, 1]
 
 
 def attraction_field(masses: np.ndarray, positions: np.ndarray) -> np.ndarray:
     diff = positions[None, :, :] - positions[:, None, :]  # diff[k, j] = r_j - r_k
-    dist2 = (diff**2).sum(axis=2)
+    dist2 = squares(positions)
     np.fill_diagonal(dist2, 1.0)
-    inv_d3 = dist2**-1.5
+    inv_d3 = 1.0 / (dist2 * np.sqrt(dist2))
     np.fill_diagonal(inv_d3, 0.0)
     return (masses[None, :, None] * diff * inv_d3[:, :, None]).sum(axis=1)
 
 
-def potential_and_moment(system) -> tuple[float, float]:
-    masses, pos = system.masses, system.positions
-    n = len(masses)
+def potential_of(masses: np.ndarray, positions: np.ndarray) -> float:
+    """``sum m_i m_j / d_ij`` from 0.0 over the pairs ``i < j`` in order."""
+    distances = np.sqrt(squares(positions))
     potential = 0.0
+    n = len(masses)
     for i in range(n):
         for j in range(i + 1, n):
-            d = float(np.hypot(*(pos[i] - pos[j])))
-            potential += masses[i] * masses[j] / d
+            potential += masses[i] * masses[j] / distances[i, j]
+    return float(potential)
+
+
+def potential_and_moment(system) -> tuple[float, float]:
+    masses, pos = arrays(system)
     moment = 0.5 * float((masses * (pos**2).sum(axis=1)).sum())
-    return potential, moment
+    return potential_of(masses, pos), moment
 
 
 def cc_residual(system, lam: float) -> dict:
-    masses, pos = system.masses, system.positions
+    masses, pos = arrays(system)
     total = masses.sum()
     com = (masses[:, None] * pos).sum(axis=0) / total
     rel = pos - com
@@ -85,7 +105,8 @@ def cc_residual(system, lam: float) -> dict:
         if u2 < 1e-9**2:
             lam_body.append(math.nan)
         else:
-            lam_body.append(float(-(attractions[k] @ rel[k]) / u2))
+            (ax, ay), (ux, uy) = attractions[k], rel[k]
+            lam_body.append(float(-(ax * ux + ay * uy) / u2))
 
     centred = translated(system, -float(com[0]), -float(com[1]))
     potential, moment = potential_and_moment(centred)
@@ -103,7 +124,7 @@ def cc_residual(system, lam: float) -> dict:
 
 
 def is_central_configuration(system, tol: float = 1e-10) -> tuple[bool, dict]:
-    masses, pos = system.masses, system.positions
+    masses, pos = arrays(system)
     c = (masses[:, None] * pos).sum(axis=0) / masses.sum()
     centred = translated(system, -float(c[0]), -float(c[1]))
     potential, moment = potential_and_moment(centred)
@@ -116,12 +137,7 @@ def is_central_configuration(system, tol: float = 1e-10) -> tuple[bool, dict]:
 
 def total_energy(masses, positions, velocities) -> float:
     kinetic = 0.5 * float((masses * (velocities**2).sum(axis=1)).sum())
-    potential = 0.0
-    n = len(masses)
-    for i in range(n):
-        for j in range(i + 1, n):
-            potential += masses[i] * masses[j] / float(np.hypot(*(positions[i] - positions[j])))
-    return kinetic - potential
+    return kinetic - potential_of(masses, positions)
 
 
 def total_angular_momentum(masses, positions, velocities) -> float:
@@ -132,14 +148,15 @@ def total_angular_momentum(masses, positions, velocities) -> float:
 
 def integrate(masses, pos, vel, dt: float, t_end: float, output_stride: int):
     """RK4 on arrays: the sample times, positions and velocities, and the
-    energy and angular-momentum series."""
-    t = 0.0
+    energy and angular-momentum series.  Step k starts at (k - 1) * dt and
+    the last one ends at t_end."""
     samples = [(0.0, pos, vel)]
     energies = [total_energy(masses, pos, vel)]
     ang_momenta = [total_angular_momentum(masses, pos, vel)]
     n_steps = max(0, math.ceil(t_end / dt - 1e-12))
     for step in range(1, n_steps + 1):
-        h = min(dt, t_end - t)
+        t = (step - 1) * dt
+        h = t_end - t if step == n_steps else dt
         k1p = vel
         k1v = attraction_field(masses, pos)
         k2p = vel + 0.5 * h * k1v
@@ -150,7 +167,7 @@ def integrate(masses, pos, vel, dt: float, t_end: float, output_stride: int):
         k4v = attraction_field(masses, pos + h * k3p)
         pos = pos + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         vel = vel + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        t += h
+        t = t_end if step == n_steps else step * dt
         if step % output_stride == 0 or step == n_steps:
             samples.append((t, pos, vel))
             energies.append(total_energy(masses, pos, vel))
@@ -164,10 +181,7 @@ def rigidity_metrics(samples, energies, ang_momenta) -> dict:
     momentum against their initial values."""
 
     def distances(pos):
-        n = len(pos)
-        return np.array(
-            [float(np.hypot(*(pos[j] - pos[i]))) for i in range(n) for j in range(i + 1, n)]
-        )
+        return np.sqrt(squares(pos))[np.triu_indices(len(pos), 1)]
 
     d0 = distances(samples[0][1])
     max_dist = 0.0

@@ -166,7 +166,7 @@ def test_criterion_02_central_configuration_identity_on_grid():
         scale = result.attraction_scale
         inner = inner_pair_defect(params.alpha, params.beta, solution.m, solution.M)
         identity = abs(result.max_residual - abs(inner)) / scale
-        pos = system.positions
+        pos = np.array(system.positions)
         defect = field_array(system.masses, pos) + (pos - result.com)
         balance = max(np.abs(defect[:, 1]).max(), np.abs(defect[[0, 3], 0]).max()) / scale
         at = (params.alpha, params.beta)

@@ -14,6 +14,7 @@ import pytest
 import trapcc
 from locus_oracle import locus_beta
 from array_reference import worst_order
+from dispatch import on_every_dispatch
 from peak_rss import peak_rss_mb
 from trapcc import cli, regions
 from trapcc.cli import (
@@ -615,6 +616,34 @@ class TestSimulate:
         )
         assert code == EX_OK
         assert err == ""
+
+    def test_verify_and_simulate_print_the_same_bytes_on_every_dispatch(self, tmp_path):
+        # the oracle's kernels take correctly rounded operations only, so
+        # the check and the RK4 steps have the same bits whatever SIMD
+        # targets numpy dispatches to (with np.power in the force, the
+        # simulate bytes differed)
+        locus = repr(locus_beta(0.5))
+        out = tmp_path / "s.csv"
+
+        def run(env):
+            outputs = []
+            for alpha, beta in [("1", "1"), ("0.5", locus), ("0.5", "1.0")]:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "trapcc.cli", "verify", "--alpha", alpha, "--beta", beta],
+                    env=env, capture_output=True,
+                )
+                outputs.append((proc.returncode, proc.stdout))
+            proc = subprocess.run(
+                [sys.executable, "-m", "trapcc.cli", "simulate", "--alpha", "0.5",
+                 "--beta", locus, "--periods", "1", "--out", str(out)],
+                env=env, capture_output=True,
+            )
+            outputs.append((proc.returncode, proc.stdout, out.read_bytes()))
+            return outputs
+
+        default, disabled = on_every_dispatch(run)
+        assert [output[0] for output in default] == [EX_OK, EX_OK, EX_VERIFY_FAILED, EX_OK]
+        assert default == disabled
 
     def test_refuses_negative_mass_without_force(self, capsys, tmp_path):
         code, _, err = run(

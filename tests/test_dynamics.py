@@ -264,6 +264,21 @@ def test_integrate_matches_array_reference_bits(build, stride):
     assert_array_reference_bits(build(), t_end, stride)
 
 
+def test_integrate_takes_the_steps_t_end_over_dt_asks_for(monkeypatch):
+    # step k ends at k * dt: summed step by step, t reached 10000 * dt
+    # short of t_end, and a 10,001st step 1.9e-9 dt long followed
+    t_end = 0.6 * math.pi
+    dt = t_end / 10000
+    steps = []
+    separation = dynamics._min_separation
+    monkeypatch.setattr(dynamics, "_min_separation",
+                        lambda coords: steps.append(1) or separation(coords))
+    state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
+    trajectory = integrate(state, dt=dt, t_end=t_end, output_stride=100)
+    assert len(steps) == 10000
+    assert trajectory.times.tolist() == [k * dt for k in range(0, 10000, 100)] + [t_end]
+
+
 def test_integrate_matches_array_reference_bits_at_78_bodies():
     # 78 bodies have 3,003 pairs, too many terms for one compiled sum
     rng = np.random.default_rng(78)
@@ -407,22 +422,38 @@ def test_integrate_holds_its_samples_once():
 def test_systems_hold_read_only_copies(build):
     masses, positions = np.array([1.0, 2.0, 3.0]), np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     system = build(masses, positions)
-    for array in (system.masses, system.positions):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 5.0
+    for field in (system.masses, system.positions):
+        assert_unwritable(field)
     masses[0], positions[0, 0] = 7.0, 9.0
-    assert system.masses.tolist() == [1.0, 2.0, 3.0]
-    assert system.positions.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    assert np.array(system.masses).tolist() == [1.0, 2.0, 3.0]
+    assert np.array(system.positions).tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     # the fields cannot be rebound, and a record made by _replace holds
     # read-only copies too
     with pytest.raises(AttributeError):
         system.positions = positions
     replaced = system._replace(positions=positions)
     assert type(replaced) is type(system)
-    assert not replaced.positions.flags.writeable and not replaced.masses.flags.writeable
+    for field in (replaced.masses, replaced.positions):
+        assert_unwritable(field)
     positions[0, 0] = 11.0
-    assert replaced.positions.tolist() == [[9.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    assert np.array(replaced.positions).tolist() == [[9.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+def assert_unwritable(field):
+    """SystemState's fields are read-only arrays, PlanarSystem's a float
+    tuple or a tuple of (x, y) float tuples: no item can be set."""
+    if isinstance(field, np.ndarray):
+        assert not field.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 5.0
+        return
+    assert type(field) is tuple
+    for item in field:
+        assert type(item) is float or (
+            type(item) is tuple and len(item) == 2 and all(type(c) is float for c in item)
+        )
+    with pytest.raises(TypeError):
+        field[0] = 5.0
 
 
 # (id, masses, positions, velocities, message)
@@ -478,7 +509,7 @@ def bodies_on_a_circle(n):
 def test_systems_take_as_many_bodies_as_the_cap(build):
     assert MAX_BODIES == 90
     system = build(*bodies_on_a_circle(MAX_BODIES))
-    assert system.masses.shape == (MAX_BODIES,)
+    assert len(system.masses) == len(system.positions) == MAX_BODIES
 
 
 @pytest.mark.parametrize("build", [build_state, build_planar], ids=["SystemState", "PlanarSystem"])

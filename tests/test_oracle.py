@@ -196,7 +196,7 @@ class TestIsCentralConfiguration:
     @settings(max_examples=50, deadline=None)
     def test_scaling_rescales_multiplier(self, scale):
         system = square_system()
-        scaled = PlanarSystem(system.masses, system.positions * scale)
+        scaled = PlanarSystem(system.masses, np.array(system.positions) * scale)
         verdict_base, report_base = is_central_configuration(system)
         verdict_scaled, report_scaled = is_central_configuration(scaled)
         assert verdict_scaled == verdict_base
@@ -378,7 +378,9 @@ class TestFloatKernelBits:
         verdict, report = is_central_configuration(system)
         assert verdict is False
         expected = {
-            "lambda_per_body": (1.0, math.nan, 0.3535533905932738, 1.0000000029999998),
+            # 1.0 / (2.0 * sqrt(2.0)), one ulp below the float nearest
+            # 2 ** -1.5 that numpy's power gave
+            "lambda_per_body": (1.0, math.nan, 0.35355339059327373, 1.0000000029999998),
             "lambda_energy": math.inf,
             "potential": 0.0,
             "moment": 0.0,

@@ -146,6 +146,17 @@ BOUNDARY = ["boundary", "--which", "f1", "--axis", "alpha", "--fixed", "0.5", "-
 SIMULATE = ["simulate", "--alpha", "1", "--beta", "1", "--periods", "0.01", "--out", "s.csv"]
 
 
+POINT_LOOP = (
+    "import json, runpy\n"
+    "with open('in.json', 'w') as fh:\n"
+    "    json.dump([[1, 1], [0.5, 0.8771966348583974], [0.5, 1], [0.9, 0.5558856011724289]], fh)\n"
+    f"runpy.run_path({str(ROOT / 'perfbench' / 'child.py')!r})['run_points']("
+    "'in.json', 'out.json', '-')\n"
+    "with open('out.json') as fh:\n"
+    "    assert [r[0] for r in json.load(fh)] == ['ok', 'ok', 'ok', 'degenerate']\n"
+)
+
+
 @pytest.mark.parametrize(
     "code, absent",
     [
@@ -156,7 +167,10 @@ SIMULATE = ["simulate", "--alpha", "1", "--beta", "1", "--periods", "0.01", "--o
         ("from trapcc import masses, oracle", {"regions", "dynamics", "numpy"}),
         ("main(['masses', '--alpha', '0.5', '--beta', '1'])",
          {"numpy", "oracle", "dynamics", "regions"}),
-        ("main(['verify', '--alpha', '0.5', '--beta', '1'])", {"regions", "dynamics"}),
+        ("main(['verify', '--alpha', '0.5', '--beta', '1'])", {"regions", "dynamics", "numpy"}),
+        # perfbench/child.py's point loop, as the benchmark runs it: the
+        # square, a locus point, an off-locus point and one on f3 = 0
+        pytest.param(POINT_LOOP, {"regions", "dynamics", "numpy"}, id="point-loop"),
     ],
 )
 def test_each_entry_point_loads_only_its_modules(tmp_path, code, absent):

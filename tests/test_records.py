@@ -34,8 +34,8 @@ FIELDS = {
 }
 
 # the records that hold their arrays as read-only copies (RasterGrid's stay
-# writable, as they were)
-READ_ONLY = {"PlanarSystem", "SystemState", "Trajectory"}
+# writable, as they were); PlanarSystem holds float tuples
+READ_ONLY = {"SystemState", "Trajectory"}
 
 TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 ROW = [0.0, *[c for xy in TRIANGLE for c in xy], *[0.0] * 6, 0.0, 0.0]
@@ -109,3 +109,10 @@ def test_no_field_can_be_rebound_and_no_attribute_added():
             record.extra = None
         if type(record).__name__ in READ_ONLY:
             assert not any(value.flags.writeable for value in record), type(record).__name__
+        if type(record).__name__ == "PlanarSystem":
+            masses, positions = record
+            assert type(masses) is tuple and all(type(m) is float for m in masses)
+            assert type(positions) is tuple and all(
+                type(p) is tuple and len(p) == 2 and all(type(c) is float for c in p)
+                for p in positions
+            )

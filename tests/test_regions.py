@@ -1,8 +1,6 @@
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from array_reference import worst_order
+from dispatch import on_every_dispatch
 from trapcc.geometry import TrapezoidParams, distance_cubes_values
 from trapcc.masses import RegionLabel, classify, mass_values
 from trapcc import regions
@@ -348,16 +347,13 @@ class TestCompareExactVsApprox:
         # targets this CPU has (numpy.show_runtime()'s "found") turned off,
         # a fresh process gives the same worst cells, bit for bit; the
         # whole-grid np.argsort that ordered ties and NaNs before gave others
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-        found = [feature for feature in __cpu_dispatch__ if __cpu_features__[feature]]
-        env = {**os.environ, "PYTHONPATH": str(Path(regions.__file__).resolve().parents[1])}
-        outputs = []
-        for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(found)}):
+        def run(env):
             proc = subprocess.run([sys.executable, "-c", FAULTY_COMPARE, fault],
-                                  env={**env, **disabled}, capture_output=True, text=True)
+                                  env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
+            return proc.stdout
+
+        outputs = on_every_dispatch(run)
         assert outputs[0] == outputs[1] and len(outputs[0]) == 2 * 10 * 4 * 8
 
     def test_disagreement_cells_listed(self):
