@@ -147,6 +147,9 @@ COMMANDS = [
     # 6.3e10 RK4 steps, more than dynamics.MAX_STEPS
     ("simulate-over-step-cap", ["simulate", "--alpha", "1", "--beta", "1", "--periods", "1e-290",
                                 "--dt", "1e-300", "--out", "@s17.csv"]),
+    # 2.5e6 samples at stride 1, more than dynamics.MAX_SAMPLES
+    ("simulate-over-sample-cap", ["simulate", "--alpha", "1", "--beta", "1", "--periods", "400",
+                                  "--stride", "1", "--out", "@s18.csv"]),
     ("compare-20", ["compare-approx", "--resolution", "20"]),
     ("compare-1x1", ["compare-approx", "--resolution", "1x1"]),
     ("compare-37x53", ["compare-approx", "--resolution", "37x53", "--out", "@c1.json"]),

@@ -1,10 +1,11 @@
 """numpy, imported on first use, and the CLI's BLAS thread default.
 
 Importing numpy costs more than the rest of a trapcc start-up, and the
-scalar commands (``--version``, ``masses``, ``verify``, ``boundary``) never
-touch an array.  Every module therefore takes ``np`` from here: a module
-object that runs the real import the first time one of its attributes is
-looked up.  When numpy is already imported it is used as it is.
+scalar commands (``--version``, ``masses``, ``verify``, ``boundary``) and
+``simulate`` never touch an array.  Every module therefore takes ``np``
+from here: a module object that runs the real import the first time one
+of its attributes is looked up.  When numpy is already imported it is
+used as it is.
 """
 
 import importlib.util

@@ -422,19 +422,18 @@ def cmd_simulate(args) -> int:
         )
 
     def write_trajectory(traj) -> None:
-        # the CSV leaves out the velocities; a block of rows is formatted
-        # and written at a time, so the text is never held whole
-        n = len(traj.times)
-        positions = traj.positions.reshape(n, -1)
+        # the CSV leaves out the velocities: each row is t and the positions,
+        # then the energy and the angular momentum.  A block of rows is
+        # formatted and written at a time, so the text is never held whole
+        samples = traj.samples
+        positions_end = 1 + (samples.shape[1] - 3) // 2
         with _opened(args.out) as fh:
-            for start in range(0, n, 1024):
-                rows = slice(start, start + 1024)
-                columns = np.column_stack(
-                    [traj.times[rows], positions[rows], traj.energy[rows],
-                     traj.angular_momentum[rows]]
-                )
+            for start in range(0, len(samples), 1024):
                 lines = [TRAJECTORY_CSV_HEADER] if start == 0 else []
-                lines.extend(",".join(map(fnum, row)) for row in columns.tolist())
+                lines.extend(
+                    ",".join(map(fnum, (*row[:positions_end], *row[-2:])))
+                    for row in samples[start:start + 1024].tolist()
+                )
                 write_text(fh, "\n".join(lines) + "\n")
 
     parameters = {
@@ -458,6 +457,10 @@ def cmd_simulate(args) -> int:
         write_trajectory(err.trajectory)
         print(f"collision: {err}", file=sys.stderr)
         return EX_COLLISION
+    except ValueError as err:
+        # every other argument integrate checks is checked above: the run
+        # would record more than dynamics.MAX_SAMPLES samples
+        raise UsageError(str(err))
 
     write_trajectory(trajectory)
     report = rigidity_metrics(trajectory)

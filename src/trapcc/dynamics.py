@@ -15,7 +15,6 @@ import math
 from array import array
 from typing import NamedTuple
 
-from ._numpy import np
 from .geometry import TrapezoidParams, build_configuration
 # classify and attraction_field are not called here, but perfbench/spans.py
 # wraps dynamics.classify and dynamics.attraction_field
@@ -23,7 +22,9 @@ from .masses import RegionLabel, classify, region_label, solve_masses  # noqa: F
 from .oracle import attraction_field  # noqa: F401
 from .oracle import (
     CoincidentBodiesError,
+    _bodies,
     _check_bodies,
+    _flat,
     _half_mass_squares,
     _kernels,
     _min_separation,
@@ -37,6 +38,9 @@ COLLISION_TOL = 1e-6
 DEFAULT_DT = 1e-3
 DEFAULT_OUTPUT_STRIDE = 100
 MAX_STEPS = 10**8  # the most RK4 steps integrate takes, about 1.6 hours of stepping
+# the most samples integrate records, 304 MB at 4 bodies: twice what
+# MAX_STEPS records at the default stride
+MAX_SAMPLES = 2 * 10**6
 
 
 class UnphysicalParametersError(ValueError):
@@ -53,37 +57,26 @@ class CollisionError(RuntimeError):
         self.trajectory = trajectory
 
 
-def _read_only(values) -> np.ndarray:
-    """A float64 copy of ``values`` that cannot be written to."""
-    array = np.array(values, dtype=float)
-    array.flags.writeable = False
-    return array
-
-
 class SystemState(NamedTuple("SystemState", [
-    ("masses", "np.ndarray"), ("positions", "np.ndarray"), ("velocities", "np.ndarray"),
+    ("masses", "tuple[float, ...]"), ("positions", "tuple[tuple[float, float], ...]"),
+    ("velocities", "tuple[tuple[float, float], ...]"),
 ])):
-    """Initial data of an integration at t = 0: finite masses ``(N,)``,
-    positions and velocities ``(N, 2)``, N >= 2, held as read-only float
-    copies of the values given."""
+    """Initial data of an integration at t = 0: N >= 2 finite masses as a
+    float tuple, and one position and one velocity per mass as ``(x, y)``
+    float tuples, copied from the arguments (lists, tuples or arrays)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, masses, positions, velocities):
-        masses, positions, velocities = map(_read_only, (masses, positions, velocities))
-        if masses.ndim != 1 or positions.shape != (len(masses), 2):
-            raise ValueError(
-                f"one (x, y) position per mass required: masses {masses.shape}, "
-                f"positions {positions.shape}"
-            )
-        if velocities.shape != positions.shape:
-            raise ValueError(
-                f"velocities {velocities.shape} must match positions {positions.shape}"
-            )
-        coords = positions.ravel().tolist()
-        _check_bodies(masses.tolist(), coords, velocities.ravel().tolist())
-        for (i, j), d in zip(_pairs(len(masses)), _pair_distances(coords).tolist()):
+        masses, positions, velocities = _bodies(masses, positions, velocities)
+        widths = {len(velocity) for velocity in velocities}
+        if len(velocities) != len(positions) or widths - {2}:
+            shape = (len(velocities), *sorted(widths))
+            raise ValueError(f"velocities {shape} must match positions ({len(positions)}, 2)")
+        coords = _flat(positions)
+        _check_bodies(masses, coords, _flat(velocities))
+        for (i, j), d in zip(_pairs(len(masses)), _pair_distances(coords)):
             if d < COLLISION_TOL:
                 raise CoincidentBodiesError(
                     f"bodies {i + 1} and {j + 1} are within the collision tolerance"
@@ -95,53 +88,70 @@ class SystemState(NamedTuple("SystemState", [
         return cls(masses, positions, velocities)
 
 
-class Trajectory(NamedTuple("Trajectory", [("samples", "np.ndarray")])):
-    """Recorded samples of an N-body integration as one ``(S, 3 + 4N)``
-    float array, one row per sample in time order: ``t``, the positions
-    ``x_1, y_1, ..., x_N, y_N``, the velocities in the same order, the
-    total energy and the angular momentum.  The properties are read-only
-    views of it; ``positions`` and ``velocities`` are ``(S, N, 2)``."""
+class Trajectory(NamedTuple("Trajectory", [("samples", "memoryview")])):
+    """Recorded samples of an N-body integration, one row of 3 + 4N floats
+    per sample in time order: ``t``, the positions ``x_1, y_1, ..., x_N,
+    y_N``, the velocities in the same order, the total energy and the
+    angular momentum.
+
+    ``samples`` is a read-only ``(S, 3 + 4N)`` float64 memoryview of one
+    buffer, which ``np.asarray`` views without a copy; the constructor
+    copies the rows it is given (lists, tuples or arrays).  The properties
+    are read-only numpy views of it, ``positions`` and ``velocities``
+    ``(S, N, 2)``, for library callers: the CLI reads ``samples``.
+    """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, samples):
-        return cls._own(_read_only(samples))
+        rows = samples.tolist() if hasattr(samples, "tolist") else samples
+        try:
+            rows = [list(map(float, row)) for row in rows]
+        except TypeError:  # a number where a row belongs, or a sequence where a number does
+            rows = None
+        widths = sorted({len(row) for row in rows}) if rows else []
+        if len(widths) != 1 or widths[0] < 7 or (widths[0] - 3) % 4:
+            got = f"{len(rows)} rows of {widths} values" if rows is not None else "no rows of numbers"
+            raise ValueError(f"samples must be an (S, 3 + 4N) array with S, N >= 1, got {got}")
+        return cls._own(array("d", [value for row in rows for value in row]), widths[0])
 
     @classmethod
-    def _own(cls, samples):
-        """The checked Trajectory of a fresh float buffer, held read-only
-        without the constructor's copy."""
-        samples.flags.writeable = False
-        width = samples.shape[1] if samples.ndim == 2 else 0
-        if samples.ndim != 2 or not len(samples) or width < 7 or (width - 3) % 4:
-            raise ValueError(
-                f"samples must be an (S, 3 + 4N) array with S, N >= 1, not shape {samples.shape}"
-            )
-        times = samples[:, 0]
-        if not np.isfinite(times).all() or (times[1:] <= times[:-1]).any():
+    def _own(cls, buffer: array, width: int):
+        """The checked Trajectory of a fresh float buffer of rows ``width``
+        values wide, held read-only without the constructor's copy."""
+        flat = memoryview(buffer).toreadonly()
+        times = flat[::width]
+        if not all(map(math.isfinite, times)) or any(
+            later <= earlier for earlier, later in zip(times, times[1:])
+        ):
             raise ValueError("sample times must be finite and strictly increasing")
-        return super().__new__(cls, samples)
+        return super().__new__(cls, flat.cast("B").cast("d", (len(times), width)))
+
+    def _array(self):
+        from ._numpy import np
+
+        return np.asarray(self.samples)
 
     @property
-    def times(self) -> np.ndarray:
-        return self.samples[:, 0]
+    def times(self):
+        return self._array()[:, 0]
 
     @property
-    def positions(self) -> np.ndarray:
-        return self.samples[:, 1:-2].reshape(len(self.samples), 2, -1, 2)[:, 0]
+    def positions(self):
+        return self._array()[:, 1:-2].reshape(len(self.samples), 2, -1, 2)[:, 0]
 
     @property
-    def velocities(self) -> np.ndarray:
-        return self.samples[:, 1:-2].reshape(len(self.samples), 2, -1, 2)[:, 1]
+    def velocities(self):
+        return self._array()[:, 1:-2].reshape(len(self.samples), 2, -1, 2)[:, 1]
 
     @property
-    def energy(self) -> np.ndarray:
-        return self.samples[:, -2]
+    def energy(self):
+        return self._array()[:, -2]
 
     @property
-    def angular_momentum(self) -> np.ndarray:
-        return self.samples[:, -1]
+    def angular_momentum(self):
+        return self._array()[:, -1]
 
 
 class RigidityReport(NamedTuple):
@@ -188,11 +198,27 @@ def init_relative_equilibrium(params: TrapezoidParams, force: bool = False) -> S
             "pass force=True to build negative-mass initial data anyway"
         )
     config = build_configuration(params, solution.m, solution.M)
-    positions = np.array(config.positions)
     omega = 1.0
-    velocities = omega * np.stack([-positions[:, 1], positions[:, 0]], axis=1)
-    masses = np.array([solution.M, solution.m, solution.m, solution.M])
-    return SystemState.from_arrays(masses, positions, velocities)
+    velocities = [(omega * -y, omega * x) for x, y in config.positions]
+    masses = (solution.M, solution.m, solution.m, solution.M)
+    return SystemState.from_arrays(masses, config.positions, velocities)
+
+
+def _step_count(dt: float, t_end: float) -> int:
+    """The RK4 steps :func:`integrate` takes: none to t_end = 0, else the
+    first k >= 1 whose step starts, at ``(k - 1) * dt``, at most
+    ``dt * (1 + 1e-9)`` before t_end.  t_end / dt can round just above a
+    whole number when the steps already reach t_end, where one more step
+    would be zero or negative, so the count is searched up from one below
+    that ratio, not rounded from it.  A count of k has t_end / dt at most
+    k (1 + 1e-9), so up to MAX_STEPS that start is never past the count."""
+    if t_end == 0.0:
+        return 0
+    reach = dt * (1.0 + 1e-9)
+    steps = max(1, math.ceil(t_end / dt) - 1)
+    while (steps - 1) * dt + reach < t_end:
+        steps += 1
+    return steps
 
 
 def integrate(
@@ -211,7 +237,8 @@ def integrate(
     Raises
     ------
     ValueError
-        When ``t_end / dt`` exceeds MAX_STEPS, before any step.
+        When ``t_end / dt`` exceeds MAX_STEPS, or the run would record
+        more than MAX_SAMPLES samples, before any step.
     CollisionError
         When any separation drops below 1e-6; the partial trajectory is
         attached to the exception.
@@ -224,16 +251,22 @@ def integrate(
         raise ValueError("output_stride must be at least 1")
     if t_end / dt > MAX_STEPS:
         raise ValueError(f"t_end / dt is {t_end / dt:.3g} RK4 steps, more than {MAX_STEPS}")
+    steps = _step_count(dt, t_end)
+    samples = 1 + -(-steps // output_stride)  # t = 0, every stride-th step and the last
+    if samples > MAX_SAMPLES:
+        raise ValueError(
+            f"{steps} RK4 steps at stride {output_stride} record {samples} samples, "
+            f"more than {MAX_SAMPLES}"
+        )
 
     # the state is flat coordinates [x_0, y_0, x_1, y_1, ...] of Python
     # floats: for a few bodies numpy's per-call cost outweighs the
     # arithmetic.  The step is straight-line code generated for the body
     # count, with the bits of the array form of RK4 kept in
     # tests/array_reference.py
-    masses = initial.masses.tolist()
+    masses = initial.masses
     rk4_step = _kernels(len(masses))["step"]
-    pos = initial.positions.ravel().tolist()
-    vel = initial.velocities.ravel().tolist()
+    pos, vel = _flat(initial.positions), _flat(initial.velocities)
     t = 0.0
 
     # Trajectory.samples, flat, one row of 3 + 4N floats per recorded sample
@@ -244,48 +277,60 @@ def integrate(
         angular_momentum = total_angular_momentum(masses, pos, vel)
         rows.extend((time, *pos, *vel, energy, angular_momentum))
 
-    def trajectory():
-        return Trajectory._own(np.frombuffer(rows).reshape(-1, 3 + 2 * len(pos)))
-
     record(0.0)
 
-    # the time left decides the last step, not a count taken from t_end / dt:
-    # that ratio can round just above a whole number when the steps already
-    # reach t_end, and the extra step would be zero or negative.  Any
-    # t_end > 0 takes a step.  Step k ends at k * dt, not at a running sum
-    # of dt, which drifts: summed, t_end = 10000 * dt took 10,001 steps
-    step, last = 0, t_end == 0.0
-    while not last:
-        last = t + dt * (1.0 + 1e-9) >= t_end
+    # step k ends at k * dt, not at a running sum of dt, which drifts:
+    # summed, t_end = 10000 * dt took 10,001 steps.  The last ends at t_end
+    for step in range(1, steps + 1):
+        last = step == steps
         pos, vel = rk4_step(masses, pos, vel, t_end - t if last else dt)
-        step += 1
         t = t_end if last else step * dt
 
         if _min_separation(pos) < COLLISION_TOL:
             raise CollisionError(
-                f"separation fell below {COLLISION_TOL:g} at t = {t:.6f}", trajectory()
+                f"separation fell below {COLLISION_TOL:g} at t = {t:.6f}",
+                Trajectory._own(rows, 3 + 2 * len(pos)),
             )
         if step % output_stride == 0 or last:
             record(t)
 
-    return trajectory()
+    return Trajectory._own(rows, 3 + 2 * len(pos))
+
+
+def _worst(values) -> float:
+    """``np.max(values, initial=0.0)`` of drifts, each NaN or at least 0.0:
+    the first NaN when there is one (``max`` by value alone skips a NaN
+    that is not first), else the largest, or 0.0 when there are none."""
+    return max(values, key=lambda value: (value != value, value), default=0.0)
 
 
 def rigidity_metrics(trajectory: Trajectory) -> RigidityReport:
     """Worst relative drift of every pairwise distance, the energy and the
-    angular momentum over the trajectory, all against their initial values."""
-    # transposed, the flat positions hold one sample per column, so a single
-    # _pair_distances call measures every pair at every sample: (P, S)
-    distances = _pair_distances(trajectory.positions.reshape(len(trajectory.samples), -1).T)
-    d0 = distances[:, :1]
+    angular momentum over the trajectory, all against their initial values,
+    with the bits of the numpy array code kept in tests/array_reference.py."""
+    count, width = trajectory.samples.shape
+    flat = trajectory.samples.cast("B").cast("d")
+    coords = (width - 3) // 2  # the positions follow t in each row
 
-    def rel_drift(series):
+    def distances(k):
+        return _pair_distances(flat[k * width + 1:k * width + 1 + coords])
+
+    d0 = distances(0)
+    # a distance that starts at 0.0 divides as numpy's x / 0.0 does: inf,
+    # or NaN for 0 / 0, where Python's division raises
+    deviations = (
+        abs(d - ref) / ref if ref else abs(d - ref) * math.inf
+        for k in range(1, count) for d, ref in zip(distances(k), d0)
+    )
+
+    def rel_drift(column):
+        series = flat[column::width]
         ref = series[0]
         scale = abs(ref) if ref != 0.0 else 1.0
-        return float(np.max(np.abs(series[1:] - ref) / scale, initial=0.0))
+        return _worst(abs(value - ref) / scale for value in series[1:])
 
     return RigidityReport(
-        max_distance_deviation=float(np.max(np.abs(distances[:, 1:] - d0) / d0, initial=0.0)),
-        max_energy_drift=rel_drift(trajectory.energy),
-        max_angular_momentum_drift=rel_drift(trajectory.angular_momentum),
+        max_distance_deviation=_worst(deviations),
+        max_energy_drift=rel_drift(width - 2),
+        max_angular_momentum_drift=rel_drift(width - 1),
     )

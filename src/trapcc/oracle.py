@@ -59,18 +59,7 @@ class PlanarSystem(
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, masses, positions):
-        # an array as nested lists, so that each item is a float or a list
-        masses, positions = (v.tolist() if hasattr(v, "tolist") else v for v in (masses, positions))
-        try:
-            masses = tuple(map(float, masses))
-            positions = tuple(tuple(map(float, position)) for position in positions)
-        except TypeError as err:  # a number where a sequence belongs, or the reverse
-            raise ValueError(f"one (x, y) position per mass required: {err}") from None
-        if len(positions) != len(masses) or any(len(p) != 2 for p in positions):
-            raise ValueError(
-                f"one (x, y) position per mass required: {len(masses)} masses, "
-                f"{len(positions)} positions of {sorted({len(p) for p in positions})} coordinates"
-            )
+        masses, positions = _bodies(masses, positions)
         coords = _flat(positions)
         _check_bodies(masses, coords)
         # the centre of mass divides by a plain float sum of the masses,
@@ -86,6 +75,28 @@ class PlanarSystem(
                 f"bodies closer than {MIN_SEPARATION:g}: min separation {nearest:.3e}"
             )
         return super().__new__(cls, masses, positions)
+
+
+def _bodies(masses, positions, *vectors) -> tuple:
+    """``masses`` as a float tuple, and ``positions`` and each of
+    ``vectors`` as tuples of float tuples, copied from lists, tuples or
+    arrays.  Raise ValueError unless there is one ``(x, y)`` position per
+    mass."""
+    # an array as nested lists, so that each item is a float or a list
+    masses, *vectors = (
+        v.tolist() if hasattr(v, "tolist") else v for v in (masses, positions, *vectors)
+    )
+    try:
+        masses = tuple(map(float, masses))
+        positions, *vectors = (tuple(tuple(map(float, v)) for v in items) for items in vectors)
+    except TypeError as err:  # a number where a sequence belongs, or the reverse
+        raise ValueError(f"one (x, y) position per mass required: {err}") from None
+    if len(positions) != len(masses) or any(len(p) != 2 for p in positions):
+        raise ValueError(
+            f"one (x, y) position per mass required: {len(masses)} masses, "
+            f"{len(positions)} positions of {sorted({len(p) for p in positions})} coordinates"
+        )
+    return (masses, positions, *vectors)
 
 
 def _flat(positions) -> list[float]:
@@ -273,7 +284,7 @@ def _source(n: int, name: str) -> str:
         ),
         "distances": lambda: (
             "def distances(coords):\n" + unpack("", "coords") + offsets("")
-            + f"    return np.sqrt(({_listed(squares)}))\n"
+            + f"    return ({_listed(f'sqrt({square})' for square in squares)})\n"
         ),
         "potential": lambda: (
             "def potential(masses, coords):\n" + head + unpack("", "coords") + potential("")
@@ -328,7 +339,7 @@ class _Kernels(dict):
 
     def __missing__(self, name: str) -> Callable:
         namespace = {
-            "np": np, "sqrt": math.sqrt, "nan": math.nan, "inf": math.inf,
+            "sqrt": math.sqrt, "nan": math.nan, "inf": math.inf,
             "TINY": MIN_SEPARATION**2, "_sum": _sum, "ResidualReport": ResidualReport,
         }
         code = compile(_source(self.n, name), f"<trapcc {name} kernel, {self.n} bodies>", "exec")
@@ -343,8 +354,8 @@ def _kernels(n: int) -> _Kernels:
     and compiled on its first lookup:
 
     * ``field(masses, coords)``: the accelerations;
-    * ``min_separation(coords)`` and ``distances(coords)``, which also
-      takes array rows, one system per column;
+    * ``min_separation(coords)`` and ``distances(coords)``, a tuple of
+      the pair distances;
     * ``potential(masses, coords)`` and ``half_moment(masses, coords)``;
     * ``residual(masses, coords, lam, field)``, the :class:`ResidualReport`
       at ``lam``, and ``central(masses, coords, field)``, which infers lam
@@ -358,7 +369,7 @@ def _kernels(n: int) -> _Kernels:
     ``[x_0, y_0, x_1, y_1, ...]`` into locals and spells out every pair of
     :func:`_pairs` in order, so it pays for its arithmetic, not for loops
     over bodies and pairs, and calls numpy only to sum 8 or more bodies
-    (:func:`_sum`) and for ``distances``.  Only fixed literals, n
+    (:func:`_sum`).  Only fixed literals, n
     and the integers of ``_pairs(n)`` enter the source.
     """
     return _Kernels(n)
@@ -374,12 +385,9 @@ def _min_separation(coords: list[float]) -> float:
     return _kernels(len(coords) // 2)["min_separation"](coords)
 
 
-def _pair_distances(coords) -> np.ndarray:
-    """The distance of every pair of :func:`_pairs`, from flat coordinates.
-    The coordinates may be array rows, one column per system: the result
-    is then ``(P, S)``.  Each is ``np.sqrt`` of the pair's square, so it
-    has the bits of the distance the kernels take with ``math.sqrt``.
-    """
+def _pair_distances(coords) -> tuple[float, ...]:
+    """The distance of every pair of :func:`_pairs`, from flat coordinates:
+    ``sqrt`` of the pair's square, the distance the potential takes."""
     return _kernels(len(coords) // 2)["distances"](coords)
 
 

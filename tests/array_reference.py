@@ -178,23 +178,22 @@ def integrate(masses, pos, vel, dt: float, t_end: float, output_stride: int):
 def rigidity_metrics(samples, energies, ang_momenta) -> dict:
     """The per-sample loop over :func:`integrate`'s output: the worst
     relative drift of every pair distance, the energy and the angular
-    momentum against their initial values."""
+    momentum against their initial values, each the ``np.max`` of the
+    drifts from 0.0, so NaN when a drift is NaN."""
 
     def distances(pos):
         return np.sqrt(squares(pos))[np.triu_indices(len(pos), 1)]
 
     d0 = distances(samples[0][1])
-    max_dist = 0.0
-    for _, pos, _ in samples[1:]:
-        max_dist = max(max_dist, float(np.max(np.abs(distances(pos) - d0) / d0)))
+    deviations = [np.abs(distances(pos) - d0) / d0 for _, pos, _ in samples[1:]]
 
     def rel_drift(series):
         ref = series[0]
         scale = abs(ref) if ref != 0.0 else 1.0
-        return max((abs(v - ref) / scale for v in series[1:]), default=0.0)
+        return float(np.max(np.abs(np.array(series[1:]) - ref) / scale, initial=0.0))
 
     return {
-        "max_distance_deviation": max_dist,
+        "max_distance_deviation": float(np.max(deviations, initial=0.0)),
         "max_energy_drift": rel_drift(energies),
         "max_angular_momentum_drift": rel_drift(ang_momenta),
     }

@@ -32,7 +32,8 @@ from trapcc.cli import (
     fnum,
     main,
 )
-from trapcc.dynamics import MAX_STEPS
+from trapcc import dynamics
+from trapcc.dynamics import MAX_SAMPLES, MAX_STEPS
 from trapcc.geometry import TrapezoidParams
 from trapcc.masses import RegionLabel, solve_masses
 from trapcc.regions import (
@@ -793,6 +794,29 @@ class TestSimulate:
             assert code == EX_USAGE
             assert err.startswith("usage error: --periods and --dt ask for ")
             assert err.endswith(" RK4 steps, more than 100000000\n") and err.count("\n") == 1
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES, MAX_SAMPLES + 1])
+    def test_more_samples_than_the_cap_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                       samples):
+        # at stride 1 a run records t = 0 and every step; at the cap it
+        # starts, and a stub step kernel stops it at its first step
+        def no_step(*args):
+            raise RuntimeError("took a step")
+
+        monkeypatch.setitem(dynamics._kernels(4), "step", no_step)
+        steps = samples - 1
+        dt = 2.0 * math.pi / steps
+        assert dynamics._step_count(dt, 2.0 * math.pi) == steps
+        out = tmp_path / "t.csv"
+        code, stdout, err = run(capsys, "simulate", "--alpha", "1", "--beta", "1",
+                                "--dt", repr(dt), "--stride", "1", "--out", str(out))
+        if samples == MAX_SAMPLES:
+            assert code == EX_SOFTWARE and "took a step" in err
+        else:
+            assert code == EX_USAGE
+            assert err == (f"usage error: {steps} RK4 steps at stride 1 record {samples} "
+                           f"samples, more than {MAX_SAMPLES}\n")
         assert stdout == "" and not out.exists()
 
     def test_collision_writes_partial_and_exits_3(self, capsys, tmp_path, monkeypatch):

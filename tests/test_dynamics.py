@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from trapcc import dynamics, oracle
 from trapcc.dynamics import (
+    MAX_SAMPLES,
     MAX_STEPS,
     CollisionError,
     SystemState,
@@ -89,7 +90,7 @@ class TestAccelerations:
 class TestInitRelativeEquilibrium:
     def test_circular_speeds(self):
         state = init_relative_equilibrium(TrapezoidParams(0.5, 1.0))
-        pos, vel = state.positions, state.velocities
+        pos, vel = np.array(state.positions), np.array(state.velocities)
         assert np.allclose(
             np.linalg.norm(vel, axis=1), np.linalg.norm(pos, axis=1), rtol=1e-14
         )
@@ -97,7 +98,7 @@ class TestInitRelativeEquilibrium:
 
     def test_zero_linear_momentum(self):
         state = init_relative_equilibrium(TrapezoidParams(0.8, 1.2))
-        momentum = (state.masses[:, None] * state.velocities).sum(axis=0)
+        momentum = (np.array(state.masses)[:, None] * np.array(state.velocities)).sum(axis=0)
         assert np.max(np.abs(momentum)) <= 1e-14
 
     def test_square_initial_data(self):
@@ -116,7 +117,7 @@ class TestInitRelativeEquilibrium:
 
     def test_force_flag_builds_anyway(self):
         state = init_relative_equilibrium(TrapezoidParams(0.5, 0.5), force=True)
-        assert state.masses.min() < 0
+        assert min(state.masses) < 0
 
 
 class TestIntegrate:
@@ -292,8 +293,7 @@ def assert_array_reference_bits(state, t_end, stride):
     per-sample loop they replaced, bit for bit."""
     trajectory = integrate(state, dt=1e-3, t_end=t_end, output_stride=stride)
     samples, energies, ang_momenta = array_reference.integrate(
-        state.masses, state.positions, state.velocities,
-        dt=1e-3, t_end=t_end, output_stride=stride,
+        *map(np.array, state), dt=1e-3, t_end=t_end, output_stride=stride,
     )
     assert trajectory.times.tobytes() == np.array([t for t, _, _ in samples]).tobytes()
     assert trajectory.positions.tobytes() == np.array([pos for _, pos, _ in samples]).tobytes()
@@ -308,6 +308,85 @@ def assert_array_reference_bits(state, t_end, stride):
     assert np.array([getattr(report, f) for f in fields]).tobytes() == (
         np.array([expected[f] for f in fields]).tobytes()
     )
+
+
+def reference_metrics(trajectory):
+    """array_reference.rigidity_metrics of a trajectory's samples."""
+    rows = np.asarray(trajectory.samples)
+    n = (rows.shape[1] - 3) // 4
+    samples = [(row[0], row[1:1 + 2 * n].reshape(n, 2), None) for row in rows]
+    return array_reference.rigidity_metrics(samples, rows[:, -2].tolist(), rows[:, -1].tolist())
+
+
+def bits(value):
+    """The exact bits of a float, sign of zero included, or ``nan``."""
+    return "nan" if math.isnan(value) else value.hex()
+
+
+def with_values(trajectory, changes):
+    """A Trajectory of ``trajectory``'s samples with ``{(row, column): value}`` set."""
+    rows = np.array(trajectory.samples)
+    for (row, column), value in changes.items():
+        rows[row, column] = value
+    return Trajectory(rows)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {},
+        # column 1 is x_1, -2 the energy and -1 the angular momentum
+        {(0, 1): math.nan, (0, -2): math.nan},
+        {(2, 3): math.nan, (3, -1): math.nan, (1, -2): math.inf},
+        {(0, -2): 0.0, (0, -1): 0.0},
+        # bodies 1 and 2 start at one point: x / 0.0 is inf, and 0 / 0 NaN
+        {(0, 1): 0.0, (0, 2): 0.0, (0, 3): 0.0, (0, 4): 0.0},
+        {(0, 1): 0.0, (0, 2): 0.0, (0, 3): 0.0, (0, 4): 0.0, (1, 1): 0.0, (1, 2): 0.0,
+         (1, 3): 0.0, (1, 4): 0.0},
+    ],
+    ids=["as-integrated", "nan-first", "nan-later", "zero-reference", "coincident-start",
+         "coincident-start-and-after"],
+)
+@pytest.mark.parametrize("t_end", [0.0, 0.05], ids=["one-sample", "six-samples"])
+def test_rigidity_metrics_match_array_reference_bits(changes, t_end):
+    # the float metrics take np.max's rule: NaN when a drift is NaN
+    trajectory = integrate(trapezoid_state(0.5, 1.0), dt=1e-2, t_end=t_end, output_stride=1)
+    trajectory = with_values(trajectory, {k: v for k, v in changes.items()
+                                          if k[0] < len(trajectory.samples)})
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = reference_metrics(trajectory)
+    report = rigidity_metrics(trajectory)
+    assert all(type(value) is float for value in report)
+    # a NaN as NaN: numpy's max returns a NaN of either sign, by its loop
+    assert [bits(value) for value in report] == [bits(expected[f]) for f in report._fields]
+    if len(trajectory.samples) == 1:
+        assert report == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, force, zero",
+    [(1.0, 1.0, False, None), (0.5, 0.8771966348583974, False, None), (0.37, 0.9, False, None),
+     (0.5, 0.5, True, None), (0.6, 1.1, True, "m"), (0.6, 1.1, True, "M")],
+)
+def test_init_relative_equilibrium_keeps_the_array_forms_bits(monkeypatch, alpha, beta, force,
+                                                              zero):
+    # a zero mass puts the other pair on the x axis, at y = -0.0 (m = 0)
+    # or 0.0 (M = 0), and its velocities (-y, x) carry the other sign
+    params = TrapezoidParams(alpha, beta)
+    solution = solve_masses(params)
+    if zero:
+        solution = solution._replace(**{zero: 0.0})
+        monkeypatch.setattr(dynamics, "solve_masses", lambda params: solution)
+    state = init_relative_equilibrium(params, force=force)
+    positions = np.array(build_configuration(params, solution.m, solution.M).positions)
+    velocities = 1.0 * np.stack([-positions[:, 1], positions[:, 0]], axis=1)
+    masses = np.array([solution.M, solution.m, solution.m, solution.M])
+    for field, expected in zip(state, (masses, positions, velocities)):
+        assert np.array(field).tobytes() == expected.tobytes()
+    if zero:
+        assert {math.copysign(1.0, vx) for vx, _ in state.velocities if vx == 0.0} == {
+            -1.0 if zero == "M" else 1.0
+        }
 
 
 class TestRigidityMetrics:
@@ -339,8 +418,8 @@ class TestRigidityMetrics:
         trajectory = integrate(state, dt=1e-3, t_end=0.3, output_stride=50)
         assert len(trajectory.energy) == len(trajectory.samples)
         assert len(trajectory.angular_momentum) == len(trajectory.samples)
-        flat = (state.masses.tolist(), state.positions.ravel().tolist(),
-                state.velocities.ravel().tolist())
+        flat = (list(state.masses), np.ravel(state.positions).tolist(),
+                np.ravel(state.velocities).tolist())
         expected = total_energy(*flat)
         assert trajectory.energy[0] == pytest.approx(expected, rel=1e-14)
         expected_l = total_angular_momentum(*flat)
@@ -349,7 +428,7 @@ class TestRigidityMetrics:
 
 def test_trajectory_rejects_unordered_times():
     state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
-    row = [0.0, *state.positions.ravel(), *state.velocities.ravel(), 0.0, 0.0]
+    row = [0.0, *np.ravel(state.positions), *np.ravel(state.velocities), 0.0, 0.0]
     with pytest.raises(ValueError, match="strictly increasing"):
         Trajectory([row, row])
 
@@ -357,7 +436,7 @@ def test_trajectory_rejects_unordered_times():
 @pytest.mark.parametrize("times", [[math.nan, math.nan], [0.0, math.nan], [0.0, math.inf]])
 def test_trajectory_rejects_non_finite_times(times):
     state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
-    rest = [*state.positions.ravel(), *state.velocities.ravel(), 0.0, 0.0]
+    rest = [*np.ravel(state.positions), *np.ravel(state.velocities), 0.0, 0.0]
     with pytest.raises(ValueError, match="finite"):
         Trajectory([[t, *rest] for t in times])
 
@@ -378,15 +457,21 @@ def test_trajectory_is_one_read_only_array():
     assert trajectory._fields == ("samples",)
     assert state._fields == ("masses", "positions", "velocities")
     assert trajectory.times[0] == 0.0
-    assert trajectory.samples.shape == (6, 3 + 4 * 4)  # t = 0, 0.01, ..., 0.05
+    # a read-only float64 memoryview, which np.asarray views without a copy
+    samples = trajectory.samples
+    assert type(samples) is memoryview and samples.readonly and samples.format == "d"
+    assert samples.shape == (6, 3 + 4 * 4)  # t = 0, 0.01, ..., 0.05
+    array = np.asarray(samples)
+    assert array.shape == samples.shape and np.shares_memory(array, samples)
     views = (trajectory.times, trajectory.positions, trajectory.velocities,
              trajectory.energy, trajectory.angular_momentum)
-    for view in (trajectory.samples, *views):
+    for view in (array, *views):
         assert not view.flags.writeable
-    assert all(np.shares_memory(view, trajectory.samples) for view in views)
-    assert trajectory.positions[0].tobytes() == state.positions.tobytes()
-    assert trajectory.velocities[0].tobytes() == state.velocities.tobytes()
-    assert not state.positions.flags.writeable
+    assert all(np.shares_memory(view, samples) for view in views)
+    assert trajectory.positions[0].tobytes() == np.array(state.positions).tobytes()
+    assert trajectory.velocities[0].tobytes() == np.array(state.velocities).tobytes()
+    for field in state:
+        assert_unwritable(field)
 
 
 def test_integrate_holds_its_samples_once():
@@ -440,13 +525,8 @@ def test_systems_hold_read_only_copies(build):
 
 
 def assert_unwritable(field):
-    """SystemState's fields are read-only arrays, PlanarSystem's a float
-    tuple or a tuple of (x, y) float tuples: no item can be set."""
-    if isinstance(field, np.ndarray):
-        assert not field.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            field[0] = 5.0
-        return
+    """SystemState's and PlanarSystem's fields are a float tuple or a
+    tuple of (x, y) float tuples: no item can be set."""
     assert type(field) is tuple
     for item in field:
         assert type(item) is float or (
@@ -539,6 +619,52 @@ def test_integrate_refuses_more_steps_than_the_cap_before_a_step(monkeypatch):
     # at the cap the run starts, and the first step is the stub's
     with pytest.raises(RuntimeError, match="took a step"):
         integrate(state, dt=1.0, t_end=float(MAX_STEPS))
+
+
+def loop_steps(dt, t_end):
+    """The steps of the loop integrate ran before it counted them: the step
+    that starts at most dt * (1 + 1e-9) before t_end is the last."""
+    t, step, last = 0.0, 0, t_end == 0.0
+    while not last:
+        last = t + dt * (1.0 + 1e-9) >= t_end
+        step += 1
+        t = t_end if last else step * dt
+    return step
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 9999, 10000])
+def test_step_count_is_the_loops(n):
+    # dt a few ulps either side of t_end / n, and of the last step's reach
+    for t_end in (2.0 * math.pi, 0.3 * 2.0 * math.pi, 0.6 * math.pi, 1e-300, 1e300):
+        for base in (t_end / n, t_end / n * (1.0 + 0.5e-9), t_end / n * (1.0 + 2e-9)):
+            for ulps in range(-3, 4):
+                dt = base
+                for _ in range(abs(ulps)):
+                    dt = math.nextafter(dt, math.copysign(math.inf, ulps))
+                assert dynamics._step_count(dt, t_end) == loop_steps(dt, t_end), (dt, t_end)
+    for dt in (1e-300, 1.0, 1e300, math.nextafter(math.inf, 0.0)):
+        assert dynamics._step_count(dt, 0.0) == loop_steps(dt, 0.0) == 0
+        assert dynamics._step_count(dt, dt / n) == loop_steps(dt, dt / n) == 1
+
+
+def test_integrate_refuses_more_samples_than_the_cap_before_a_step(monkeypatch):
+    state = init_relative_equilibrium(TrapezoidParams(1.0, 1.0))
+
+    def no_step(*args):
+        raise RuntimeError("took a step")
+
+    monkeypatch.setitem(dynamics._kernels(4), "step", no_step)
+    assert MAX_SAMPLES == 2 * 10**6
+    # a sample at t = 0, one every stride steps and one at the last step:
+    # at the cap the run starts, and the first step is the stub's
+    for stride, steps in [(1, MAX_SAMPLES - 1), (3, 3 * (MAX_SAMPLES - 1))]:
+        with pytest.raises(RuntimeError, match="took a step"):
+            integrate(state, dt=1.0, t_end=float(steps), output_stride=stride)
+        with pytest.raises(ValueError, match=(
+            f"^{steps + 1} RK4 steps at stride {stride} record {MAX_SAMPLES + 1} samples, "
+            f"more than {MAX_SAMPLES}$"
+        )):
+            integrate(state, dt=1.0, t_end=float(steps + 1), output_stride=stride)
 
 
 def test_integrate_checks_the_separation_once_per_step(monkeypatch):

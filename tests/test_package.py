@@ -144,6 +144,22 @@ def test_bare_import_loads_no_layer_but_names_its_modules(tmp_path):
 LAYERS = {"geometry", "masses", "oracle", "dynamics", "regions"}
 BOUNDARY = ["boundary", "--which", "f1", "--axis", "alpha", "--fixed", "0.5", "--out", "b.csv"]
 SIMULATE = ["simulate", "--alpha", "1", "--beta", "1", "--periods", "0.01", "--out", "s.csv"]
+# simulate's other exits: off the locus (1), no steps (0) and a collision (3)
+SIMULATE_OFF_LOCUS = ["simulate", "--alpha", "0.5", "--beta", "1", "--periods", "0.01",
+                      "--out", "s.csv"]
+SIMULATE_NO_STEPS = ["simulate", "--alpha", "1", "--beta", "1", "--periods", "0", "--out", "s.csv"]
+# no initial data of the CLI collide, so a stub aborts with the trajectory
+# that integrate recorded over a few steps, in its own buffer
+SIMULATE_COLLISION = (
+    "import trapcc.cli as cli\n"
+    "from trapcc.dynamics import CollisionError, integrate\n"
+    "def aborting(initial, dt, t_end, output_stride):\n"
+    "    partial = integrate(initial, dt=dt, t_end=5 * dt, output_stride=1)\n"
+    "    raise CollisionError('synthetic abort', partial)\n"
+    "cli.integrate = aborting\n"
+    f"assert main({SIMULATE!r}) == 3\n"
+    "assert len(open('s.csv').read().splitlines()) == 7\n"
+)
 
 
 POINT_LOOP = (
@@ -162,7 +178,7 @@ POINT_LOOP = (
     [
         ("main(['--version'])", LAYERS),
         (f"main({BOUNDARY!r})", {"oracle", "dynamics", "numpy"}),
-        (f"main({SIMULATE!r})", {"regions"}),
+        (f"main({SIMULATE!r})", {"regions", "numpy"}),
         # building the pair kernels waits for their first call
         ("from trapcc import masses, oracle", {"regions", "dynamics", "numpy"}),
         ("main(['masses', '--alpha', '0.5', '--beta', '1'])",
@@ -171,6 +187,11 @@ POINT_LOOP = (
         # perfbench/child.py's point loop, as the benchmark runs it: the
         # square, a locus point, an off-locus point and one on f3 = 0
         pytest.param(POINT_LOOP, {"regions", "dynamics", "numpy"}, id="point-loop"),
+        pytest.param(f"assert main({SIMULATE_OFF_LOCUS!r}) == 1", {"regions", "numpy"},
+                     id="simulate-off-locus"),
+        pytest.param(f"assert main({SIMULATE_NO_STEPS!r}) == 0", {"regions", "numpy"},
+                     id="simulate-no-steps"),
+        pytest.param(SIMULATE_COLLISION, {"regions", "numpy"}, id="simulate-collision"),
     ],
 )
 def test_each_entry_point_loads_only_its_modules(tmp_path, code, absent):

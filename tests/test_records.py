@@ -33,9 +33,10 @@ FIELDS = {
     ),
 }
 
-# the records that hold their arrays as read-only copies (RasterGrid's stay
-# writable, as they were); PlanarSystem holds float tuples
-READ_ONLY = {"SystemState", "Trajectory"}
+# PlanarSystem and SystemState hold float tuples, and Trajectory its
+# samples as a read-only memoryview (RasterGrid's arrays stay writable, as
+# they were)
+FLOAT_TUPLES = {"PlanarSystem", "SystemState"}
 
 TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 ROW = [0.0, *[c for xy in TRIANGLE for c in xy], *[0.0] * 6, 0.0, 0.0]
@@ -107,12 +108,13 @@ def test_no_field_can_be_rebound_and_no_attribute_added():
                 setattr(record, field, None)
         with pytest.raises(AttributeError):
             record.extra = None
-        if type(record).__name__ in READ_ONLY:
-            assert not any(value.flags.writeable for value in record), type(record).__name__
-        if type(record).__name__ == "PlanarSystem":
-            masses, positions = record
+        if type(record).__name__ == "Trajectory":
+            assert type(record.samples) is memoryview and record.samples.readonly
+        if type(record).__name__ in FLOAT_TUPLES:
+            masses, *vectors = record
             assert type(masses) is tuple and all(type(m) is float for m in masses)
-            assert type(positions) is tuple and all(
-                type(p) is tuple and len(p) == 2 and all(type(c) is float for c in p)
-                for p in positions
-            )
+            for vector in vectors:
+                assert type(vector) is tuple and all(
+                    type(p) is tuple and len(p) == 2 and all(type(c) is float for c in p)
+                    for p in vector
+                )
