@@ -402,6 +402,12 @@ def cmd_simulate(args) -> int:
             f"--periods and --dt ask for {t_end / args.dt:.3g} RK4 steps, more than {MAX_STEPS}"
         )
     try:
+        # integrate's run checks, before any work: every other one is made
+        # above, so this refuses more than dynamics.MAX_SAMPLES samples
+        importlib.import_module(f"{__package__}.dynamics")._step_count(args.dt, t_end, args.stride)
+    except ValueError as err:
+        raise UsageError(str(err))
+    try:
         initial = init_relative_equilibrium(params, force=args.force)
     except (DegenerateConfigurationError, CoincidentBodiesError) as err:
         print(f"degenerate: {err}", file=sys.stderr)
@@ -457,10 +463,6 @@ def cmd_simulate(args) -> int:
         write_trajectory(err.trajectory)
         print(f"collision: {err}", file=sys.stderr)
         return EX_COLLISION
-    except ValueError as err:
-        # every other argument integrate checks is checked above: the run
-        # would record more than dynamics.MAX_SAMPLES samples
-        raise UsageError(str(err))
 
     write_trajectory(trajectory)
     report = rigidity_metrics(trajectory)

@@ -204,20 +204,37 @@ def init_relative_equilibrium(params: TrapezoidParams, force: bool = False) -> S
     return SystemState.from_arrays(masses, config.positions, velocities)
 
 
-def _step_count(dt: float, t_end: float) -> int:
+def _step_count(dt: float, t_end: float, output_stride: int) -> int:
     """The RK4 steps :func:`integrate` takes: none to t_end = 0, else the
     first k >= 1 whose step starts, at ``(k - 1) * dt``, at most
     ``dt * (1 + 1e-9)`` before t_end.  t_end / dt can round just above a
     whole number when the steps already reach t_end, where one more step
     would be zero or negative, so the count is searched up from one below
     that ratio, not rounded from it.  A count of k has t_end / dt at most
-    k (1 + 1e-9), so up to MAX_STEPS that start is never past the count."""
+    k (1 + 1e-9), so up to MAX_STEPS that start is never past the count.
+
+    Raises ValueError on a run that integrate refuses, before any work:
+    see its Raises section."""
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError("t_end must be finite and non-negative")
+    if output_stride < 1:
+        raise ValueError("output_stride must be at least 1")
+    if t_end / dt > MAX_STEPS:
+        raise ValueError(f"t_end / dt is {t_end / dt:.3g} RK4 steps, more than {MAX_STEPS}")
     if t_end == 0.0:
         return 0
     reach = dt * (1.0 + 1e-9)
     steps = max(1, math.ceil(t_end / dt) - 1)
     while (steps - 1) * dt + reach < t_end:
         steps += 1
+    samples = 1 + -(-steps // output_stride)  # t = 0, every stride-th step and the last
+    if samples > MAX_SAMPLES:
+        raise ValueError(
+            f"{steps} RK4 steps at stride {output_stride} record {samples} samples, "
+            f"more than {MAX_SAMPLES}"
+        )
     return steps
 
 
@@ -237,27 +254,14 @@ def integrate(
     Raises
     ------
     ValueError
-        When ``t_end / dt`` exceeds MAX_STEPS, or the run would record
-        more than MAX_SAMPLES samples, before any step.
+        When dt is not positive, t_end not finite and non-negative, the
+        stride below 1, ``t_end / dt`` over MAX_STEPS, or the run would
+        record more than MAX_SAMPLES samples, before any step.
     CollisionError
         When any separation drops below 1e-6; the partial trajectory is
         attached to the exception.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if not 0.0 <= t_end < math.inf:
-        raise ValueError("t_end must be finite and non-negative")
-    if output_stride < 1:
-        raise ValueError("output_stride must be at least 1")
-    if t_end / dt > MAX_STEPS:
-        raise ValueError(f"t_end / dt is {t_end / dt:.3g} RK4 steps, more than {MAX_STEPS}")
-    steps = _step_count(dt, t_end)
-    samples = 1 + -(-steps // output_stride)  # t = 0, every stride-th step and the last
-    if samples > MAX_SAMPLES:
-        raise ValueError(
-            f"{steps} RK4 steps at stride {output_stride} record {samples} samples, "
-            f"more than {MAX_SAMPLES}"
-        )
+    steps = _step_count(dt, t_end, output_stride)
 
     # the state is flat coordinates [x_0, y_0, x_1, y_1, ...] of Python
     # floats: for a few bodies numpy's per-call cost outweighs the

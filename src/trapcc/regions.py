@@ -189,9 +189,6 @@ def bisect(
     return 0.5 * (a + b)
 
 
-_EXACT_FUNCTIONS = {"f1": exact_f1, "f3": exact_f3}
-
-
 def _exact_line(which: str, fixed_axis: str, fixed) -> Callable[[float], float]:
     """``float(exact_f1(alpha, beta))`` (``which`` "f1") or that of
     ``exact_f3`` as a function of the free coordinate, with ``fixed_axis``
@@ -201,34 +198,27 @@ def _exact_line(which: str, fixed_axis: str, fixed) -> Callable[[float], float]:
     in their order of operations, the fixed coordinate's square is taken
     once, and an f1 line skips f2 and f3.
     """
+    f3 = which == "f3"
     if fixed_axis == "alpha":
         alpha = fixed
         near, far = (0.5 - 0.5 * alpha) ** 2, (0.5 + 0.5 * alpha) ** 2
 
-        def f1(beta):
+        def line(beta):
             square = beta**2
             a, b = (near + square) ** 1.5, (far + square) ** 1.5
-            return float(a + b - 2.0 * a * b)
-
-        def f3(beta):
-            square = beta**2
-            a, b = (near + square) ** 1.5, (far + square) ** 1.5
-            return float(a + b - 2.0 * a * b + alpha * (a - b))
+            f1 = a + b - 2.0 * a * b
+            return float(f1 + alpha * (a - b)) if f3 else float(f1)
 
     else:
         square = fixed**2
 
-        def f1(alpha):
+        def line(alpha):
             a = ((0.5 - 0.5 * alpha) ** 2 + square) ** 1.5
             b = ((0.5 + 0.5 * alpha) ** 2 + square) ** 1.5
-            return float(a + b - 2.0 * a * b)
+            f1 = a + b - 2.0 * a * b
+            return float(f1 + alpha * (a - b)) if f3 else float(f1)
 
-        def f3(alpha):
-            a = ((0.5 - 0.5 * alpha) ** 2 + square) ** 1.5
-            b = ((0.5 + 0.5 * alpha) ** 2 + square) ** 1.5
-            return float(a + b - 2.0 * a * b + alpha * (a - b))
-
-    return f1 if which == "f1" else f3
+    return line
 
 
 class BoundarySample(NamedTuple):
@@ -265,11 +255,10 @@ def trace_boundary(
     f_value recorded is the EXACT sign function at the published point,
     so the column doubles as an approximation-error report.
     """
-    if which not in _EXACT_FUNCTIONS:
+    if which not in ("f1", "f3"):
         raise ValueError(f"unknown sign function {which!r}; expected 'f1' or 'f3'")
     if fixed_axis not in ("alpha", "beta"):
         raise ValueError(f"unknown axis {fixed_axis!r}; expected 'alpha' or 'beta'")
-    exact = _EXACT_FUNCTIONS[which]
     samples = []
     if method == "exact":
         if search_interval is None:
@@ -295,7 +284,7 @@ def trace_boundary(
             except ApproxDomainError as err:
                 sample = BoundarySample(beta, None, None, f"domain_error:{type(err).__name__}")
             else:
-                sample = BoundarySample(beta, alpha, float(exact(alpha, beta)), "ok")
+                sample = BoundarySample(beta, alpha, _exact_line(which, "beta", beta)(alpha), "ok")
             samples.append(sample)
         return BoundaryCurve(samples=tuple(samples), method="published-approximation")
     raise ValueError(f"unknown method {method!r}; expected 'exact' or 'published'")
@@ -399,13 +388,13 @@ def _check_plane(alphas, betas) -> None:
 
 
 def _grid_axes(alpha_range, beta_range, n_alpha: int, n_beta: int, rows=slice(0)):
-    """The checked cell-centre alphas of a grid, and the betas of its beta
-    rows ``rows`` (a slice or row indices; default none), then its top row's."""
+    """The checked cell-centre alphas of a grid, the betas of its beta rows
+    ``rows`` (a slice or row indices; default none), and its top row's."""
     alphas = cell_centers(*alpha_range, n_alpha)
     ends = _centers(*beta_range, n_beta, np.array([0, n_beta - 1]))
     _check_plane(alphas[[0, -1]].tolist(), ends[:1].tolist())  # the centres increase
     k = np.arange(*rows.indices(n_beta)) if isinstance(rows, slice) else np.arange(n_beta)[rows]
-    return alphas, np.append(_centers(*beta_range, n_beta, k), ends[1])
+    return alphas, _centers(*beta_range, n_beta, k), ends[1]
 
 
 def row_blocks(n_alpha: int, n_beta: int):
@@ -415,22 +404,24 @@ def row_blocks(n_alpha: int, n_beta: int):
     return [slice(start, min(start + rows, n_beta)) for start in range(0, n_beta, rows)]
 
 
-def _evaluate(alphas, betas, values):
+def _evaluate(alphas, betas, top, values):
     """``a``, ``b`` and ``values(a, b, alpha)`` (:func:`sign_values`, or
     :func:`mass_values` for the masses too) on the grid of ``alphas`` and
-    ``betas``, whose last is the grid's top row.
+    ``betas``.
 
     Alpha goes in as a row and beta as a column, so a cell gets the same
     bits whichever rows are evaluated with it.  Raises OverflowError when
-    any of these overflow on any row of the grid: the top row, where they
-    are largest, is evaluated with every call.
+    any of these overflow on any row of the grid: the row of the grid's
+    top beta ``top``, where they are largest, is evaluated with every call
+    and dropped from the result.
     """
     try:
         with np.errstate(over="raise"):
-            a, b = distance_cubes_values(alphas[None, :], betas[:, None])
-            return a, b, values(a, b, alphas[None, :])
+            a, b = distance_cubes_values(alphas[None, :], np.append(betas, top)[:, None])
+            computed = values(a, b, alphas[None, :])
     except FloatingPointError as err:
         raise OverflowError(f"the sign functions overflow: {err}") from None
+    return a[:-1], b[:-1], tuple(value[:-1] for value in computed)
 
 
 def raster(
@@ -449,22 +440,14 @@ def raster(
     grid overflows, which only a beta range far outside the figures' can
     do.
     """
-    alphas, betas = _grid_axes(alpha_range, beta_range, n_alpha, n_beta, rows)
-    a, b, (m, M, f1, _, f3) = _evaluate(alphas, betas, mass_values)
-    degenerate = is_degenerate(f3, a, b)[:-1]
-    m = np.where(degenerate, np.nan, m[:-1])
-    M = np.where(degenerate, np.nan, M[:-1])
+    alphas, betas, top = _grid_axes(alpha_range, beta_range, n_alpha, n_beta, rows)
+    a, b, (m, M, f1, _, f3) = _evaluate(alphas, betas, top, mass_values)
+    degenerate = is_degenerate(f3, a, b)
+    m = np.where(degenerate, np.nan, m)
+    M = np.where(degenerate, np.nan, M)
     labels = region_code(m, M)
     labels[degenerate] = REGION_LABELS.index(RegionLabel.DEGENERATE)
-    return RasterGrid(
-        alpha_axis=alphas,
-        beta_axis=betas[:-1],
-        f1=f1[:-1],
-        f3=f3[:-1],
-        m=m,
-        M=M,
-        labels=labels,
-    )
+    return RasterGrid(alpha_axis=alphas, beta_axis=betas, f1=f1, f3=f3, m=m, M=M, labels=labels)
 
 
 def _worst(dev):
@@ -538,7 +521,7 @@ def compare_exact_vs_approx(
     node keeps its WORST_CELLS worst (:func:`_worst`) with their values,
     and the worst of those, kept in node order, are the grid's.
     """
-    alphas, top = _grid_axes(alpha_range, beta_range, n_alpha, n_beta)  # top: its row's beta
+    alphas, _, top = _grid_axes(alpha_range, beta_range, n_alpha, n_beta)
     size = n_alpha * n_beta
     agree = [0, 0]
     maximum = [-math.inf, -math.inf]
@@ -550,10 +533,10 @@ def compare_exact_vs_approx(
         start, stop = first // n_alpha, (last - 1) // n_alpha + 1
         if not held[0].start <= start < stop <= held[0].stop:  # else the nodes share rows
             held[:] = slice(start, stop), None  # the rows held before are dropped first
-            betas = np.append(_centers(*beta_range, n_beta, np.arange(start, stop)), top)
-            f1, _, f3 = _evaluate(alphas, betas, sign_values)[2]
-            approx = f1_approx(alphas, betas[:-1, None]), f3_approx(alphas, betas[:-1, None])
-            held[1] = tuple(zip((f1[:-1], f3[:-1]), approx))
+            betas = _centers(*beta_range, n_beta, np.arange(start, stop))
+            f1, _, f3 = _evaluate(alphas, betas, top, sign_values)[2]
+            approx = f1_approx(alphas, betas[:, None]), f3_approx(alphas, betas[:, None])
+            held[1] = tuple(zip((f1, f3), approx))
         node = slice(first - held[0].start * n_alpha, last - held[0].start * n_alpha)
         sums = []
         for k, (exact, approx) in enumerate(held[1]):

@@ -807,7 +807,8 @@ class TestSimulate:
         monkeypatch.setitem(dynamics._kernels(4), "step", no_step)
         steps = samples - 1
         dt = 2.0 * math.pi / steps
-        assert dynamics._step_count(dt, 2.0 * math.pi) == steps
+        # a stride of the whole run records two samples, under the cap
+        assert dynamics._step_count(dt, 2.0 * math.pi, steps) == steps
         out = tmp_path / "t.csv"
         code, stdout, err = run(capsys, "simulate", "--alpha", "1", "--beta", "1",
                                 "--dt", repr(dt), "--stride", "1", "--out", str(out))
@@ -818,6 +819,24 @@ class TestSimulate:
             assert err == (f"usage error: {steps} RK4 steps at stride 1 record {samples} "
                            f"samples, more than {MAX_SAMPLES}\n")
         assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("beta", ["1", "0.5"], ids=["off-locus", "refused"])
+    def test_over_the_sample_cap_is_refused_before_any_work(self, tmp_path, beta):
+        # the run is checked before the initial data: no not-central
+        # warning at (0.5, 1), no refusal (exit 65) of the negative masses
+        # at (0.5, 0.5), only the usage line, as over MAX_STEPS
+        out = tmp_path / "t.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "trapcc.cli", "simulate", "--alpha", "0.5", "--beta", beta,
+             "--periods", "400", "--stride", "1", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+        )
+        assert proc.returncode == EX_USAGE
+        assert proc.stderr == (
+            "usage error: 2513275 RK4 steps at stride 1 record 2513276 samples, "
+            f"more than {MAX_SAMPLES}\n"
+        )
+        assert proc.stdout == "" and not out.exists()
 
     def test_collision_writes_partial_and_exits_3(self, capsys, tmp_path, monkeypatch):
         # no CLI-reachable initial data collides within a few periods, so
@@ -918,7 +937,8 @@ class TestCompareApprox:
         # unless they lie inside the rows evaluated for the node before, and
         # nothing else: neither row_blocks nor the worst cells' rows again,
         # and never the masses.  Each evaluation gets the betas of its rows
-        # and of the top row, with cell_centers' bits, and no other beta
+        # and, as its probe, the top row's, with cell_centers' bits, and no
+        # other beta
         evaluated = []
         evaluate = regions._evaluate
 
@@ -942,9 +962,10 @@ class TestCompareApprox:
                 touched.append(rows)
         alphas, betas = cell_centers(0.0, 1.0, n_alpha), cell_centers(0.0, 1.0, n_beta)
         assert len(evaluated) == len(touched)
-        for (got_alphas, got_betas, values), rows in zip(evaluated, touched):
+        for (got_alphas, got_betas, top, values), rows in zip(evaluated, touched):
             assert got_alphas.tobytes() == alphas.tobytes()
-            assert got_betas.tobytes() == np.append(betas[rows], betas[-1]).tobytes()
+            assert got_betas.tobytes() == betas[rows].tobytes()
+            assert np.float64(top).tobytes() == betas[-1].tobytes()
             assert values is regions.sign_values
         # the worst cells' coordinates are cell centres
         for which in ("f1", "f3"):
@@ -960,9 +981,9 @@ class TestCompareApprox:
         evaluated = []
         evaluate = regions._evaluate
 
-        def capture(alphas, betas, values):
-            evaluated.append(alphas.size * betas.size)
-            return evaluate(alphas, betas, values)
+        def capture(alphas, betas, top, values):
+            evaluated.append(alphas.size * (betas.size + 1))  # and the top row
+            return evaluate(alphas, betas, top, values)
 
         monkeypatch.setattr(regions, "_evaluate", capture)
         regions.compare_exact_vs_approx((0.0, 1.0), (0.0, 1.0), n_alpha, n_beta)

@@ -324,7 +324,7 @@ class TestCompareExactVsApprox:
         # once on the rows of each node (no node lies inside the rows of the
         # one before: a row is narrower than a node), and on nothing else
         rows = [slice(first // 3, (last - 1) // 3 + 1) for first, last in nodes]
-        assert [args[1].tobytes() for args in evaluated] == [
+        assert [np.append(args[1], args[2]).tobytes() for args in evaluated] == [
             np.append(betas[r], betas[-1]).tobytes() for r in rows
         ]
         approx = surrogate(alphas, betas[:, None])
@@ -478,6 +478,21 @@ class TestTraceBoundary:
         curve = trace_boundary("f1", "beta", [0.5], method="published")
         assert curve.method == "published-approximation"
         assert curve.samples[0].status == "domain_error:NegativeRadicandError"
+
+    @pytest.mark.parametrize("which", ["f1", "f3"])
+    def test_published_rows_have_the_bits_of_the_exact_sign_function(self, monkeypatch, which):
+        # each published row records exact_f1/exact_f3 at its printed root,
+        # bit for bit; g1 is real nowhere on (0, 1), so the f1 rows are
+        # taken at g3's roots
+        if which == "f1":
+            monkeypatch.setattr(regions, "g1_published", g3_published)
+        exact = {"f1": exact_f1, "f3": exact_f3}[which]
+        betas = ((np.arange(1999) + 0.5) / 1999).tolist()
+        samples = trace_boundary(which, "beta", betas, method="published").samples
+        rows = [sample for sample in samples if sample.status == "ok"]
+        assert len(rows) > 1000  # g3 is real up to beta 0.865
+        for sample in rows:
+            assert sample.f_value.hex() == float(exact(sample.root, sample.fixed)).hex()
 
     def test_published_requires_beta_axis(self):
         with pytest.raises(ValueError):
